@@ -17,7 +17,7 @@ from .exactalg import (
     parse_ratfunc,
     primes_up_to,
 )
-from .projmap import SweepReport, schur_sweep, sweep_prime
+from .projmap import SweepReport, schur_sweep, sweep_primes
 from . import funfam
 from .permcore import (
     AffineSpace,
@@ -99,21 +99,12 @@ def parallel_sweep(f, bound, workers):
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_sweep_primes, [(text, c) for c in chunks]))
     records = sorted((r for part in parts for r in part), key=lambda r: r.p)
-    counts = {"bijective": 0, "not-bijective": 0, "bad-reduction": 0,
-              "ramified": 0}
-    for r in records:
-        counts[r.verdict] += 1
-    return SweepReport(records=tuple(records),
-                       bijective=counts["bijective"],
-                       not_bijective=counts["not-bijective"],
-                       bad_reduction=counts["bad-reduction"],
-                       ramified=counts["ramified"])
+    return SweepReport.from_records(records)
 
 
 def _sweep_primes(args):
     text, primes = args
-    f = parse_ratfunc(text)
-    return [sweep_prime(f, p) for p in primes]
+    return sweep_primes(parse_ratfunc(text), primes)
 
 
 def worker_count():

@@ -535,6 +535,14 @@ class Poly:
         self.field = field
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _raw(cls, field, coeffs):
+        """Trusted coefficients: elements of field, leading one nonzero."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.coeffs = tuple(coeffs)
+        return poly
+
     @property
     def degree(self):
         return len(self.coeffs) - 1  # zero polynomial has degree -1
@@ -712,6 +720,14 @@ class RatFunc:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _raw(cls, num, den):
+        """Trusted num/den: coprime, den monic. Skips the gcd of __init__."""
+        f = object.__new__(cls)
+        f.num = num
+        f.den = den
+        return f
+
     @property
     def field(self):
         return self.num.field
@@ -820,68 +836,112 @@ def ratfunc_compose(f, g):
 # ---------------------------------------------------------------------------
 # reduction at a place
 
-def reduce_scalar(c, target, root=None):
-    """Reduce an exact scalar into F_p or F_p^2.
+def _frac_mod(c, p):
+    """A rational as an int mod p."""
+    if c.denominator == 1:
+        return c.numerator % p
+    if c.denominator % p == 0:
+        raise BadReduction(f"denominator of {c} vanishes mod {p}")
+    return c.numerator * pow(c.denominator, -1, p) % p
 
-    root: chosen square root of d mod p for split places (ext=1 targets).
-    """
-    p = target.p
-    if isinstance(c, (int, Fraction)):
-        return target.coerce(c)
-    if isinstance(c, QuadElem):
-        if c.a.denominator % p == 0 or c.b.denominator % p == 0:
-            raise BadReduction(f"coefficient denominator vanishes mod {p}")
-        a = target.coerce(c.a)
-        b = target.coerce(c.b)
-        if target.ext == 1:
-            if root is None:
-                raise ValueError("split reduction needs a chosen root of d")
-            return a + b * target.from_int(root)
-        # inert: sqrt(d) = s * sqrt(r) with s^2 = d/r
-        s2 = c.d * pow(target.r, -1, p) % p
-        s = sqrt_mod(s2, p)
-        if s is None:
-            raise BadReduction("d/r unexpectedly a non-residue")
-        return a + b * Fq2Elem(0, s, p, target.r)
-    raise FieldMismatch(f"cannot reduce {c!r}")
+
+def _int_field_ops(p, r=None):
+    """(zero, mul, inv, sub_mul) on ints mod p, or, when r is given, on pairs
+    (u, v) meaning u + v*sqrt(r) in F_p^2; sub_mul(a, c, b) is a - c*b."""
+    if r is None:
+        return (0, lambda x, y: x * y % p, lambda x: pow(x, -1, p),
+                lambda a, c, b: (a - c * b) % p)
+
+    def mul(x, y):
+        return ((x[0] * y[0] + r * x[1] * y[1]) % p,
+                (x[0] * y[1] + x[1] * y[0]) % p)
+
+    def inv(x):
+        n = pow((x[0] * x[0] - r * x[1] * x[1]) % p, -1, p)
+        return x[0] * n % p, -x[1] * n % p
+
+    def sub_mul(a, c, b):
+        t = mul(c, b)
+        return (a[0] - t[0]) % p, (a[1] - t[1]) % p
+
+    return (0, 0), mul, inv, sub_mul
+
+
+def _gcd_degree(a, b, ops):
+    """Degree of gcd(a, b) for nonzero coefficient lists (lowest degree
+    first, leading coefficient nonzero), by one Euclid pass."""
+    zero, mul, inv, sub_mul = ops
+    a, b = list(a), list(b)
+    while len(b) > 1:
+        lead_inv = inv(b[-1])
+        n = len(b) - 1
+        while len(a) > n:
+            c = mul(a.pop(), lead_inv)  # the leading terms cancel exactly
+            a[-n:] = [sub_mul(x, c, y) for x, y in zip(a[-n:], b)]
+            while a and a[-1] == zero:
+                a.pop()
+        if not a:
+            return n
+        a, b = b, a
+    return 0
 
 
 def reduce_mod_place(f, p):
     """Reduce f over QQ or QQ(sqrt(d)) at the odd prime p.
 
     Split places substitute the smallest square root of d in {1..p-1};
-    inert places land in F_p^2. Raises BadReduction if the degree drops or
-    num/den become non-coprime, RamifiedPlace if p | 2d.
+    inert places land in F_p^2, with sqrt(d) = s*sqrt(r) for s^2 = d/r.
+    Raises BadReduction if the degree drops or num/den become non-coprime,
+    RamifiedPlace if p | 2d.
+
+    The coefficients are reduced to ints mod p (pairs of ints at inert
+    places) and tested for coprimality there, so the result is built
+    without the gcd of RatFunc's constructor.
     """
     if p == 2:
         raise RamifiedPlace("p = 2 is always skipped")
     field = f.field
+    target = FqField(p)
     if isinstance(field, RationalField):
-        target = FqField(p)
-        root = None
+        def scalar(c):
+            return _frac_mod(c, p)
     elif isinstance(field, QuadField):
         d = field.d
         if (2 * d) % p == 0:
             raise RamifiedPlace(f"p = {p} divides 2d")
         if kronecker(d, p) == 1:
-            target = FqField(p)
             r0 = sqrt_mod(d, p)
             root = min(r0, p - r0)
+
+            def scalar(c):
+                return (_frac_mod(c.a, p) + _frac_mod(c.b, p) * root) % p
         else:
             target = FqField(p, ext=2)
-            root = None
+            # d and r are both non-residues, so d/r has a root
+            s = sqrt_mod(d * pow(target.r, -1, p), p)
+
+            def scalar(c):
+                return _frac_mod(c.a, p), _frac_mod(c.b, p) * s % p
     else:
         raise FieldMismatch("reduction only from QQ or QQ(sqrt(d))")
 
-    num = f.num.map_coeffs(target, lambda c: reduce_scalar(c, target, root))
-    den = f.den.map_coeffs(target, lambda c: reduce_scalar(c, target, root))
-    if num.degree < f.num.degree or den.degree < f.den.degree:
+    ops = _int_field_ops(p, target.r)
+    zero, mul, inv, _ = ops
+    num = [scalar(c) for c in f.num.coeffs]
+    den = [scalar(c) for c in f.den.coeffs]
+    if (num and num[-1] == zero) or den[-1] == zero:
         raise BadReduction(f"degree drops mod {p}")
-    if num.is_zero():
-        return RatFunc(num, den)
-    if num.gcd(den).degree > 0:
+    if len(num) > 1 and len(den) > 1 and _gcd_degree(num, den, ops) > 0:
         raise BadReduction(f"num and den share a factor mod {p}")
-    return RatFunc(num, den)
+    lead_inv = inv(den[-1])
+
+    def poly(cs):
+        cs = [mul(c, lead_inv) for c in cs]
+        if target.ext == 1:
+            return Poly._raw(target, [FpElem(c, p) for c in cs])
+        return Poly._raw(target, [Fq2Elem(u, v, p, target.r) for u, v in cs])
+
+    return RatFunc._raw(poly(num), poly(den))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from schurscope.cli import (
+    _sweep_primes,
     builtin_function,
     dump_group,
     load_function,
@@ -17,7 +18,8 @@ from schurscope.cli import (
 )
 from schurscope.funfam import dickson, sporadic_degree5
 from schurscope.permcore import Perm, PermGroup
-from schurscope.projmap import schur_sweep
+from schurscope.exactalg import format_ratfunc
+from schurscope.projmap import SweepRecord, schur_sweep
 
 
 def test_builtin_function_registry():
@@ -76,6 +78,14 @@ def test_parallel_sweep_matches_serial():
     assert [(r.p, r.verdict) for r in par.records] == \
         [(r.p, r.verdict) for r in serial.records]
     assert par.density == serial.density
+
+
+def test_sweep_worker_records_point_cap_verdicts():
+    # 1031 is inert for cm7, and 1031^2 + 1 points exceed the default cap
+    text = format_ratfunc(builtin_function("builtin:cm7"))
+    assert _sweep_primes((text, [11, 1031, 19])) == [
+        SweepRecord(11, 2, "bijective"), SweepRecord(1031, 2, "point-cap"),
+        SweepRecord(19, 1, "not-bijective")]
 
 
 def test_worker_count_env(monkeypatch):

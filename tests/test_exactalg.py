@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from schurscope.exactalg import (
     QQ,
     BadReduction,
+    Fq2Elem,
     FqField,
     Poly,
     QuadElem,
@@ -226,6 +227,83 @@ def test_reduce_mod_place_split_vs_inert():
     assert split.field.ext == 1
     inert = reduce_mod_place(f, 5)    # -3 is not a square mod 5
     assert inert.field.ext == 2
+
+
+def _slow_reduce(f, p):
+    """Reduction through field objects and RatFunc's own gcd."""
+    K = f.field
+    if isinstance(K, QuadField):
+        if (2 * K.d) % p == 0:
+            raise RamifiedPlace(p)
+        if kronecker(K.d, p) == 1:
+            F = FqField(p)
+            r0 = sqrt_mod(K.d, p)
+            root = F.from_int(min(r0, p - r0))
+        else:
+            F = FqField(p, ext=2)
+            root = Fq2Elem(0, sqrt_mod(K.d * pow(F.r, -1, p), p), p, F.r)
+
+        def red(c):
+            return F.coerce(c.a) + F.coerce(c.b) * root
+    else:
+        F = FqField(p)
+        red = F.coerce
+    num, den = f.num.map_coeffs(F, red), f.den.map_coeffs(F, red)
+    if num.degree < f.num.degree or den.degree < f.den.degree:
+        raise BadReduction(p)
+    if not num.is_zero() and num.gcd(den).degree > 0:
+        raise BadReduction(p)
+    return RatFunc(num, den)
+
+
+def _reduction_outcome(reduce, f, p):
+    try:
+        return reduce(f, p)
+    except (BadReduction, RamifiedPlace) as e:
+        return type(e)
+
+
+# mostly integers, so that most primes are good and num, den often share a
+# factor mod p without sharing one over Q
+_SMALL_SCALARS = st.one_of(st.integers(-20, 20).map(Fraction),
+                           st.fractions(-9, 9, max_denominator=4))
+
+
+@st.composite
+def ratfuncs_to_reduce(draw):
+    d = draw(st.sampled_from([None, None, -3, -1, 2, 5]))
+    if d is None:
+        K, scalar = QQ, _SMALL_SCALARS
+    else:
+        K = QuadField(d)
+        scalar = st.builds(lambda a, b: QuadElem(a, b, d), _SMALL_SCALARS,
+                           _SMALL_SCALARS)
+    num = Poly(K, draw(st.lists(scalar, min_size=1, max_size=5)))
+    den = Poly(K, draw(st.lists(scalar, min_size=1, max_size=5)))
+    if den.is_zero():
+        den = Poly(K, [1])
+    return RatFunc(num, den)
+
+
+@given(ratfuncs_to_reduce(), st.sampled_from([3, 5, 7, 11, 13]))
+@settings(max_examples=200, deadline=None)
+def test_reduce_mod_place_matches_object_reduction(f, p):
+    assert _reduction_outcome(reduce_mod_place, f, p) == \
+        _reduction_outcome(_slow_reduce, f, p)
+
+
+def test_reduce_mod_place_matches_object_reduction_over_q_sqrt_minus_3():
+    from schurscope.funfam import cm7_function
+    K = QuadField(-3)
+    x, s = poly_x(K), poly_const(K, K.sqrt_gen)
+    # coprime over K, but both vanish at sqrt(-3) mod 5, an inert place
+    h = RatFunc((x - s) * (x + poly_const(K, K.one)),
+                x - s + poly_const(K, K.from_int(5)))
+    assert _reduction_outcome(reduce_mod_place, h, 5) is BadReduction
+    for f in (cm7_function(1), h):
+        for p in primes_up_to(200)[1:]:
+            assert _reduction_outcome(reduce_mod_place, f, p) == \
+                _reduction_outcome(_slow_reduce, f, p)
 
 
 def test_parse_format_roundtrip():

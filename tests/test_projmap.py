@@ -3,20 +3,30 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from schurscope import projmap
+from schurscope.cli import builtin_function
 from schurscope.exactalg import (
     QQ,
+    BadReduction,
     FqField,
+    Poly,
+    RamifiedPlace,
     RatFunc,
     poly_const,
     poly_x,
     primes_up_to,
     reduce_mod_place,
 )
+from schurscope.funfam import cm7_function
 from schurscope.projmap import (
     INF,
     Infinity,
     PointCapExceeded,
+    SweepRecord,
+    SweepReport,
     eval_proj,
     is_bijective,
     schur_sweep,
@@ -92,6 +102,87 @@ def test_is_bijective_cap():
         is_bijective(f, cap=100)
 
 
+class _NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+@pytest.mark.parametrize("ext", [1, 2])
+def test_is_bijective_refuses_fields_past_int64_before_allocating(monkeypatch, ext):
+    p = 2**31 + 11  # prime; p^2 overflows int64 products
+    F = FqField(p, ext=ext)
+    f = RatFunc(poly_x(F), poly_const(F, F.one))
+    monkeypatch.setattr(projmap, "np", _NoArrays())
+    with pytest.raises(PointCapExceeded) as exc:
+        is_bijective(f, cap=1 << 70)
+    assert exc.value.place_degree == ext
+
+
+# -- the slow oracle: eval_proj point by point, first collision by a dict
+
+def _slow_is_bijective(f):
+    first = {}
+    for x in f.field.elements() + [INF]:
+        y = eval_proj(f, x)
+        if y in first:
+            return False, (first[y], x)
+        first[y] = x
+    return True, None
+
+
+def _agree_with_oracle(f, bound):
+    """Check every good odd prime up to bound; the place degrees checked."""
+    checked = []
+    for p in primes_up_to(bound)[1:]:
+        try:
+            fp = reduce_mod_place(f, p)
+        except (BadReduction, RamifiedPlace):
+            continue
+        assert is_bijective(fp) == _slow_is_bijective(fp), (f, p)
+        checked.append(fp.field.ext)
+    return checked
+
+
+@pytest.mark.parametrize("name", [
+    "builtin:isogeny5", "builtin:a4s4:0:2", "builtin:dickson:3:1",
+    "builtin:dickson:5:1", "builtin:redei:3:-1", "builtin:redei:5:2",
+    "builtin:redei3comp",
+])
+def test_is_bijective_matches_oracle_over_fp(name):
+    assert len(_agree_with_oracle(builtin_function(name), 199)) > 30
+
+
+def test_is_bijective_matches_oracle_over_fq2():
+    assert _agree_with_oracle(cm7_function(1), 79).count(2) == 10
+
+
+_FIELDS = [FqField(p, ext) for p in (3, 5, 7, 11) for ext in (1, 2)]
+
+
+@st.composite
+def _ratfunc_cases(draw):
+    """(field, num, den) over a small F_q, coefficients as indices into
+    field.elements(); den is nonzero, num may be zero."""
+    F = draw(st.sampled_from(_FIELDS))
+    coeff = st.integers(0, F.order - 1)
+    num = draw(st.lists(coeff, max_size=5))
+    den = draw(st.lists(coeff, max_size=4)) + [draw(st.integers(1, F.order - 1))]
+    return F, num, den
+
+
+@given(_ratfunc_cases())
+@example((FqField(5), [3], [0, 2]))  # constant
+@example((FqField(7), [0, 0, 0, 1], [1, 2]))  # dn > dd: INF -> INF
+@example((FqField(3, 2), [1, 4], [2, 0, 5]))  # dn < dd: INF -> 0
+@example((FqField(11, 2), [1, 7], [2, 1]))  # dn == dd: INF -> ratio of leads
+@settings(max_examples=200, deadline=None)
+def test_is_bijective_matches_oracle_on_random_functions(case):
+    F, num, den = case
+    els = F.elements()
+    f = RatFunc(Poly(F, [els[i] for i in num]), Poly(F, [els[i] for i in den]))
+    assert is_bijective(f) == _slow_is_bijective(f)
+
+
 def test_sweep_prime_verdicts():
     x = poly_x(QQ)
     f = RatFunc(x ** 3, poly_const(QQ, Fraction(1)))
@@ -130,3 +221,34 @@ def test_sweep_to_dict_shape():
     assert all(set(r) == {"p", "place_degree", "verdict"} for r in d["records"])
     num, den = d["density"].split("/")
     assert int(num) >= 0 and int(den) >= 1
+
+
+def test_sweep_point_cap_is_a_verdict():
+    f = cm7_function(1)
+    rep = schur_sweep(f, 60, cap=1000)
+    odd_primes = [p for p in primes_up_to(60) if p > 2]
+    assert [r.p for r in rep.records] == odd_primes
+    capped = [r for r in rep.records if r.verdict == "point-cap"]
+    # inert places are p = 2 mod 3, with p^2 + 1 points
+    assert [r.p for r in capped] == [p for p in odd_primes
+                                     if p % 3 == 2 and p * p + 1 > 1000]
+    assert all(r.place_degree == 2 for r in capped)
+    assert rep.point_cap == len(capped)
+    assert rep.good_primes == rep.bijective + rep.not_bijective
+    assert rep.good_primes + rep.bad_reduction + rep.ramified + rep.point_cap \
+        == len(odd_primes)
+    for r, u in zip(rep.records, schur_sweep(f, 60).records):
+        assert r == u or (r.verdict == "point-cap" and u.place_degree == 2)
+    # on its own, a prime past the cap is an error, not a verdict
+    with pytest.raises(PointCapExceeded):
+        sweep_prime(f, 59, cap=1000)
+
+
+def test_sweep_report_from_records_counts_each_verdict():
+    verdicts = ["bijective", "not-bijective", "not-bijective", "bad-reduction",
+                "ramified", "point-cap", "bijective"]
+    rep = SweepReport.from_records(
+        SweepRecord(p, 1, v) for p, v in zip(primes_up_to(20)[1:], verdicts))
+    assert (rep.bijective, rep.not_bijective, rep.bad_reduction, rep.ramified,
+            rep.point_cap) == (2, 2, 1, 1, 1)
+    assert rep.density == Fraction(2, 4)
