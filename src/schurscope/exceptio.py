@@ -21,6 +21,7 @@ from .permcore import (
     NotASubgroup,
     Perm,
     PermGroup,
+    check_pair_cap,
     conjugacy_class,
     orbits_on_pairs,
 )
@@ -81,11 +82,15 @@ def common_orbits(A, G):
     """List of common orbits of (A, G), each reported by its smallest pair.
 
     A common orbit is an A-orbit on ordered pairs equal to a single G-orbit.
+    The degrees and the pair cap are checked before any chain is built.
     """
+    if A.degree != G.degree:
+        raise DegreeMismatch("A and G act on different point sets")
+    n = A.degree
+    check_pair_cap(n)
     _check_normal(A, G)
     if not G.is_transitive():
         raise NotTransitive("G must be transitive")
-    n = A.degree
     g_orbs = orbits_on_pairs(G.gens, n)
     a_orbs = orbits_on_pairs(A.gens, n)
     # for each A-label, count the distinct G-labels inside it

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 from math import gcd
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,6 +31,18 @@ class NotASubgroup(ValueError):
 # ---------------------------------------------------------------------------
 # permutations
 
+_IDENTITIES = {}  # degree -> (0, 1, ..., degree - 1)
+_new = object.__new__
+
+
+def _ident(n):
+    """The identity images of degree n, one shared tuple per degree."""
+    t = _IDENTITIES.get(n)
+    if t is None:
+        t = _IDENTITIES[n] = tuple(range(n))
+    return t
+
+
 class Perm:
     """Permutation of {0..n-1}; right action, so (g*h)(i) = h(g(i))."""
 
@@ -43,7 +56,7 @@ class Perm:
 
     @classmethod
     def _raw(cls, images):
-        p = object.__new__(cls)
+        p = _new(cls)
         p.images = images
         return p
 
@@ -56,13 +69,22 @@ class Perm:
 
     def __mul__(self, other):
         a, b = self.images, other.images
-        if len(a) != len(b):
-            raise DegreeMismatch(f"{len(a)} vs {len(b)}")
-        return Perm._raw(tuple(b[x] for x in a))
+        n = len(a)
+        if n != len(b):
+            raise DegreeMismatch(f"{n} vs {len(b)}")
+        p = _new(Perm)
+        if n > 1:
+            p.images = itemgetter(*a)(b)
+        else:  # itemgetter() raises on no index and returns a bare int on one
+            p.images = tuple(b[x] for x in a)
+        return p
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
+        a = self.images
+        inv = [0] * len(a)
+        # the points come from the shared identity tuple, so an inverse
+        # holds no int objects of its own
+        for i, x in zip(_ident(len(a)), a):
             inv[x] = i
         return Perm._raw(tuple(inv))
 
@@ -85,10 +107,10 @@ class Perm:
 
     @staticmethod
     def identity(n):
-        return Perm._raw(tuple(range(n)))
+        return Perm._raw(_ident(n))
 
     def is_identity(self):
-        return all(i == x for i, x in enumerate(self.images))
+        return self.images == _ident(len(self.images))
 
     def cycles(self, include_fixed=False):
         seen = [False] * len(self.images)
@@ -161,7 +183,9 @@ class _ChainLevel:
     def __init__(self, base_point):
         self.base_point = base_point
         self.gens = []
-        self.transversal = {}  # point -> perm mapping base_point to point
+        # point -> inverse coset representative: a perm mapping point to
+        # base_point, the factor a sift composes with
+        self.transversal = {}
 
 
 class PermGroup:
@@ -208,12 +232,14 @@ class PermGroup:
                 lvl = self._chain[i]
                 eff = self._effective_gens(i)
                 for pt in list(lvl.transversal):
-                    t = lvl.transversal[pt]
+                    rep = None  # the coset representative, base_point -> pt
                     for s in eff:
                         key = (i, pt, s.images)
                         if key in verified:
                             continue
-                        schreier = t * s * lvl.transversal[s.images[pt]].inverse()
+                        if rep is None:
+                            rep = lvl.transversal[pt].inverse()
+                        schreier = rep * s * lvl.transversal[s.images[pt]]
                         j, residue = self._strip(i + 1, schreier)
                         if residue.is_identity():
                             verified.add(key)
@@ -236,26 +262,25 @@ class PermGroup:
         """Grow the transversal of level i; existing entries are never replaced,
         so earlier sift verifications stay valid."""
         lvl = self._chain[i]
-        eff = self._effective_gens(i)
+        eff = [(g.images, g.inverse()) for g in self._effective_gens(i)]
         queue = list(lvl.transversal)
         while queue:
             pt = queue.pop()
-            t = lvl.transversal[pt]
-            for g in eff:
-                img = g.images[pt]
+            t_inv = lvl.transversal[pt]
+            for images, g_inv in eff:
+                img = images[pt]
                 if img not in lvl.transversal:
-                    lvl.transversal[img] = t * g
+                    lvl.transversal[img] = g_inv * t_inv
                     queue.append(img)
 
     def _strip(self, i, g):
         """Sift g through levels i.. ; returns (stuck level, residue)."""
         while i < len(self._chain):
             lvl = self._chain[i]
-            img = g.images[lvl.base_point]
-            t = lvl.transversal.get(img)
-            if t is None:
+            t_inv = lvl.transversal.get(g.images[lvl.base_point])
+            if t_inv is None:
                 return i, g
-            g = g * t.inverse()
+            g = g * t_inv
             i += 1
         return i, g
 
@@ -334,21 +359,22 @@ class PermGroup:
 
     def stabilizer_gens(self, point):
         """Generators of the stabilizer of `point` (Schreier generators)."""
-        ident = Perm.identity(self.degree)
-        transversal = {point: ident}
+        gens = [(g, g.inverse()) for g in self.gens]
+        transversal = {point: Perm.identity(self.degree)}  # pt -> (pt -> point)
         queue = [point]
         while queue:
             pt = queue.pop()
-            for g in self.gens:
+            for g, g_inv in gens:
                 img = g.images[pt]
                 if img not in transversal:
-                    transversal[img] = transversal[pt] * g
+                    transversal[img] = g_inv * transversal[pt]
                     queue.append(img)
         out = []
         seen = set()
-        for pt, t in transversal.items():
-            for g in self.gens:
-                s = t * g * transversal[g.images[pt]].inverse()
+        for pt, t_inv in transversal.items():
+            rep = t_inv.inverse()
+            for g, _ in gens:
+                s = rep * g * transversal[g.images[pt]]
                 if not s.is_identity() and s.images not in seen:
                     seen.add(s.images)
                     out.append(s)
@@ -356,14 +382,6 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, gens={len(self.gens)})"
-
-
-def group_order(G):
-    return G.order
-
-
-def is_member(G, g):
-    return G.contains(g)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +418,15 @@ class PairOrbits:
         return set(int(v) for v in self.labels[diag])
 
 
-def orbits_on_pairs(gens, n, cap=PAIR_CAP):
-    """BFS/min-label orbit partition of {0..n-1}^2 using the generators only."""
+def check_pair_cap(n, cap=PAIR_CAP):
+    """Raise CapExceeded when the n*n ordered pairs exceed the cap."""
     if n * n > cap:
         raise CapExceeded(f"{n * n} pairs exceed cap {cap}")
+
+
+def orbits_on_pairs(gens, n, cap=PAIR_CAP):
+    """BFS/min-label orbit partition of {0..n-1}^2 using the generators only."""
+    check_pair_cap(n, cap)
     dtype = np.int32 if n * n < 2 ** 31 else np.int64
     maps = []
     for g in gens:
@@ -816,6 +839,22 @@ def element_of_order(G, n, cap=ENUM_CAP):
     raise ValueError(f"no element of order {n}")
 
 
+def _psl2_in_ambient(q, ambient):
+    """(A, G): the ambient group on P^1(F_q) ('psl', 'pgammal', or 'm10' for
+    q = 9) and PSL2(q) given by its generators inside it; G is A itself when
+    the ambient is PSL2(q), so the two share one chain and one enumeration."""
+    if ambient == "psl":
+        A, _ = psl2(q)
+        return A, A
+    if ambient == "pgammal":
+        A, line = pgammal2(q)
+    elif ambient == "m10":
+        A, line = m10()
+    else:
+        raise ValueError(ambient)
+    return A, PermGroup(A.degree, _psl2_gens(line))
+
+
 def psl2_torus_coset_action(q, ambient="psl"):
     """The degree q(q-1)/2 action of PSL2(q) (or an overgroup) on cosets of the
     normalizer of the nonsplit torus of order (q+1)/gcd(2,q-1).
@@ -824,43 +863,19 @@ def psl2_torus_coset_action(q, ambient="psl"):
     Returns (coset_action, G_in_ambient) where G_in_ambient is PSL2(q) given
     by its generators inside the ambient group.
     """
-    if ambient == "psl":
-        A, line = psl2(q)
-        g_gens = A.gens
-    elif ambient == "pgammal":
-        A, line = pgammal2(q)
-        g_gens = _psl2_gens(line)
-    elif ambient == "m10":
-        A, line = m10()
-        g_gens = _psl2_gens(line)
-    else:
-        raise ValueError(ambient)
+    A, G = _psl2_in_ambient(q, ambient)
     torus_order = (q + 1) // gcd(2, q - 1)
-    G = PermGroup(A.degree, g_gens)
     t = element_of_order(G, torus_order)
     M = normalizer_of_cyclic(A, t)
-    act = CosetAction(A, M)
-    return act, G
+    return CosetAction(A, M), G
 
 
 def psl2_sylow2_coset_action(q, ambient="psl"):
     """The degree q(q+1)/2 action on cosets of a Sylow 2-subgroup normalizer
     setup used for PSL2(9)/M10 (stabilizer = Sylow 2-subgroup of the ambient)."""
-    if ambient == "psl":
-        A, line = psl2(q)
-        g_gens = A.gens
-    elif ambient == "m10":
-        A, line = m10()
-        g_gens = _psl2_gens(line)
-    elif ambient == "pgammal":
-        A, line = pgammal2(q)
-        g_gens = _psl2_gens(line)
-    else:
-        raise ValueError(ambient)
+    A, G = _psl2_in_ambient(q, ambient)
     M = sylow_subgroup(A, 2)
-    act = CosetAction(A, M)
-    G = PermGroup(A.degree, g_gens)
-    return act, G
+    return CosetAction(A, M), G
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from schurscope.exceptio import (
     is_exceptional,
 )
 from schurscope.permcore import (
+    CapExceeded,
+    DegreeMismatch,
     Perm,
     PermGroup,
     psl2_torus_coset_action,
@@ -173,3 +175,17 @@ def test_excomp_decompose_consistency():
     U = PermGroup(4, [Perm([1, 0, 2, 3]), Perm([0, 1, 3, 2])])
     v1, v2, v3 = excomp_decompose(S4, A4, M, U)
     assert v1 == (v2 and v3)
+
+
+def test_pair_cap_refused_before_any_chain_is_built():
+    A, G = build_scalar_example(2003, 1, [], 2)
+    with pytest.raises(CapExceeded, match="pairs exceed cap"):
+        is_exceptional(A, G)
+    assert A._chain is None and G._chain is None
+
+
+def test_degree_mismatch_checked_before_pair_cap():
+    A, _ = build_scalar_example(2003, 1, [], 2)
+    with pytest.raises(DegreeMismatch):
+        common_orbits(A, C3)
+    assert A._chain is None

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from schurscope.permcore import (
     AffineSpace,
@@ -244,3 +246,143 @@ def test_affine_space_and_group():
     G, _ = affine_group(2, 4, [mat])
     assert G.degree == 16
     assert G.order % 16 == 0  # contains all translations
+
+
+# ---------------------------------------------------------------------------
+# the kernel against its definitions
+
+
+def slow_compose(g, h):
+    """(g*h)(i) = h(g(i)), point by point."""
+    return tuple(h.images[g.images[i]] for i in range(g.degree))
+
+
+@st.composite
+def _perms(draw, count):
+    n = draw(st.integers(0, 50))
+    return [Perm(draw(st.permutations(range(n)))) for _ in range(count)]
+
+
+@given(_perms(2))
+@example([Perm([]), Perm([])])
+@example([Perm([0]), Perm([0])])
+@example([Perm([1, 0]), Perm([1, 0])])
+@settings(max_examples=200, deadline=None)
+def test_compose_matches_definition(gh):
+    g, h = gh
+    prod = g * h
+    assert isinstance(prod.images, tuple)
+    assert prod.images == slow_compose(g, h)
+
+
+@given(_perms(1))
+@example([Perm([])])
+@example([Perm([0])])
+@settings(max_examples=200, deadline=None)
+def test_inverse_undoes(gs):
+    g, = gs
+    ident = tuple(range(g.degree))
+    assert (g * g.inverse()).images == ident
+    assert (g.inverse() * g).images == ident
+    assert all(g.inverse()(g(i)) == i for i in range(g.degree))
+
+
+@given(_perms(1), st.integers(-6, 6))
+@example([Perm([])], -2)
+@example([Perm([0])], 3)
+@settings(max_examples=200, deadline=None)
+def test_power_matches_repeated_products(gs, k):
+    g, = gs
+    step = g if k >= 0 else g.inverse()
+    want = tuple(range(g.degree))
+    for _ in range(abs(k)):
+        want = slow_compose(Perm(want), step)
+    assert (g ** k).images == want
+
+
+@given(_perms(1))
+@example([Perm([])])
+@example([Perm([0])])
+@settings(max_examples=200, deadline=None)
+def test_identity_agrees_with_range(gs):
+    g, = gs
+    n = g.degree
+    assert g.is_identity() == (g.images == tuple(range(n)))
+    assert Perm.identity(n).images == tuple(range(n))
+    assert Perm.identity(n).is_identity()
+    assert Perm(list(range(n))).is_identity()
+
+
+@given(_perms(1), _perms(1))
+@example([Perm([])], [Perm([0])])
+@example([Perm([0])], [Perm([1, 0])])
+@settings(max_examples=100, deadline=None)
+def test_degree_mismatch_raises(gs, hs):
+    g, h = gs[0], hs[0]
+    assume(g.degree != h.degree)
+    with pytest.raises(DegreeMismatch):
+        g * h
+    with pytest.raises(DegreeMismatch):
+        h * g
+
+
+# ---------------------------------------------------------------------------
+# stabilizer chains against closures
+
+
+def _random_group(rng, deg):
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        images = list(range(deg))
+        rng.shuffle(images)
+        gens.append(Perm(images))
+    return PermGroup(deg, gens), gens
+
+
+def _assert_transversals_map_to_base(G):
+    G._build_chain()
+    for lvl in G._chain:
+        for pt, t_inv in lvl.transversal.items():
+            assert t_inv(pt) == lvl.base_point
+
+
+def test_contains_matches_closure_on_all_of_sn():
+    rng = random.Random(11)
+    for _ in range(30):
+        deg = rng.randint(1, 5)
+        G, gens = _random_group(rng, deg)
+        closure = brute_force_closure(deg, gens)
+        for images in itertools.permutations(range(deg)):
+            assert G.contains(Perm(images)) == (images in closure)
+        _assert_transversals_map_to_base(G)
+
+
+def test_contains_matches_closure_on_random_perms():
+    rng = random.Random(13)
+    for _ in range(30):
+        deg = rng.randint(6, 7)
+        G, gens = _random_group(rng, deg)
+        closure = brute_force_closure(deg, gens)
+        members = rng.sample(sorted(closure), min(len(closure), 40))
+        others = []
+        for _ in range(40):
+            images = list(range(deg))
+            rng.shuffle(images)
+            others.append(tuple(images))
+        for images in members + others:
+            assert G.contains(Perm(images)) == (images in closure)
+        _assert_transversals_map_to_base(G)
+
+
+def test_stabilizer_gens_orbit_stabilizer_on_torus_action():
+    act, _ = psl2_torus_coset_action(8, "psl")
+    G = act.group
+    H = PermGroup(G.degree, G.stabilizer_gens(0))
+    assert all(h(0) == 0 for h in H.gens)
+    assert H.order * len(G.orbit(0)) == G.order == 504
+
+
+def test_torus_coset_action_uses_the_ambient_psl2_as_g():
+    act, G = psl2_torus_coset_action(8, "psl")
+    assert G is act.A
+    assert G.order == 504
