@@ -24,6 +24,7 @@ from .permcore import (
     check_pair_cap,
     conjugacy_class,
     orbits_on_pairs,
+    right_coset_key,
 )
 
 INDEX_CAP = 1000
@@ -93,22 +94,13 @@ def common_orbits(A, G):
         raise NotTransitive("G must be transitive")
     g_orbs = orbits_on_pairs(G.gens, n)
     a_orbs = orbits_on_pairs(A.gens, n)
-    # for each A-label, count the distinct G-labels inside it
-    order = np.argsort(a_orbs.labels, kind="stable")
-    al = a_orbs.labels[order]
-    gl = g_orbs.labels[order]
-    reps = []
-    start = 0
-    total = al.shape[0]
-    while start < total:
-        end = start
-        lab = al[start]
-        while end < total and al[end] == lab:
-            end += 1
-        if len(np.unique(gl[start:end])) == 1:
-            reps.append(divmod(int(lab), n))
-        start = end
-    return sorted(reps)
+    # a label is the least pair of its orbit, and G-orbits refine A-orbits:
+    # an A-orbit is one G-orbit exactly when every pair in it has equal labels
+    a, g = a_orbs.labels, g_orbs.labels
+    split = np.zeros(n * n, dtype=bool)
+    split[a[a != g]] = True
+    common = np.flatnonzero((a == np.arange(n * n, dtype=a.dtype)) & ~split)
+    return [divmod(int(lab), n) for lab in common]
 
 
 def is_exceptional(A, G):
@@ -330,7 +322,8 @@ def excomp_decompose(A, G, M, U):
         if g not in A:
             raise NotASubgroup("U is not contained in A")
     # A = GM: the cosets of G met by M must be all of them
-    gm_count = len({_coset_key(G, m) for m in M.elements()})
+    key = right_coset_key(G)
+    gm_count = len({key(m) for m in M.elements()})
     if gm_count != A.order // G.order:
         raise ValueError("A = GM fails")
 
@@ -356,7 +349,3 @@ def excomp_decompose(A, G, M, U):
                              f"{v1.exceptional} vs {v2.exceptional} and {v3.exceptional}")
     return v1.exceptional, v2.exceptional, v3.exceptional
 
-
-def _coset_key(G, m):
-    """A canonical key for the coset Gm (minimum image tuple over G)."""
-    return min((g * m).images for g in G.elements())

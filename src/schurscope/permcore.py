@@ -311,24 +311,16 @@ class PermGroup:
     # -- enumeration ---------------------------------------------------------
 
     def elements(self, cap=ENUM_CAP):
-        """All elements by BFS closure; cached. Raises CapExceeded if too big."""
+        """All elements by BFS closure from the identity under right
+        multiplication by the generators, in discovery order (frontier by
+        frontier, then generator by generator); cached. Raises CapExceeded
+        when |G| > cap."""
         if self._elements is not None:
             return self._elements
-        ident = Perm.identity(self.degree)
-        seen = {ident.images: ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for h in frontier:
-                for g in self.gens:
-                    w = h * g
-                    if w.images not in seen:
-                        if len(seen) >= cap:
-                            raise CapExceeded(f"group larger than cap {cap}")
-                        seen[w.images] = w
-                        new.append(w)
-            frontier = new
-        self._elements = list(seen.values())
+        if self.order > cap:
+            raise CapExceeded(f"group larger than cap {cap}")
+        post = np.array([g.images for g in self.gens])
+        self._elements = _closure(self, Perm.identity(self.degree), post)
         return self._elements
 
     # -- orbits ---------------------------------------------------------------
@@ -450,21 +442,112 @@ def orbits_on_pairs(gens, n, cap=PAIR_CAP):
 # ---------------------------------------------------------------------------
 # classes, centralizers, normalizers
 
+_SLICE = 1 << 12  # products ranked at once
+_CHUNK = 1 << 13  # entries of new rows built at once
+
+
+def _rank_tables(G):
+    """For each level of G's chain: the orbit size, the position of every
+    point in the orbit, and, above the last level, the inverse coset
+    representatives as rows of a uint16 table."""
+    tables = []
+    for i, lvl in enumerate(G._chain):
+        orbit = list(lvl.transversal)
+        position = np.zeros(G.degree, dtype=np.intp)
+        position[orbit] = np.arange(len(orbit))
+        table = None
+        if i + 1 < len(G._chain):
+            table = np.array([lvl.transversal[pt].images for pt in orbit],
+                             dtype=np.uint16)
+        tables.append((len(orbit), position, table))
+    return tables
+
+
+def _rank(tables, base_images):
+    """The rank in [0, |G|) of each element of G given by its row of base
+    images: the mixed-radix position of its coset representatives, found by
+    sifting the base images alone through the transversals."""
+    rank = np.zeros(len(base_images), dtype=np.int64)
+    rest = base_images
+    for size, position, table in tables:
+        pos = position[rest[:, 0]]
+        rank = rank * size + pos
+        if table is not None:
+            rest = table[pos[:, None], rest[:, 1:]]
+    return rank
+
+
+def _closure(G, start, post, pre=None):
+    """start, then every element of G reached from it by the moves
+    h -> post[j][h[pre[j]]], breadth first: frontier by frontier, each
+    element's moves in order j = 0, 1, ...  Right multiplication by s is
+    post = s with no pre; conjugation by s is pre = s^-1, post = s.
+
+    Each frontier slice is moved by one fancy index per step. A product is
+    new when its rank in G's chain, computed from its base images alone, is
+    unseen; full rows are computed only for new elements, a chunk at a time.
+    Rows are kept as uint16 (every degree is below DEGREE_CAP), and every
+    temporary array is bounded by the slice and chunk sizes. The Perms are
+    made after the search, with tuples that share the int objects of the
+    degree's identity tuple.
+    """
+    if not len(post):
+        return [start]
+    n = G.degree
+    base = [lvl.base_point for lvl in G._chain]
+    post = post.astype(np.uint16)
+    pre_base = np.array([base] * len(post)) if pre is None else pre[:, base]
+    # built per call: tables cached on G stay in the heap and fragment it
+    tables = _rank_tables(G)
+    seen = np.zeros(G.order, dtype=bool)
+    seen[_rank(tables, np.array([start.images])[:, base])] = True
+    moves = np.arange(len(post))[:, None]
+    step, chunk = max(1, _SLICE // len(post)), max(1, _CHUNK // n)
+    frontier = [np.array([start.images], dtype=np.uint16)]
+    found = []  # row blocks of the new elements, in discovery order
+    while frontier:
+        layer = []
+        for piece in frontier:
+            for lo in range(0, len(piece), step):
+                rows = piece[lo:lo + step]
+                # base images of every product, ordered (row, move)
+                images = post[moves, rows[:, pre_base]]
+                ranks = _rank(tables, images.reshape(-1, len(base)))
+                uniq, first = np.unique(ranks, return_index=True)
+                fresh = ~seen[uniq]
+                if not fresh.any():
+                    continue
+                seen[uniq[fresh]] = True
+                r, j = np.divmod(np.sort(first[fresh]), len(post))
+                for c in range(0, len(r), chunk):
+                    rc, jc = r[c:c + chunk], j[c:c + chunk]
+                    src = rows[rc] if pre is None else rows[rc[:, None], pre[jc]]
+                    layer.append(post[jc[:, None], src])
+        found += layer
+        frontier = layer
+    # making the tuples after the search keeps them from interleaving in the
+    # heap with the search's temporaries; each block is dropped once used
+    points = np.array(_ident(n), dtype=object)
+    out = [start]
+    found.reverse()
+    while found:
+        out.extend(map(Perm._raw, map(tuple, points[found.pop()].tolist())))
+    return out
+
+
 def conjugacy_class(G, g, cap=ENUM_CAP):
-    """The conjugacy class g^G as a set of Perm (orbit under generator conjugation)."""
-    seen = {g.images: g}
-    queue = [g]
-    inv = {s.images: s.inverse() for s in G.gens}
-    while queue:
-        h = queue.pop()
-        for s in G.gens:
-            w = inv[s.images] * h * s
-            if w.images not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"class larger than cap {cap}")
-                seen[w.images] = w
-                queue.append(w)
-    return list(seen.values())
+    """The conjugacy class g^G as a list of Perm, g first, then its orbit
+    under conjugation by the generators in breadth-first order.
+
+    The closure ranks elements in G's chain, so g must lie in G (else
+    NotASubgroup) and |G| must be at most cap (else CapExceeded)."""
+    if not G.contains(g):
+        raise NotASubgroup("g is not in G")
+    if G.order > cap:
+        raise CapExceeded(f"group larger than cap {cap}")
+    post = np.array([s.images for s in G.gens])
+    pre = np.array([s.inverse().images for s in G.gens])
+    return _closure(G, g, post, pre)
 
 
 def conjugacy_classes(G, cap=ENUM_CAP):
@@ -540,12 +623,38 @@ def _is_p_power(n, p):
 # ---------------------------------------------------------------------------
 # coset actions
 
-class CosetAction:
-    """Action of A on the right cosets of M, with coset labels canonicalized
-    as the minimum image tuple over M * rep. Provides the induced permutation
-    for any element of A."""
+def right_coset_key(M):
+    """A function r -> canonical key of the right coset M*r.
 
-    def __init__(self, A, M, index_cap=DEGREE_CAP, m_cap=ENUM_CAP):
+    The key is the images of the one element of M*r whose images of M's base
+    points are lexicographically least. It is found by descending M's chain:
+    at each level, move the orbit point whose image under r is least onto
+    the base point, by r -> u*r with u the forward coset representative
+    (base point -> orbit point). One orbit scan and at most one composition
+    per level; M is never enumerated.
+    """
+    M._build_chain()
+    levels = [(list(lvl.transversal), lvl.base_point,
+               {pt: t.inverse() for pt, t in lvl.transversal.items()})
+              for lvl in M._chain]
+
+    def key(r):
+        for orbit, base_point, forward in levels:
+            o = min(orbit, key=r.images.__getitem__)
+            if o != base_point:
+                r = forward[o] * r
+        return r.images
+
+    return key
+
+
+class CosetAction:
+    """Action of A on the right cosets of M, found breadth first from M
+    itself under right multiplication by A's generators. A coset is labelled
+    by `right_coset_key(M)`, so reps[i] is the first element of A reached in
+    coset i. Provides the induced permutation for any element of A."""
+
+    def __init__(self, A, M, index_cap=DEGREE_CAP):
         for g in M.gens:
             if g not in A:
                 raise NotASubgroup("M is not contained in A")
@@ -553,33 +662,33 @@ class CosetAction:
             raise CapExceeded(f"index {A.order // M.order} exceeds cap {index_cap}")
         self.A = A
         self.M = M
-        m_els = M.elements(m_cap)
-        self._m_els = m_els
+        self._key = key = right_coset_key(M)
         ident = Perm.identity(A.degree)
         reps = [ident]
-        self._canon_to_idx = {self._canon(ident): 0}
+        self._canon_to_idx = index_of = {key(ident): 0}
+        rows = [[] for _ in A.gens]  # rows[k][i]: the coset of reps[i] * gens[k]
         i = 0
         while i < len(reps):
             r = reps[i]
-            for g in A.gens:
+            for g, row in zip(A.gens, rows):
                 w = r * g
-                c = self._canon(w)
-                if c not in self._canon_to_idx:
-                    self._canon_to_idx[c] = len(reps)
+                c = key(w)
+                j = index_of.get(c)
+                if j is None:
+                    j = index_of[c] = len(reps)
                     reps.append(w)
+                row.append(j)
             i += 1
         self.reps = reps
         self.index = len(reps)
         if self.index != A.order // M.order:
             raise NotASubgroup("coset count does not match the index")
-        self.group = PermGroup(self.index, [self.image(g) for g in A.gens])
-
-    def _canon(self, r):
-        return min((m * r).images for m in self._m_els)
+        self.group = PermGroup(self.index, [Perm._raw(tuple(row)) for row in rows])
 
     def image(self, g):
         """The permutation induced by g in A on the cosets."""
-        return Perm._raw(tuple(self._canon_to_idx[self._canon(r * g)] for r in self.reps))
+        key, index_of = self._key, self._canon_to_idx
+        return Perm._raw(tuple(index_of[key(r * g)] for r in self.reps))
 
 
 def coset_action(A, M):

@@ -23,6 +23,7 @@ import numpy as np
 
 from .exactalg import (
     BadReduction,
+    Fq2Elem,
     FqField,
     RamifiedPlace,
     primes_up_to,
@@ -192,8 +193,7 @@ def _decode(field, i):
         return INF
     if field.ext == 1:
         return field.from_int(i)
-    els = field.elements()
-    return els[i]
+    return Fq2Elem(*divmod(i, field.p), field.p, field.r)
 
 
 # ---------------------------------------------------------------------------

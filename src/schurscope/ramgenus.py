@@ -134,7 +134,7 @@ def _class_multisets(class_data, budget, r_max):
     return out
 
 
-def _has_product_one_generating_tuple(G, classes, multiset, order_cap):
+def _has_product_one_generating_tuple(G, classes, multiset):
     """Backtracking search over one ordering of the class multiset.
 
     The first element is pinned to a class representative (conjugation
@@ -196,6 +196,6 @@ def genus0_search(G, r_max=5, order_cap=GROUP_ORDER_CAP, enum_cap=ENUM_CAP):
         ram_type = tuple(sorted(classes[i][0].order() for i in ms))
         if ram_type in found:
             continue
-        if _has_product_one_generating_tuple(G, classes, ms, order_cap):
+        if _has_product_one_generating_tuple(G, classes, ms):
             found.add(ram_type)
     return sorted(found)

@@ -1,8 +1,10 @@
 """Common-orbit exceptionality tests, coset averages, and the example
 constructions (wreath diagonal and affine scalar)."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from schurscope.exceptio import (
@@ -24,6 +26,7 @@ from schurscope.permcore import (
     DegreeMismatch,
     Perm,
     PermGroup,
+    orbits_on_pairs,
     psl2_torus_coset_action,
 )
 
@@ -189,3 +192,52 @@ def test_degree_mismatch_checked_before_pair_cap():
     with pytest.raises(DegreeMismatch):
         common_orbits(A, C3)
     assert A._chain is None
+
+
+def old_common_orbits(A, G):
+    """Sort the pairs by A-label and walk each run of equal labels."""
+    n = A.degree
+    g_orbs = orbits_on_pairs(G.gens, n)
+    a_orbs = orbits_on_pairs(A.gens, n)
+    order = np.argsort(a_orbs.labels, kind="stable")
+    al, gl = a_orbs.labels[order], g_orbs.labels[order]
+    reps, start = [], 0
+    while start < len(al):
+        end = start
+        while end < len(al) and al[end] == al[start]:
+            end += 1
+        if len(np.unique(gl[start:end])) == 1:
+            reps.append(divmod(int(al[start]), n))
+        start = end
+    return sorted(reps)
+
+
+def _relabelled(A, G, seed):
+    rng = random.Random(seed)
+    sigma = list(range(A.degree))
+    rng.shuffle(sigma)
+    s = Perm(sigma)
+    return (PermGroup(A.degree, [g.conjugate(s) for g in A.gens]),
+            PermGroup(G.degree, [g.conjugate(s) for g in G.gens]))
+
+
+def test_common_orbits_match_sorted_walk():
+    act, G8 = psl2_torus_coset_action(8, "pgammal")
+    pairs = [(S3, C3), (S4, A4), (D4, C4), (S4, S4), (C4, C4),
+             build_wreath_diagonal_example(S3, 2)[:2],
+             build_wreath_diagonal_example(S3, 3)[:2],
+             (act.group, PermGroup(28, [act.image(g) for g in G8.gens]))]
+    for seed, (A, G) in enumerate(pairs):
+        for A_, G_ in ((A, G), _relabelled(A, G, seed)):
+            reps = common_orbits(A_, G_)
+            assert reps == old_common_orbits(A_, G_)
+            v = is_exceptional(A_, G_)
+            assert v.r == len(reps)
+            assert v.exceptional == (len(reps) == 1)
+
+
+def test_excomp_decompose_refuses_a_not_gm():
+    # M and U inside A4, so GM = A4 is not all of S4
+    M = PermGroup(4, [Perm([1, 2, 0, 3])])
+    with pytest.raises(ValueError, match="A = GM fails"):
+        excomp_decompose(S4, A4, M, A4)

@@ -8,10 +8,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from schurscope import permcore
+from schurscope.exceptio import build_wreath_diagonal_example
 from schurscope.permcore import (
+    ENUM_CAP,
     AffineSpace,
+    CapExceeded,
     CosetAction,
     DegreeMismatch,
+    NotASubgroup,
     Perm,
     PermGroup,
     ProjectiveLine,
@@ -32,6 +37,7 @@ from schurscope.permcore import (
     psl2,
     psl2_sylow2_coset_action,
     psl2_torus_coset_action,
+    right_coset_key,
     sylow_subgroup,
 )
 
@@ -386,3 +392,196 @@ def test_torus_coset_action_uses_the_ambient_psl2_as_g():
     act, G = psl2_torus_coset_action(8, "psl")
     assert G is act.A
     assert G.order == 504
+
+
+# ---------------------------------------------------------------------------
+# coset labels, element and class closures against the Python oracles
+
+
+def old_coset_action(A, M):
+    """Coset numbering and generator images with the coset of r labelled by
+    the least images tuple over all of M * r."""
+    m_els = M.elements()
+
+    def canon(r):
+        return min((m * r).images for m in m_els)
+
+    reps = [Perm.identity(A.degree)]
+    index_of = {canon(reps[0]): 0}
+    i = 0
+    while i < len(reps):
+        for g in A.gens:
+            w = reps[i] * g
+            c = canon(w)
+            if c not in index_of:
+                index_of[c] = len(reps)
+                reps.append(w)
+        i += 1
+    images = [tuple(index_of[canon(r * g)] for r in reps) for g in A.gens]
+    return [r.images for r in reps], images
+
+
+def _s4_mod_s3():
+    S4 = PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])
+    return coset_action(S4, PermGroup(4, S4.stabilizer_gens(3)))
+
+
+def _wreath_s3_3():
+    S3 = PermGroup(3, [Perm([1, 0, 2]), Perm([1, 2, 0])])
+    return build_wreath_diagonal_example(S3, 3)[2]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: psl2_torus_coset_action(8, "psl")[0],
+    lambda: psl2_torus_coset_action(8, "pgammal")[0],
+    lambda: psl2_sylow2_coset_action(9, "psl")[0],
+    lambda: psl2_sylow2_coset_action(9, "m10")[0],
+    _s4_mod_s3,
+    _wreath_s3_3,
+], ids=["psl2(8)-torus", "pgammal2(8)-torus", "psl2(9)-sylow2",
+        "m10-sylow2", "s4-mod-s3", "s3-wreath-c3"])
+def test_coset_action_matches_min_over_m_labels(make):
+    act = make()
+    reps, images = old_coset_action(act.A, act.M)
+    assert [r.images for r in act.reps] == reps
+    assert [act.image(g).images for g in act.A.gens] == images
+    assert [g.images for g in act.group.gens] == \
+        [g.images for g in PermGroup(act.index, images).gens]
+
+
+def test_coset_action_never_enumerates_m():
+    A, _ = psl2(8)
+    t = element_of_order(A, 9)
+    M = normalizer_of_cyclic(A, t)
+    act = CosetAction(A, M)
+    assert M._elements is None
+    assert act.index == 28
+
+
+def test_right_coset_key_is_constant_on_cosets():
+    A, _ = pgammal2(8)
+    M = normalizer_of_cyclic(A, element_of_order(A, 9))
+    key = right_coset_key(M)
+    rng = random.Random(3)
+    els = A.elements()
+    for r in rng.sample(els, 20):
+        k = key(r)
+        assert k in {(m * r).images for m in M.elements()}
+        assert all(key(m * r) == k for m in M.elements())
+
+
+def old_elements(G, cap):
+    """Python BFS closure from the identity, frontier by frontier."""
+    ident = Perm.identity(G.degree)
+    seen = {ident.images: ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for h in frontier:
+            for g in G.gens:
+                w = h * g
+                if w.images not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"group larger than cap {cap}")
+                    seen[w.images] = w
+                    new.append(w)
+        frontier = new
+    return [e.images for e in seen.values()]
+
+
+def old_conjugacy_class(G, g):
+    seen = {g.images}
+    queue = [g]
+    while queue:
+        h = queue.pop()
+        for s in G.gens:
+            w = s.inverse() * h * s
+            if w.images not in seen:
+                seen.add(w.images)
+                queue.append(w)
+    return seen
+
+
+def _assert_ints_shared(perms, n):
+    ident = Perm.identity(n).images
+    assert all(x is ident[x] for p in perms for x in p.images)
+
+
+@st.composite
+def _groups(draw):
+    n = draw(st.integers(0, 7))
+    gens = [Perm(draw(st.permutations(range(n))))
+            for _ in range(draw(st.integers(0, 3)))]
+    return PermGroup(n, gens) if gens else PermGroup(n, [Perm.identity(n)])
+
+
+@given(_groups())
+@example(PermGroup(0, [Perm([])]))
+@example(PermGroup(1, [Perm([0])]))
+@example(PermGroup(5, [Perm.identity(5)]))
+@settings(max_examples=150, deadline=None)
+def test_elements_match_python_bfs(G):
+    want = old_elements(G, ENUM_CAP)
+    assert [e.images for e in G.elements()] == want
+    _assert_ints_shared(G.elements(), G.degree)
+
+
+@given(_groups(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_conjugacy_class_matches_python_closure(G, data):
+    g = data.draw(st.sampled_from(G.elements()))
+    cls = conjugacy_class(G, g)
+    assert cls[0] is g
+    assert len(cls) == len({c.images for c in cls})
+    assert {c.images for c in cls} == old_conjugacy_class(G, g)
+
+
+def test_elements_and_classes_match_python_on_psl2_8():
+    G, _ = psl2(8)
+    assert [e.images for e in G.elements()] == old_elements(G, ENUM_CAP)
+    for cls in conjugacy_classes(G):
+        assert {c.images for c in cls} == old_conjugacy_class(G, cls[0])
+
+
+def test_elements_cap_exactly_at_the_order():
+    for make in (lambda: psl2(8)[0],
+                 lambda: PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])):
+        order = make().order
+        assert len(make().elements(cap=order)) == order
+        with pytest.raises(CapExceeded):
+            make().elements(cap=order - 1)
+        with pytest.raises(CapExceeded):
+            old_elements(make(), order - 1)
+
+
+def test_closures_share_the_identity_ints_above_256():
+    n = 300
+    rot = Perm([(i + 1) % n for i in range(n)])
+    flip = Perm([(-i) % n for i in range(n)])
+    D = PermGroup(n, [rot, flip])
+    els = D.elements()
+    assert len(els) == 600
+    assert [e.images for e in els] == old_elements(D, ENUM_CAP)
+    _assert_ints_shared(els, n)
+    cls = conjugacy_class(D, flip)
+    assert {c.images for c in cls} == old_conjugacy_class(D, flip)
+    _assert_ints_shared(cls[1:], n)  # cls[0] is flip itself
+
+
+def test_conjugacy_class_needs_g_in_g():
+    A4 = PermGroup(4, [Perm([1, 2, 0, 3]), Perm([1, 0, 3, 2])])
+    with pytest.raises(NotASubgroup):
+        conjugacy_class(A4, Perm([1, 0, 2, 3]))
+    with pytest.raises(CapExceeded):
+        conjugacy_class(A4, Perm([1, 2, 0, 3]), cap=11)
+
+
+@pytest.mark.parametrize("slice_, chunk", [(1, 1), (4, 10_000), (64, 100)])
+def test_closures_keep_their_order_across_slices_and_chunks(
+        monkeypatch, slice_, chunk):
+    monkeypatch.setattr(permcore, "_SLICE", slice_)
+    monkeypatch.setattr(permcore, "_CHUNK", chunk)
+    G, _ = psl2(8)
+    assert [e.images for e in G.elements()] == old_elements(G, ENUM_CAP)
+    for cls in conjugacy_classes(G):
+        assert {c.images for c in cls} == old_conjugacy_class(G, cls[0])

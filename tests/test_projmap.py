@@ -252,3 +252,11 @@ def test_sweep_report_from_records_counts_each_verdict():
     assert (rep.bijective, rep.not_bijective, rep.bad_reduction, rep.ramified,
             rep.point_cap) == (2, 2, 1, 1, 1)
     assert rep.density == Fraction(2, 4)
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 19])
+def test_decode_matches_field_enumeration(p):
+    for F in (FqField(p), FqField(p, 2)):
+        els = F.elements()
+        assert [projmap._decode(F, i) for i in range(F.order)] == els
+        assert projmap._decode(F, F.order) is INF
