@@ -1,65 +1,25 @@
 """Command-line front end: prime sweeps, exceptionality verdicts, genus
 computations, genus-0 searches, family constructors, elliptic descents, and
-the self-check suite recomputing the headline tables."""
+`verify-paper`, which prints the rows of the claims in `schurscope.claims`."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import os
-import random
 import sys
-from fractions import Fraction
 
 from .exactalg import (
     QQ,
     format_ratfunc,
+    parse_fraction,
     parse_ratfunc,
     primes_up_to,
 )
 from .projmap import SweepReport, schur_sweep, sweep_primes
-from . import funfam
-from .permcore import (
-    AffineSpace,
-    Perm,
-    PermGroup,
-    SmallGF,
-    normalizer_of_cyclic,
-    psl2_sylow2_coset_action,
-    psl2_torus_coset_action,
-)
-from . import exceptio, ramgenus, ellipt
-
-
-# ---------------------------------------------------------------------------
-# built-in functions
-
-def builtin_function(name):
-    """Resolve a builtin:... function name to a RatFunc."""
-    parts = name.split(":")
-    if parts[0] != "builtin":
-        raise ValueError(f"not a builtin name: {name}")
-    tag = parts[1]
-    args = parts[2:]
-    if tag == "isogeny5":
-        return funfam.sporadic_degree5()
-    if tag == "cm7":
-        b = Fraction(args[0]) if args else Fraction(1)
-        return funfam.cm7_function(b)
-    if tag == "dickson":
-        return funfam.dickson(int(args[0]), Fraction(args[1]))
-    if tag == "redei":
-        return funfam.redei(int(args[0]), Fraction(args[1]))
-    if tag == "a4s4":
-        return funfam.a4s4_function(Fraction(args[0]), Fraction(args[1]))
-    if tag == "redei3comp":
-        # composition of the three degree-3 maps with constants fields
-        # Q(sqrt(-1)), Q(sqrt(-2)), Q(sqrt(2)): d = 3, 6, -6
-        f1 = funfam.redei(3, 3)
-        f2 = funfam.redei(3, 6)
-        f3 = funfam.redei(3, -6)
-        return f1.compose(f2).compose(f3)
-    raise ValueError(f"unknown builtin function: {name}")
+from .funfam import builtin_function
+from .permcore import Perm, PermGroup
+from . import claims, exceptio, ramgenus, ellipt
 
 
 def load_function(spec):
@@ -115,326 +75,21 @@ def worker_count():
 
 
 # ---------------------------------------------------------------------------
-# the degree-16 obstruction
-
-def _gf16_group_pair():
-    """G = C_2^4 . D_10 and A = C_2^4 . (D_10 x C_3) on the 16 points of
-    GF(16), with D_10 generated by multiplication by g^3 and the square of
-    Frobenius, and C_3 by multiplication by g^5."""
-    F = SmallGF(2, 4)
-    space = AffineSpace(2, 4)
-    g = F.multiplicative_generator()
-    g3 = F.power(g, 3)
-    g5 = F.power(g, 5)
-
-    mult5 = space.map_perm(lambda v: F.mul(tuple(v), g3))
-    frob2 = space.map_perm(lambda v: F.power(tuple(v), 4))
-    mult3 = space.map_perm(lambda v: F.mul(tuple(v), g5))
-    trans = [space.translation(tuple(1 if j == i else 0 for j in range(4)))
-             for i in range(4)]
-    G = PermGroup(16, trans + [mult5, frob2])
-    A = PermGroup(16, trans + [mult5, frob2, mult3])
-    if G.order != 160 or A.order != 480:
-        raise AssertionError("unexpected group orders in the degree-16 setup")
-    return A, G
-
-
-def verify_deg16_obstruction():
-    """For G = C_2^4 . D_10 inside A = C_2^4 . (D_10 x C_3) on 16 points:
-    the normalizer in A of every cyclic subgroup of order 4 in G lies in G.
-    True means a branch cycle of order 4 cannot exist over any number field
-    for this configuration."""
-    A, G = _gf16_group_pair()
-    order4 = [g for g in G.elements() if g.order() == 4]
-    if not order4:
-        raise AssertionError("no elements of order 4 found in G")
-    for sigma in order4:
-        N = normalizer_of_cyclic(A, sigma)
-        if any(h not in G for h in N.gens):
-            return False
-    return True
-
-
-def deg16_negative_control():
-    """The analogous check on (M_10, PSL_2(9)) in degree 45 must fail: there
-    the normalizer of some order-4 cyclic subgroup escapes G."""
-    act, G9 = psl2_sylow2_coset_action(9, "m10")
-    A = act.group
-    G = PermGroup(A.degree, [act.image(g) for g in G9.gens])
-    for sigma in G.elements():
-        if sigma.order() != 4:
-            continue
-        N = normalizer_of_cyclic(A, sigma)
-        if any(h not in G for h in N.gens):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# verify-paper targets
-
-GENUS_TABLE = [
-    ((2, 3, 8), 5808, 122),
-    ((2, 3, 10), 150, 6),
-    ((2, 2, 2, 4), 400, 51),
-    ((2, 2, 2, 3), 300, 26),
-    ((2, 2, 2, 4), 72, 10),
-    ((2, 2, 2, 2, 2), 72, 19),
-    ((2, 3, 7), 504, 7),
-    ((2, 3, 9), 504, 15),
-    ((2, 2, 2, 3), 504, 43),
-    ((2, 4, 5), 360, 10),
-]
-
-EUCLIDEAN_TYPES = [(2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3)]
-
-
-def check_genus_table(out):
-    ok = True
-    for t, order, want in GENUS_TABLE:
-        got = ramgenus.regular_genus(t, order)
-        line = f"regular_genus{t} |G|={order}: {got} (expected {want})"
-        if got != want:
-            ok = False
-            line += "  MISMATCH"
-        out(line)
-    for t in EUCLIDEAN_TYPES:
-        for order in (12, 24, 72, 360):
-            if ramgenus.regular_genus(t, order) != 1:
-                ok = False
-                out(f"Euclidean type {t} at order {order} is not genus 1  MISMATCH")
-    out("Euclidean types give genus 1: checked")
-    return ok
-
-
-def check_genus0(out):
-    ok = True
-    act, _ = psl2_torus_coset_action(8, "psl")
-    got = ramgenus.genus0_search(act.group)
-    want = [(2, 2, 2, 3), (2, 3, 7), (2, 3, 9)]
-    out(f"genus-0 types, degree 28: {got}")
-    ok &= got == want
-    act, _ = psl2_sylow2_coset_action(9, "psl")
-    got = ramgenus.genus0_search(act.group)
-    out(f"genus-0 types, degree 45: {got}")
-    ok &= got == [(2, 4, 5)]
-    act, _ = psl2_torus_coset_action(32, "psl")
-    got = ramgenus.genus0_search(act.group)
-    out(f"genus-0 types, degree 496: {got}")
-    ok &= got == []
-    return ok
-
-
-def _elements_of_orders(G, orders, seed=0):
-    """One element of each requested order, found by powering random words."""
-    rng = random.Random(seed)
-    els = {}
-    cur = G.gens[0]
-    while set(orders) - set(els):
-        o = cur.order()
-        for d in orders:
-            if d not in els and o % d == 0:
-                e = cur
-                for _ in range(o // d - 1):
-                    e = e * cur
-                els[d] = e
-        cur = cur * rng.choice(G.gens)
-    return els
-
-
-def check_fixed_points(out):
-    ok = True
-    # the full extension of PSL2(32) by the field automorphisms: the order-5
-    # elements live in the outer cosets, not in PSL2(32) itself
-    act, _ = psl2_torus_coset_action(32, "pgammal")
-    A = act.group
-    H = PermGroup(A.degree, A.stabilizer_gens(0))
-    want = {2: (16, 240), 3: (1, 330), 5: (1, 396)}
-    els = _elements_of_orders(A, sorted(want))
-    for o, (chi_want, ind_want) in sorted(want.items()):
-        g = els[o]
-        chi = exceptio.chi_fixed_points(A, H, g)
-        iv = ramgenus.ind(g)
-        line = f"degree 496, order {o}: chi={chi} ind={iv} (expected {chi_want}, {ind_want})"
-        if (chi, iv) != (chi_want, ind_want):
-            ok = False
-            line += "  MISMATCH"
-        out(line)
-    act, _ = psl2_torus_coset_action(8, "psl")
-    G8 = act.group
-    for g in G8.elements():
-        o = g.order()
-        fp = len(g.fixed_points())
-        if o == 2 and fp != 4:
-            ok = False
-            out(f"degree 28 involution fixes {fp} != 4  MISMATCH")
-        if o % 2 == 1 and o > 1 and fp > 1:
-            ok = False
-            out(f"degree 28 odd-order element fixes {fp} > 1  MISMATCH")
-    out("degree 28: involutions fix 4, odd order fixes <= 1: checked")
-    return ok
-
-
-def check_exceptionality(out):
-    ok = True
-    S3 = PermGroup(3, [Perm([1, 0, 2]), Perm([1, 2, 0])])
-    C3 = PermGroup(3, [Perm([1, 2, 0])])
-    S4 = PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])
-    A4 = PermGroup(4, [Perm([1, 2, 0, 3]), Perm([1, 0, 3, 2])])
-    ok &= exceptio.is_exceptional(S3, C3).exceptional
-    ok &= not exceptio.is_exceptional(S4, A4).exceptional
-    out(f"(S4, A4) not exceptional, (S3, C3) exceptional: {ok}")
-    act, G8 = psl2_torus_coset_action(8, "pgammal")
-    A = act.group
-    G = PermGroup(A.degree, [act.image(g) for g in G8.gens])
-    v = exceptio.is_arithmetically_exceptional(A, G)
-    out(f"(PGammaL2(8), PSL2(8), 28) arithmetically exceptional: "
-        f"{v.arithmetically_exceptional}")
-    ok &= v.arithmetically_exceptional
-    act, G9 = psl2_sylow2_coset_action(9, "m10")
-    A = act.group
-    G = PermGroup(A.degree, [act.image(g) for g in G9.gens])
-    v = exceptio.is_arithmetically_exceptional(A, G)
-    out(f"(M10, PSL2(9), 45) arithmetically exceptional: "
-        f"{v.arithmetically_exceptional}")
-    ok &= v.arithmetically_exceptional
-    A5_, G5_, _ = exceptio.build_wreath_diagonal_example(S3, 5)
-    v5 = exceptio.is_exceptional(A5_, G5_)
-    out(f"wreath S3, t=5, degree {A5_.degree}: exceptional {v5.exceptional}")
-    ok &= v5.exceptional
-    A2_, G2_, _ = exceptio.build_wreath_diagonal_example(S3, 2)
-    v2 = exceptio.is_exceptional(A2_, G2_)
-    out(f"wreath S3, t=2: exceptional {v2.exceptional}")
-    ok &= not v2.exceptional
-    return ok
-
-
-def check_sweeps(out, bound=2000):
-    from .exactalg import kronecker
-
-    ok = True
-    f5 = funfam.sporadic_degree5()
-    rep = schur_sweep(f5, bound)
-    for r in rep.records:
-        if r.verdict in ("bijective", "not-bijective"):
-            want = kronecker(5, r.p) == -1
-            if (r.verdict == "bijective") != want:
-                ok = False
-                out(f"isogeny5 mismatch at p={r.p}")
-    d = rep.density
-    out(f"isogeny5: density {d} (target 1/2 within 0.05)")
-    ok &= abs(d - Fraction(1, 2)) <= Fraction(5, 100)
-
-    fa = funfam.a4s4_function(0, 2)
-    rep = schur_sweep(fa, bound)
-    for r in rep.records:
-        if r.verdict in ("bijective", "not-bijective"):
-            want = _cubic_irreducible_mod_p(2, r.p)
-            if (r.verdict == "bijective") != want:
-                ok = False
-                out(f"a4s4(0,2) mismatch at p={r.p}")
-    d = rep.density
-    out(f"a4s4(0,2): density {d} (target 1/3 within 0.05)")
-    ok &= abs(d - Fraction(1, 3)) <= Fraction(5, 100)
-
-    comp = builtin_function("builtin:redei3comp")
-    rep = schur_sweep(comp, bound)
-    bad = [r.p for r in rep.records if r.verdict == "bijective" and r.p > 5]
-    out(f"redei composition: bijective primes > 5: {bad}")
-    ok &= not bad
-
-    from math import gcd
-    for n in (3, 5, 7):
-        fd = funfam.dickson(n, 1)
-        rep = schur_sweep(fd, bound)
-        for r in rep.records:
-            if r.verdict in ("bijective", "not-bijective"):
-                want = gcd(n, r.p * r.p - 1) == 1
-                if (r.verdict == "bijective") != want:
-                    ok = False
-                    out(f"dickson {n} mismatch at p={r.p}")
-        out(f"dickson n={n}: gcd criterion exact per prime: checked")
-    return ok
-
-
-def _cubic_irreducible_mod_p(q, p):
-    """Whether X^3 + q is irreducible mod p (no root mod p suffices for a
-    cubic)."""
-    return all(pow(x, 3, p) != (-q) % p for x in range(p))
-
-
-def check_elliptic(out):
-    import random as _random
-
-    ok = True
-    EQ = ellipt.EllCurve(QQ, Fraction(0), Fraction(2))
-    ok &= ellipt.xmul_map(EQ, 2) == funfam.a4s4_function(0, 2)
-    out("xmul_map(2) equals the closed degree-4 formula: checked")
-
-    E18 = ellipt.EllCurve(QQ, Fraction(-18), Fraction(1))
-    F3 = ellipt.xmul_map(E18, 3)
-    from .exactalg import reduce_mod_place
-
-    for p in (101, 103, 107):
-        Fp = reduce_mod_place(F3, p)
-        from .exactalg import FqField
-
-        Ep = ellipt.EllCurve(FqField(p), (-18) % p, 1)
-        rng = _random.Random(p)
-        for _ in range(25):
-            P = ellipt.random_point(Ep, rng)
-            Q = ellipt.point_mul(Ep, 3, P)
-            dv = Fp.den.eval(P[0])
-            if Q is None:
-                ok &= not dv
-            else:
-                ok &= bool(dv) and Fp.num.eval(P[0]) / dv == Q[0]
-    out("xmul_map(3) matches point arithmetic mod 101/103/107: " + str(ok))
-
-    for p in (13, 31, 61):
-        good = ellipt.verify_cm7(p)
-        out(f"verify_cm7({p}): {good}")
-        ok &= good
-
-    ok &= funfam.sporadic_degree5_isogeny_identity()
-    out("degree-5 isogeny identity: checked")
-
-    rep = schur_sweep(F3, 2000)
-    out(f"order-2 m=3 sweep density: {rep.density}")
-    ok &= rep.density > 0
-    return ok
-
-
-def check_deg16(out):
-    good = verify_deg16_obstruction()
-    out(f"degree-16 obstruction holds: {good}")
-    return good
-
-
-VERIFY_TARGETS = {
-    "genus-table": check_genus_table,
-    "genus0": check_genus0,
-    "fixed-points": check_fixed_points,
-    "exceptionality": check_exceptionality,
-    "sweeps": check_sweeps,
-    "elliptic": check_elliptic,
-    "deg16": check_deg16,
-}
-
-
-# ---------------------------------------------------------------------------
 # subcommand handlers
+
+def _emit(text, path):
+    """Print text, or write it to path when one is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
 
 def cmd_sweep(args):
     f = load_function(args.function)
     rep = parallel_sweep(f, args.bound, worker_count())
-    doc = rep.to_dict(args.function)
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(rep.to_dict(args.function), indent=2), args.out)
     return 0
 
 
@@ -473,48 +128,43 @@ def cmd_genus0(args):
     return 0
 
 
+# the options of each family, in the order of its builtin:NAME:ARG... arguments
+FAMILY_OPTIONS = {"dickson": ("n", "a"), "redei": ("n", "d"), "a4s4": ("p", "q"),
+                  "isogeny5": (), "cm7": ("B",)}
+
+
 def cmd_family(args):
-    if args.family == "dickson":
-        f = funfam.dickson(args.n, Fraction(args.a))
-    elif args.family == "redei":
-        f = funfam.redei(args.n, Fraction(args.d))
-    elif args.family == "a4s4":
-        f = funfam.a4s4_function(Fraction(args.p), Fraction(args.q))
-    elif args.family == "isogeny5":
-        f = funfam.sporadic_degree5()
-    elif args.family == "cm7":
-        f = funfam.cm7_function(Fraction(args.B))
-    else:
-        raise ValueError(f"unknown family {args.family}")
-    print(format_ratfunc(f))
+    values = [getattr(args, k) for k in FAMILY_OPTIONS[args.family]]
+    if None in values:
+        raise ValueError(f"family {args.family} needs --n")
+    name = ":".join(["builtin", args.family, *map(str, values)])
+    print(format_ratfunc(builtin_function(name)))
     return 0
 
 
 def cmd_ell(args):
-    if args.action != "descend":
-        raise ValueError("supported action: descend")
-    E = ellipt.EllCurve(QQ, Fraction(args.a), Fraction(args.b))
+    E = ellipt.EllCurve(QQ, args.a, args.b)
     R = ellipt.quotient_descent(E, args.m, args.beta)
-    text = format_ratfunc(R)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(format_ratfunc(R), args.out)
     return 0
 
 
 def cmd_verify_paper(args):
-    targets = args.targets or sorted(VERIFY_TARGETS)
+    unknown = [name for name in args.targets if name not in claims.CLAIMS]
+    if unknown:
+        raise ValueError(f"unknown target {', '.join(unknown)}; choose from "
+                         f"{', '.join(claims.CLAIMS)}")
     all_ok = True
-    for name in targets:
-        if name not in VERIFY_TARGETS:
-            print(f"unknown target {name}", file=sys.stderr)
-            return 2
+    for name in args.targets or claims.CLAIMS:
         print(f"== {name} ==")
-        ok = VERIFY_TARGETS[name](lambda s: print("  " + s))
-        print(f"== {name}: {'ok' if ok else 'FAILED'} ==")
-        all_ok &= ok
+        rows, failed, seconds = claims.run(name)
+        for row in rows:
+            what, observed, expected = row
+            mark = "  MISMATCH" if row in failed else ""
+            print(f"  {what}: {observed} (expected {expected}){mark}")
+        verdict = "FAILED" if failed else "ok"
+        print(f"== {name}: {verdict} in {seconds:.2f} s ==")
+        all_ok &= not failed
     return 0 if all_ok else 1
 
 
@@ -549,8 +199,7 @@ def build_parser():
     p.set_defaults(fn=cmd_genus0)
 
     p = sub.add_parser("family", help="print a family member in text form")
-    p.add_argument("family", choices=["dickson", "redei", "a4s4",
-                                      "isogeny5", "cm7"])
+    p.add_argument("family", choices=list(FAMILY_OPTIONS))
     p.add_argument("--n", type=int)
     p.add_argument("--a", default="1")
     p.add_argument("--d", default="3")
@@ -561,8 +210,8 @@ def build_parser():
 
     p = sub.add_parser("ell", help="elliptic quotient descents")
     p.add_argument("action", choices=["descend"])
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
+    p.add_argument("--a", type=parse_fraction, required=True)
+    p.add_argument("--b", type=parse_fraction, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--out")
@@ -571,7 +220,8 @@ def build_parser():
     p = sub.add_parser("verify-paper",
                        help="recompute the headline tables and verdicts")
     p.add_argument("targets", nargs="*",
-                   help=f"subset of {sorted(VERIFY_TARGETS)}; default all")
+                   help=f"any of {', '.join(claims.CLAIMS)}; default all, "
+                        f"in that order")
     p.set_defaults(fn=cmd_verify_paper)
 
     return ap

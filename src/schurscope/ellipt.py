@@ -109,9 +109,6 @@ class DivPolySet:
     def x_part(self, k):
         return self.a[k]
 
-    def has_y_factor(self, k):
-        return k % 2 == 0
-
 
 def _xparts(E, m):
     """x-parts a_0..a_m of the division polynomials, by the standard

@@ -816,23 +816,6 @@ class RatFunc:
         return format_ratfunc(self)
 
 
-def ratfunc_normalize(num, den):
-    """Canonical rational function from a (num, den) pair. den must be nonzero."""
-    return RatFunc(num, den)
-
-
-def ratfunc_x(field):
-    return RatFunc(poly_x(field), Poly(field, [field.one]))
-
-
-def ratfunc_const(field, c):
-    return RatFunc(Poly(field, [field.coerce(c)]), Poly(field, [field.one]))
-
-
-def ratfunc_compose(f, g):
-    return f.compose(g)
-
-
 # ---------------------------------------------------------------------------
 # reduction at a place
 
@@ -981,6 +964,10 @@ def format_ratfunc(f):
     return f"{format_poly(f.num)} / {format_poly(f.den)}"
 
 
+# the largest exponent the parser accepts; the package's own functions reach
+# degree 27, and a larger x^k would only allocate a huge coefficient list
+PARSE_DEGREE_CAP = 1000
+
 _TOKEN = re.compile(r"\s*(sqrt|x|\^|\*|\+|\-|/|\(|\)|\d+)")
 
 
@@ -1022,7 +1009,10 @@ class _Parser:
         n = int(self.take())
         if self.peek() == "/":
             self.take()
-            return Fraction(sign * n, int(self.take()))
+            d = int(self.take())
+            if d == 0:
+                raise ValueError(f"zero denominator in {n}/0")
+            return Fraction(sign * n, d)
         return Fraction(sign * n)
 
     def parse_quad(self):
@@ -1061,15 +1051,14 @@ class _Parser:
             self.take()
             self.take("x")
             k = 1
-            if self.peek() == "^":
-                self.take()
-                k = int(self.take())
         elif self.peek() == "x":
             self.take()
             k = 1
-            if self.peek() == "^":
-                self.take()
-                k = int(self.take())
+        if k and self.peek() == "^":
+            self.take()
+            k = int(self.take())
+            if k > PARSE_DEGREE_CAP:
+                raise ValueError(f"exponent {k} exceeds cap {PARSE_DEGREE_CAP}")
         return k, coeff
 
     def parse_poly(self):
@@ -1087,7 +1076,11 @@ class _Parser:
 def parse_poly(s, field=None):
     if field is None:
         field = QuadField(_find_disc(s)) if "sqrt" in s else QQ
-    return _Parser(_tokenize(s), field).parse_poly()
+    parser = _Parser(_tokenize(s), field)
+    poly = parser.parse_poly()
+    if parser.peek() is not None:
+        raise ValueError(f"unexpected {parser.peek()!r} after a polynomial")
+    return poly
 
 
 def _find_disc(s):
@@ -1118,4 +1111,15 @@ def parse_ratfunc(s, field=None):
         return RatFunc(num, Poly(field, [field.one]))
     num = parse_poly(s[:split], field)
     den = parse_poly(s[split + 1 :], field)
+    if den.is_zero():
+        raise ValueError("zero denominator")
     return RatFunc(num, den)
+
+
+def parse_fraction(text):
+    """A rational from text such as '3', '-2/7' or '0.5', raising ValueError
+    (never ZeroDivisionError) on malformed text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

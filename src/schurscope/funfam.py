@@ -14,6 +14,7 @@ from .exactalg import (
     QuadField,
     RatFunc,
     kronecker,
+    parse_fraction,
     poly_const,
     poly_x,
 )
@@ -199,3 +200,34 @@ def cm7_function(B):
     num = num.scale(w_lin(1, -18))
     den = (7 * y ** 2 - poly_const(K, w_lin(3, -12) * B) * one) ** 3
     return RatFunc(num, den)
+
+
+# builtin:NAME[:ARG...] -> (accepted argument counts, constructor on the args)
+_BUILTINS = {
+    "isogeny5": ((0,), sporadic_degree5),
+    "cm7": ((0, 1), lambda B="1": cm7_function(parse_fraction(B))),
+    "dickson": ((2,), lambda n, a: dickson(int(n), parse_fraction(a))),
+    "redei": ((2,), lambda n, d: redei(int(n), parse_fraction(d))),
+    "a4s4": ((2,), lambda p, q: a4s4_function(parse_fraction(p),
+                                              parse_fraction(q))),
+    # the composition of the three degree-3 maps with constant fields
+    # Q(sqrt(-1)), Q(sqrt(-2)), Q(sqrt(2)): d = 3, 6, -6
+    "redei3comp": ((0,),
+                   lambda: redei(3, 3).compose(redei(3, 6)).compose(redei(3, -6))),
+}
+
+
+def builtin_function(name):
+    """Resolve a builtin:NAME[:ARG...] name, such as builtin:dickson:3:1, to
+    a RatFunc.  Raises ValueError on an unknown name or a wrong argument
+    count."""
+    parts = name.split(":")
+    if parts[0] != "builtin" or len(parts) < 2 or parts[1] not in _BUILTINS:
+        raise ValueError(f"unknown builtin function: {name}")
+    counts, make = _BUILTINS[parts[1]]
+    args = parts[2:]
+    if len(args) not in counts:
+        raise ValueError(f"builtin:{parts[1]} takes "
+                         f"{' or '.join(map(str, counts))} arguments, "
+                         f"got {len(args)}")
+    return make(*args)

@@ -386,28 +386,8 @@ class PairOrbits:
         self.n = n
         self.labels = labels  # numpy array of size n*n; value = min pair index in orbit
 
-    def label_of(self, i, j):
-        return int(self.labels[i * self.n + j])
-
     def orbit_count(self):
         return len(np.unique(self.labels))
-
-    def orbit_sizes(self):
-        _, counts = np.unique(self.labels, return_counts=True)
-        return sorted(int(c) for c in counts)
-
-    def orbit_reps(self):
-        """Smallest pair of each orbit, as (i, j) tuples, sorted."""
-        return [divmod(int(v), self.n) for v in np.unique(self.labels)]
-
-    def orbit_pairs(self, i, j):
-        lab = self.labels[i * self.n + j]
-        idx = np.nonzero(self.labels == lab)[0]
-        return [divmod(int(k), self.n) for k in idx]
-
-    def diagonal_labels(self):
-        diag = np.arange(self.n) * (self.n + 1)
-        return set(int(v) for v in self.labels[diag])
 
 
 def check_pair_cap(n, cap=PAIR_CAP):
@@ -790,11 +770,6 @@ class SmallGF:
             if ok:
                 return x
         raise RuntimeError("no generator found")
-
-    def is_square(self, x):
-        if self.p == 2:
-            return True
-        return self.power(x, (self.q - 1) // 2) == self.one
 
 
 def _proper_prime_divisors(n):

@@ -125,7 +125,6 @@ def _class_multisets(class_data, budget, r_max):
             idx = class_data[i][1]
             if idx > remaining:
                 continue
-            # even keeping the cheapest class for all remaining slots must fit
             chosen.append(i)
             rec(i, chosen, remaining - idx)
             chosen.pop()

@@ -1,220 +1,39 @@
-"""End-to-end acceptance checks: one test (and one printed pass/fail line)
-per headline result.  Run with `pytest tests/test_acceptance.py -v -s`.
+"""End-to-end acceptance checks: one test per claim of `schurscope.claims`,
+in criterion order, failing with the claim's failing rows.  The
+exceptionality claim takes most of the time: it checks every coset of the
+degree-1296 wreath example."""
 
-These are slower than the unit tests (a few minutes total): they build the
-degree-496 coset action twice and enumerate a degree-1296 wreath example.
-"""
-
-import random
-from fractions import Fraction
-from math import gcd
-
-from schurscope import ellipt, exceptio, funfam, ramgenus
-from schurscope.cli import (
-    EUCLIDEAN_TYPES,
-    GENUS_TABLE,
-    builtin_function,
-    deg16_negative_control,
-    verify_deg16_obstruction,
-)
-from schurscope.exactalg import QQ, FqField, kronecker, reduce_mod_place
-from schurscope.permcore import (
-    Perm,
-    PermGroup,
-    psl2_sylow2_coset_action,
-    psl2_torus_coset_action,
-)
-from schurscope.projmap import schur_sweep
+from schurscope import claims
 
 
-def _verdict(n, name, ok):
-    print(f"criterion {n} ({name}): {'PASS' if ok else 'FAIL'}")
-    assert ok, f"criterion {n} ({name}) failed"
+def _holds(name):
+    rows, failed, _ = claims.run(name)
+    assert rows and not failed, failed
 
 
 def test_criterion_1_regular_genus_table():
-    ok = all(ramgenus.regular_genus(t, order) == g
-             for t, order, g in GENUS_TABLE)
-    ok &= all(ramgenus.regular_genus(t, order) == 1
-              for t in EUCLIDEAN_TYPES for order in (12, 72, 504))
-    _verdict(1, "regular-genus table", ok)
+    _holds("genus-table")
 
 
 def test_criterion_2_genus0_classification():
-    act, _ = psl2_torus_coset_action(8, "psl")
-    ok = ramgenus.genus0_search(act.group) == \
-        [(2, 2, 2, 3), (2, 3, 7), (2, 3, 9)]
-    act, _ = psl2_sylow2_coset_action(9, "psl")
-    ok &= ramgenus.genus0_search(act.group) == [(2, 4, 5)]
-    act, _ = psl2_torus_coset_action(32, "psl")
-    ok &= ramgenus.genus0_search(act.group) == []
-    _verdict(2, "genus-0 classification", ok)
+    _holds("genus0")
 
 
 def test_criterion_3_fixed_point_tables():
-    # degree 496: the extension of PSL2(32) by its field automorphisms, whose
-    # outer part supplies the order-5 elements of the table
-    act, _ = psl2_torus_coset_action(32, "pgammal")
-    A = act.group
-    H = PermGroup(A.degree, A.stabilizer_gens(0))
-    want = {2: (16, 240), 3: (1, 330), 5: (1, 396)}
-    rng = random.Random(0)
-    els = {}
-    cur = A.gens[0]
-    while set(want) - set(els):
-        o = cur.order()
-        for d in want:
-            if d not in els and o % d == 0:
-                els[d] = cur ** (o // d)
-        cur = cur * rng.choice(A.gens)
-    ok = True
-    for o, (chi_want, ind_want) in want.items():
-        g = els[o]
-        ok &= exceptio.chi_fixed_points(A, H, g) == chi_want
-        ok &= ramgenus.ind(g) == ind_want
-    # degree 28: involutions fix 4 points, odd order fixes at most 1
-    act, _ = psl2_torus_coset_action(8, "psl")
-    for g in act.group.elements():
-        o, fp = g.order(), len(g.fixed_points())
-        if o == 2:
-            ok &= fp == 4
-        elif o > 1 and o % 2 == 1:
-            ok &= fp <= 1
-    _verdict(3, "fixed-point tables", ok)
+    _holds("fixed-points")
 
 
 def test_criterion_4_exceptionality_verdicts():
-    S3 = PermGroup(3, [Perm([1, 0, 2]), Perm([1, 2, 0])])
-    C3 = PermGroup(3, [Perm([1, 2, 0])])
-    S4 = PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])
-    A4 = PermGroup(4, [Perm([1, 2, 0, 3]), Perm([1, 0, 3, 2])])
-    ok = not exceptio.is_exceptional(S4, A4).exceptional
-    ok &= exceptio.is_exceptional(S3, C3).exceptional
-
-    instances = [(S4, A4), (S3, C3)]
-
-    act, G8 = psl2_torus_coset_action(8, "pgammal")
-    A = act.group
-    G = PermGroup(A.degree, [act.image(g) for g in G8.gens])
-    v = exceptio.is_arithmetically_exceptional(A, G)
-    ok &= v.arithmetically_exceptional
-    ok &= v.witness is not None and v.witness not in G
-    ok &= v.witness.order() % 3 == 0  # a field-automorphism coset
-    instances.append((A, G))
-
-    act, G9 = psl2_sylow2_coset_action(9, "m10")
-    A = act.group
-    G = PermGroup(A.degree, [act.image(g) for g in G9.gens])
-    v = exceptio.is_arithmetically_exceptional(A, G)
-    ok &= v.arithmetically_exceptional
-    ok &= v.witness is not None and v.witness not in G
-    instances.append((A, G))
-
-    A5, G5, _ = exceptio.build_wreath_diagonal_example(S3, 5)
-    ok &= A5.degree == 1296
-    ok &= exceptio.is_exceptional(A5, G5).exceptional
-    A2, G2, _ = exceptio.build_wreath_diagonal_example(S3, 2)
-    ok &= not exceptio.is_exceptional(A2, G2).exceptional
-    instances.extend([(A5, G5), (A2, G2)])
-
-    # common-orbit verdict == (coset-average over some coset equals 1),
-    # and the average always equals the common-orbit count of (<G,x>, G)
-    for A, G in instances:
-        for x in exceptio.coset_representatives(A, G):
-            if x in G and not x.is_identity():
-                continue
-            B = PermGroup(A.degree, list(G.gens) + [x])
-            avg = exceptio.coset_average_fixed_points(A, G, x)
-            v = exceptio.is_exceptional(B, G)
-            ok &= avg == v.r
-            ok &= v.exceptional == (avg == 1)
-    _verdict(4, "exceptionality verdicts", ok)
+    _holds("exceptionality")
 
 
 def test_criterion_5_schur_sweeps():
-    bound = 2000
-    ok = True
-
-    rep = schur_sweep(funfam.sporadic_degree5(), bound)
-    for r in rep.records:
-        if r.verdict in ("bijective", "not-bijective"):
-            ok &= (r.verdict == "bijective") == (kronecker(5, r.p) == -1)
-    ok &= abs(rep.density - Fraction(1, 2)) <= Fraction(5, 100)
-
-    rep = schur_sweep(funfam.a4s4_function(0, 2), bound)
-    for r in rep.records:
-        if r.verdict in ("bijective", "not-bijective"):
-            irreducible = all(pow(x, 3, r.p) != (-2) % r.p for x in range(r.p))
-            ok &= (r.verdict == "bijective") == irreducible
-    ok &= abs(rep.density - Fraction(1, 3)) <= Fraction(5, 100)
-
-    rep = schur_sweep(builtin_function("builtin:redei3comp"), bound)
-    ok &= not [r.p for r in rep.records
-               if r.verdict == "bijective" and r.p > 5]
-
-    for n in (3, 5, 7):
-        rep = schur_sweep(funfam.dickson(n, 1), bound)
-        for r in rep.records:
-            if r.verdict in ("bijective", "not-bijective"):
-                ok &= (r.verdict == "bijective") == \
-                    (gcd(n, r.p * r.p - 1) == 1)
-    _verdict(5, "prime sweeps", ok)
+    _holds("sweeps")
 
 
 def test_criterion_6_elliptic_identities():
-    ok = ellipt.xmul_map(ellipt.EllCurve(QQ, Fraction(0), Fraction(2)), 2) \
-        == funfam.a4s4_function(0, 2)
-
-    E18 = ellipt.EllCurve(QQ, Fraction(-18), Fraction(1))
-    F3 = ellipt.xmul_map(E18, 3)
-    for p in (101, 103, 107):
-        Fp = reduce_mod_place(F3, p)
-        Ep = ellipt.EllCurve(FqField(p), (-18) % p, 1)
-        rng = random.Random(p)
-        for _ in range(25):
-            P = ellipt.random_point(Ep, rng)
-            Q = ellipt.point_mul(Ep, 3, P)
-            d = Fp.den.eval(P[0])
-            if Q is None:
-                ok &= not d
-            else:
-                ok &= bool(d) and Fp.num.eval(P[0]) / d == Q[0]
-
-    # quotient descents: degree m^2 and R(psi(P)) = psi(mP) mod three primes
-    descents = [
-        (0, 2, 2, 3, lambda P: P[1], (103, 109, 127)),
-        (3, 0, 3, 4, lambda P: P[0] * P[0], (101, 103, 107)),
-        (0, 2, 5, 6, lambda P: P[1] * P[1], (103, 109, 127)),
-    ]
-    for a, b, m, beta, psi, primes in descents:
-        E = ellipt.EllCurve(QQ, Fraction(a), Fraction(b))
-        R = ellipt.quotient_descent(E, m, beta)
-        ok &= R.degree == m * m
-        for p in primes:
-            Rp = reduce_mod_place(R, p)
-            Ep = ellipt.EllCurve(FqField(p), a % p, b % p)
-            rng = random.Random(p + m)
-            for _ in range(20):
-                P = ellipt.random_point(Ep, rng)
-                Q = ellipt.point_mul(Ep, m, P)
-                v = psi(P)
-                d = Rp.den.eval(v)
-                if Q is None:
-                    ok &= not d
-                else:
-                    ok &= bool(d) and Rp.num.eval(v) / d == psi(Q)
-
-    for p in (13, 31, 61):
-        ok &= ellipt.verify_cm7(p)
-
-    ok &= funfam.sporadic_degree5_isogeny_identity()
-
-    rep = schur_sweep(F3, 2000)
-    ok &= rep.density > 0
-    _verdict(6, "elliptic identities", ok)
+    _holds("elliptic")
 
 
 def test_criterion_7_degree16_obstruction():
-    ok = verify_deg16_obstruction()
-    ok &= deg16_negative_control()  # sanity: the test can distinguish
-    _verdict(7, "degree-16 obstruction", ok)
+    _holds("deg16")

@@ -5,7 +5,10 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schurscope import claims
 from schurscope.cli import (
     _sweep_primes,
     builtin_function,
@@ -157,6 +160,14 @@ def test_ell_command(tmp_path):
 
 def test_bad_input_exits_2(capsys, tmp_path):
     assert main(["sweep", "--function", "builtin:nope"]) == 2
+    # the exponent is refused before any coefficient list is allocated
+    for text in ("builtin:dickson:3", "builtin:a4s4:1", "builtin:cm7:1:2",
+                 "builtin:dickson:3:1/0", "(51/0)35", "1 / 0", "x^1000000000",
+                 "x^3/2", "x^3 + 1 )"):
+        assert main(["sweep", "--function", text]) == 2
+    assert main(["family", "dickson"]) == 2
+    assert main(["family", "redei"]) == 2
+    assert main(["family", "dickson", "--n", "3", "--a", "1/0"]) == 2
     assert main(["genus", "--type", "2", "--order", "12"]) == 2
     missing = str(tmp_path / "missing.json")
     assert main(["exceptional", "--group", missing, "--normal", missing]) == 2
@@ -174,3 +185,30 @@ def test_verify_paper_genus_table(capsys):
 
 def test_verify_paper_unknown_target():
     assert main(["verify-paper", "bogus"]) == 2
+
+
+def test_verify_paper_exit_codes(monkeypatch, capsys):
+    monkeypatch.setitem(claims.CLAIMS, "holds", lambda: iter([("one", 1, 1)]))
+    monkeypatch.setitem(claims.CLAIMS, "fails", lambda: iter([("two", 3, 2)]))
+    assert main(["verify-paper", "holds"]) == 0
+    assert main(["verify-paper", "holds", "fails"]) == 1
+    out = capsys.readouterr().out
+    assert "  one: 1 (expected 1)\n" in out and "== holds: ok" in out
+    assert "  two: 3 (expected 2)  MISMATCH\n" in out and "== fails: FAILED" in out
+    # every name is checked before any claim runs
+    assert main(["verify-paper", "holds", "bogus"]) == 2
+    assert "== holds" not in capsys.readouterr().out
+
+
+_TOKENS = ["x", "^", "*", "+", "-", "/", "(", ")", "sqrt", " ",
+           *"0123456789"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=14).map("".join))
+def test_sweep_fuzzed_text_exits_0_or_2(text):
+    try:
+        rc = main(["sweep", "--function", text, "--bound", "30"])
+    except SystemExit as exc:  # argparse usage errors, e.g. text "-x"
+        rc = exc.code
+    assert rc in (0, 2)

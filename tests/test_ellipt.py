@@ -21,6 +21,7 @@ from schurscope.ellipt import (
     verify_cm7,
     xmul_map,
 )
+from schurscope.claims import pointwise_offenders
 from schurscope.funfam import a4s4_function
 
 
@@ -123,19 +124,7 @@ def _check_descent_pointwise(a, b, m, beta_order, psi, beta_apply, primes):
     EQ = EllCurve(QQ, Fraction(a), Fraction(b))
     R = quotient_descent(EQ, m, beta_order)
     assert R.degree == m * m
-    for p in primes:
-        Rp = reduce_mod_place(R, p)
-        E = EllCurve(FqField(p), a % p, b % p)
-        rng = random.Random(p + m)
-        for _ in range(20):
-            P = random_point(E, rng)
-            Q = point_mul(E, m, P)
-            v = psi(P)
-            d = Rp.den.eval(v)
-            if Q is None:
-                assert not d
-            else:
-                assert d and Rp.num.eval(v) / d == psi(Q)
+    assert pointwise_offenders(R, a, b, m, psi, primes, 20, m) == []
 
 
 def test_descent_order_2():
