@@ -37,12 +37,6 @@ EUCLIDEAN_ORDERS = (12, 24, 72, 360, 504)
 SWEEP_BOUND = 2000
 
 
-def _action_pair(act, G0):
-    """(A, G): the group of a coset action and the image of G0 in it."""
-    A = act.group
-    return A, PermGroup(A.degree, [act.image(g) for g in G0.gens])
-
-
 def genus_table():
     """The regular genus of the distinguished types, and genus 1 for the
     Euclidean types."""
@@ -102,11 +96,8 @@ def _coset_average_offenders(A, G):
     fixed points on xG is not the common-orbit count of (<G, x>, G), or
     "average 1" is not the exceptionality verdict."""
     out = []
-    for i, x in enumerate(exceptio.coset_representatives(A, G)):
-        if x in G and not x.is_identity():
-            continue
+    for i, (x, v) in enumerate(exceptio.coset_verdicts(A, G)):
         avg = exceptio.coset_average_fixed_points(A, G, x)
-        v = exceptio.is_exceptional(PermGroup(A.degree, list(G.gens) + [x]), G)
         if avg != v.r or v.exceptional != (avg == 1):
             out.append((i, avg, v.r))
     return out
@@ -126,11 +117,11 @@ def exceptionality():
 
     # the witness of PGammaL2(8) lies in a field-automorphism coset, of order
     # divisible by 3; those of M10 outside PSL2(9) have order 4 or 8
-    for name, action, order3 in (
+    for name, (act, G0), order3 in (
             ("(PGammaL2(8), PSL2(8)) on 28",
              permcore.psl2_torus_coset_action(8, "pgammal"), True),
             ("(M10, PSL2(9)) on 45", permcore.psl2_sylow2_coset_action(9, "m10"), False)):
-        A, G = pairs[name] = _action_pair(*action)
+        A, G = pairs[name] = act.group, act.image_group(G0)
         v = exceptio.is_arithmetically_exceptional(A, G)
         w = v.witness
         yield f"{name} arithmetically exceptional", v.arithmetically_exceptional, True
@@ -269,7 +260,8 @@ def deg16():
     yield ("order-4 elements of C_2^4.D_10 whose normalizer escapes it",
            list(_escaping_normalizers(A, G)), [])
     # the same test must be able to fail
-    A, G = _action_pair(*permcore.psl2_sylow2_coset_action(9, "m10"))
+    act, G0 = permcore.psl2_sylow2_coset_action(9, "m10")
+    A, G = act.group, act.image_group(G0)
     yield ("negative control, (M10, PSL2(9)) on 45: an order-4 normalizer escapes G",
            next(_escaping_normalizers(A, G), None) is not None, True)
 

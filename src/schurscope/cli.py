@@ -231,6 +231,10 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)  # argparse exits 2 on usage errors
     try:
+        # argparse stores [] for a lone "--" value, as in --function=--
+        for name, value in vars(args).items():
+            if isinstance(value, list) and name != "targets":
+                raise ValueError(f"--{name} needs a value")
         return args.fn(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

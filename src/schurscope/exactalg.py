@@ -99,7 +99,7 @@ def sqrt_mod(a, p):
 
 
 def squarefree_part(n):
-    """Largest squarefree divisor of n (sign kept)."""
+    """n divided by its largest square factor (sign kept)."""
     if n == 0:
         raise ValueError("0 has no squarefree part")
     sign = -1 if n < 0 else 1
@@ -967,6 +967,9 @@ def format_ratfunc(f):
 # the largest exponent the parser accepts; the package's own functions reach
 # degree 27, and a larger x^k would only allocate a huge coefficient list
 PARSE_DEGREE_CAP = 1000
+# the largest |D| of a sqrt(D) the parser accepts: squarefree_part trial-divides
+# up to sqrt(|D|), at most about 3e4 steps here; the package itself uses sqrt(-3)
+PARSE_DISC_CAP = 10 ** 9
 
 _TOKEN = re.compile(r"\s*(sqrt|x|\^|\*|\+|\-|/|\(|\)|\d+)")
 
@@ -1087,7 +1090,10 @@ def _find_disc(s):
     m = re.search(r"sqrt\(\s*(-?\d+)\s*\)", s)
     if not m:
         raise ValueError("no sqrt(D) found")
-    return int(m.group(1))
+    d = int(m.group(1))
+    if abs(d) > PARSE_DISC_CAP:
+        raise ValueError(f"|D| = {abs(d)} in sqrt(D) exceeds cap {PARSE_DISC_CAP}")
+    return d
 
 
 def parse_ratfunc(s, field=None):

@@ -4,14 +4,21 @@ A "common orbit" is an orbit of A on ordered pairs that consists of a single
 G-orbit.  The diagonal is always one (both groups transitive), and the pair
 (A, G) is exceptional when it is the only one.  Arithmetic exceptionality asks
 for some intermediate B = <G, x> with cyclic quotient that is exceptional.
+
+Suborbit criterion (Fried-Guralnick-Saxl 1993): with bp the first base point
+of G's chain, an A-orbit on pairs is one G-orbit exactly when the A_0-orbit of
+the points it pairs with bp is one G_0-orbit.  For a in A let t in G be the
+stored inverse representative at a(bp), so y_a = a t fixes bp.  As G is
+transitive, A = G A_0, hence A_0 = G_0 <y_a : a generates A>, and the common
+orbits are the G_0-orbits that every y_a maps onto themselves.  For B = <G, x>,
+y_x alone decides: no chain of B is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
+from operator import eq
 
 from .permcore import (
     ENUM_CAP,
@@ -23,7 +30,8 @@ from .permcore import (
     PermGroup,
     check_pair_cap,
     conjugacy_class,
-    orbits_on_pairs,
+    orbits_on_pairs,  # noqa: F401  perfbench/tracer.py patches exceptio.orbits_on_pairs
+    prime_divisors,
     right_coset_key,
 )
 
@@ -67,8 +75,11 @@ class ArithVerdict:
 
 
 def _check_normal(A, G):
+    """Refuse (A, G) unless G is a transitive normal subgroup of A. The
+    degrees and the pair cap are checked before any chain is built."""
     if A.degree != G.degree:
         raise DegreeMismatch("A and G act on different point sets")
+    check_pair_cap(A.degree)
     for g in G.gens:
         if g not in A:
             raise NotASubgroup("G is not contained in A")
@@ -77,6 +88,36 @@ def _check_normal(A, G):
         for g in G.gens:
             if ai * g * a not in G:
                 raise NotNormal("G is not normalized by A")
+    if not G.is_transitive():
+        raise NotTransitive("G must be transitive")
+
+
+def _suborbit_test(G):
+    """The function xs -> the sorted least pairs of the common orbits of
+    (<G, xs>, G): the G_0-orbits that y_x maps onto themselves for every x in
+    xs (see the module docstring), each named by its least point after the
+    element that takes bp to 0."""
+    G._build_chain()
+    # the trivial group is transitive on one point only
+    bp, trans = ((G._chain[0].base_point, G._chain[0].transversal) if G._chain
+                 else (0, {0: Perm.identity(G.degree)}))
+    to0 = trans[0].inverse().images
+    named = [(min(to0[p] for p in orb), orb[0], set(orb))
+             for orb in PermGroup(G.degree, G._effective_gens(1)).orbits()]
+
+    def common(xs):
+        # y_x normalizes G_0, so one point of a G_0-orbit shows where it goes
+        ys = [(x * trans[x.images[bp]]).images for x in xs]
+        return sorted((0, v) for v, p, orb in named if all(y[p] in orb for y in ys))
+
+    return common
+
+
+def _verdict(reps):
+    off = [p for p in reps if p[0] != p[1]]
+    if off:
+        return ExceptionalityVerdict(False, len(reps), witness=off[0])
+    return ExceptionalityVerdict(True, len(reps))
 
 
 def common_orbits(A, G):
@@ -85,66 +126,36 @@ def common_orbits(A, G):
     A common orbit is an A-orbit on ordered pairs equal to a single G-orbit.
     The degrees and the pair cap are checked before any chain is built.
     """
-    if A.degree != G.degree:
-        raise DegreeMismatch("A and G act on different point sets")
-    n = A.degree
-    check_pair_cap(n)
     _check_normal(A, G)
-    if not G.is_transitive():
-        raise NotTransitive("G must be transitive")
-    g_orbs = orbits_on_pairs(G.gens, n)
-    a_orbs = orbits_on_pairs(A.gens, n)
-    # a label is the least pair of its orbit, and G-orbits refine A-orbits:
-    # an A-orbit is one G-orbit exactly when every pair in it has equal labels
-    a, g = a_orbs.labels, g_orbs.labels
-    split = np.zeros(n * n, dtype=bool)
-    split[a[a != g]] = True
-    common = np.flatnonzero((a == np.arange(n * n, dtype=a.dtype)) & ~split)
-    return [divmod(int(lab), n) for lab in common]
+    return _suborbit_test(G)(A.gens)
 
 
 def is_exceptional(A, G):
     """Common-orbit test: exceptional iff the diagonal is the only A-orbit on
     pairs that is a single G-orbit."""
-    reps = common_orbits(A, G)
-    off = [p for p in reps if p[0] != p[1]]
-    if off:
-        return ExceptionalityVerdict(False, len(reps), witness=off[0])
-    return ExceptionalityVerdict(True, len(reps))
+    return _verdict(common_orbits(A, G))
 
 
-def coset_representatives(A, G, index_cap=INDEX_CAP):
-    """Right-coset representatives of G in A, identity first."""
-    for g in G.gens:
-        if g not in A:
-            raise NotASubgroup("G is not contained in A")
-    index = A.order // G.order
-    if index > index_cap:
-        raise CapExceeded(f"index {index} exceeds cap {index_cap}")
-    reps = [Perm.identity(A.degree)]
-    queue = [reps[0]]
-    while queue and len(reps) < index:
-        r = queue.pop(0)
-        for s in A.gens:
-            cand = r * s
-            if not any(cand * t.inverse() in G for t in reps):
-                reps.append(cand)
-                queue.append(cand)
-    return reps
+def coset_verdicts(A, G):
+    """(x, verdict of (<G, x>, G)) for x in `CosetAction(A, G).reps`, the
+    right-coset representatives breadth first, identity first. The degrees
+    and the pair cap are checked before any chain is built."""
+    _check_normal(A, G)
+    common = _suborbit_test(G)
+    for x in CosetAction(A, G, INDEX_CAP).reps:
+        yield x, _verdict(common([x]))
 
 
-def is_arithmetically_exceptional(A, G, index_cap=INDEX_CAP):
+def is_arithmetically_exceptional(A, G):
     """Search the cosets xG for one with (<G, x>, G) exceptional.
 
     Only subgroups B with B/G cyclic arise this way, which is exactly the
     shape needed for bijectivity over infinitely many residue fields.
     """
-    _check_normal(A, G)
-    for x in coset_representatives(A, G, index_cap):
-        if x in G:
-            continue
-        B = PermGroup(A.degree, list(G.gens) + [x])
-        if is_exceptional(B, G).exceptional:
+    verdicts = coset_verdicts(A, G)
+    next(verdicts)  # the identity coset, G itself
+    for x, v in verdicts:
+        if v.exceptional:
             return ArithVerdict(True, witness=x)
     return ArithVerdict(False)
 
@@ -163,7 +174,7 @@ def _is_point_stabilizer(G, H):
     return None
 
 
-def chi_fixed_points(G, H, g, cap=ENUM_CAP):
+def chi_fixed_points(G, H, g):
     """Fixed points of g on the points, computed two ways.
 
     Direct count, and the class formula: sum of [C_G(g_i) : C_H(g_i)] over
@@ -174,10 +185,10 @@ def chi_fixed_points(G, H, g, cap=ENUM_CAP):
         raise ValueError("H is not a point stabilizer of G")
     direct = len(g.fixed_points())
 
-    cls = conjugacy_class(G, g, cap)
+    cls = conjugacy_class(G, g, ENUM_CAP)
     cls_keys = {c.images for c in cls}
     cg_order = G.order // len(cls)  # |C_G(g)| = |G| / |g^G|
-    h_els = H.elements(cap)
+    h_els = H.elements(ENUM_CAP)
     in_h = [h for h in h_els if h.images in cls_keys]
     remaining = {h.images for h in in_h}
     formula = 0
@@ -194,7 +205,7 @@ def chi_fixed_points(G, H, g, cap=ENUM_CAP):
     return direct
 
 
-def coset_average_fixed_points(A, G, x, cap=ENUM_CAP):
+def coset_average_fixed_points(A, G, x):
     """(1/|G|) * sum over g in G of the fixed points of xg on ordered pairs.
 
     An element fixes (a, b) exactly when it fixes both points, so the
@@ -204,14 +215,17 @@ def coset_average_fixed_points(A, G, x, cap=ENUM_CAP):
     """
     if x not in A:
         raise NotASubgroup("x is not in A")
-    els = G.elements(cap)
-    total = sum(len((x * g).fixed_points()) ** 2 for g in els)
+    # x*g fixes i exactly when g maps x(i) to i, so count the j = x(i) with
+    # g(j) = x^-1(j)
+    x_inv = x.inverse().images
+    els = G.elements(ENUM_CAP)
+    total = sum(sum(map(eq, g.images, x_inv)) ** 2 for g in els)
     return Fraction(total, len(els))
 
 
-def class_is_rational_in(A, sigma, cap=ENUM_CAP):
+def class_is_rational_in(A, sigma):
     """Whether sigma^m is A-conjugate to sigma for every m coprime to its order."""
-    cls = {c.images for c in conjugacy_class(A, sigma, cap)}
+    cls = {c.images for c in conjugacy_class(A, sigma, ENUM_CAP)}
     o = sigma.order()
     return all((sigma ** m).images in cls
                for m in range(1, o) if gcd(m, o) == 1)
@@ -220,7 +234,7 @@ def class_is_rational_in(A, sigma, cap=ENUM_CAP):
 # ---------------------------------------------------------------------------
 # constructions
 
-def build_wreath_diagonal_example(L, t, enum_cap=ENUM_CAP):
+def build_wreath_diagonal_example(L, t):
     """The wreath-product family: G = L^t inside A = L wr C_t, with point
     stabilizer M generated by the diagonal copy of L and the coordinate cycle.
 
@@ -244,15 +258,13 @@ def build_wreath_diagonal_example(L, t, enum_cap=ENUM_CAP):
     base_gens = [shift(g, b) for b in range(t) for g in L.gens]
     A = PermGroup(n, base_gens + [cycle])
     G = PermGroup(n, base_gens)
-    if A.order > enum_cap:
-        raise CapExceeded(f"|A| = {A.order} exceeds cap {enum_cap}")
+    if A.order > ENUM_CAP:
+        raise CapExceeded(f"|A| = {A.order} exceeds cap {ENUM_CAP}")
     diag = [Perm([b * d + g.images[i] for b in range(t) for i in range(d)])
             for g in L.gens]
     M = PermGroup(n, diag + [cycle])
     act = CosetAction(A, M)
-    A2 = PermGroup(act.group.degree, [act.image(g) for g in A.gens])
-    G2 = PermGroup(act.group.degree, [act.image(g) for g in G.gens])
-    return A2, G2, act
+    return act.group, act.image_group(G), act
 
 
 def build_scalar_example(p, e, h_matrices, r):
@@ -282,7 +294,7 @@ def build_scalar_example(p, e, h_matrices, r):
     s = None
     for c in range(2, p):
         if pow(c, r, p) == 1 and all(pow(c, r // q, p) != 1
-                                     for q in _prime_divisors(r)):
+                                     for q in prime_divisors(r)):
             s = c
             break
     if s is None:
@@ -293,20 +305,6 @@ def build_scalar_example(p, e, h_matrices, r):
     G = PermGroup(space.n, basis + h_perms)
     A = PermGroup(space.n, basis + h_perms + [scalar])
     return A, G
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def excomp_decompose(A, G, M, U):
@@ -327,22 +325,14 @@ def excomp_decompose(A, G, M, U):
     if gm_count != A.order // G.order:
         raise ValueError("A = GM fails")
 
-    act_m = CosetAction(A, M)
-    v1 = is_exceptional(
-        PermGroup(act_m.group.degree, [act_m.image(g) for g in A.gens]),
-        PermGroup(act_m.group.degree, [act_m.image(g) for g in G.gens]))
-
-    act_u = CosetAction(A, U)
-    v2 = is_exceptional(
-        PermGroup(act_u.group.degree, [act_u.image(g) for g in A.gens]),
-        PermGroup(act_u.group.degree, [act_u.image(g) for g in G.gens]))
+    act_m, act_u = CosetAction(A, M), CosetAction(A, U)
+    v1 = is_exceptional(act_m.group, act_m.image_group(G))
+    v2 = is_exceptional(act_u.group, act_u.image_group(G))
 
     gu = [h for h in U.elements() if h in G]
     GU = PermGroup(A.degree, gu or [Perm.identity(A.degree)])
     act_um = CosetAction(U, M)
-    v3 = is_exceptional(
-        PermGroup(act_um.group.degree, [act_um.image(g) for g in U.gens]),
-        PermGroup(act_um.group.degree, [act_um.image(g) for g in GU.gens]))
+    v3 = is_exceptional(act_um.group, act_um.image_group(GU))
 
     if v1.exceptional != (v2.exceptional and v3.exceptional):
         raise AssertionError("decomposition identity violated: "

@@ -13,6 +13,8 @@ import numpy as np
 
 DEGREE_CAP = 4096
 ENUM_CAP = 200_000
+# bounds n*n, for an exceptionality verdict: the n entries of each of the n
+# inverse coset representatives in the level-0 transversal of G's chain
 PAIR_CAP = 4_000_000
 
 
@@ -338,12 +340,12 @@ class PermGroup:
         return seen
 
     def orbits(self):
-        left = set(range(self.degree))
-        out = []
-        while left:
-            o = self.orbit(min(left))
-            out.append(sorted(o))
-            left -= o
+        out, seen = [], set()
+        for p in range(self.degree):
+            if p not in seen:
+                o = self.orbit(p)
+                seen |= o
+                out.append(sorted(o))
         return out
 
     def is_transitive(self):
@@ -670,6 +672,10 @@ class CosetAction:
         key, index_of = self._key, self._canon_to_idx
         return Perm._raw(tuple(index_of[key(r * g)] for r in self.reps))
 
+    def image_group(self, H):
+        """The image of a subgroup H of A, acting on the cosets."""
+        return PermGroup(self.index, [self.image(h) for h in H.gens])
+
 
 def coset_action(A, M):
     return CosetAction(A, M)
@@ -763,7 +769,7 @@ class SmallGF:
             if x == self.zero:
                 continue
             ok = True
-            for d in _proper_prime_divisors(self.q - 1):
+            for d in prime_divisors(self.q - 1):
                 if self.power(x, (self.q - 1) // d) == self.one:
                     ok = False
                     break
@@ -772,7 +778,8 @@ class SmallGF:
         raise RuntimeError("no generator found")
 
 
-def _proper_prime_divisors(n):
+def prime_divisors(n):
+    """The distinct prime divisors of n > 0, ascending."""
     out = []
     d = 2
     while d * d <= n:

@@ -3,6 +3,7 @@ shapes, and the builtin function registry."""
 
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,8 @@ def test_bad_input_exits_2(capsys, tmp_path):
                  "builtin:dickson:3:1/0", "(51/0)35", "1 / 0", "x^1000000000",
                  "x^3/2", "x^3 + 1 )"):
         assert main(["sweep", "--function", text]) == 2
+    # argparse stores [] for a lone "--" value
+    assert main(["sweep", "--function=--", "--bound", "30"]) == 2
     assert main(["family", "dickson"]) == 2
     assert main(["family", "redei"]) == 2
     assert main(["family", "dickson", "--n", "3", "--a", "1/0"]) == 2
@@ -174,6 +177,16 @@ def test_bad_input_exits_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_large_sqrt_discriminant_exits_2_at_once(capsys):
+    # 2^61 - 1 is prime: trial division to its square root would run ~1.5e9
+    # steps before the field could be refused
+    start = time.perf_counter()
+    assert main(["sweep", "--function", "sqrt(2305843009213693951)",
+                 "--bound", "30"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "exceeds cap" in capsys.readouterr().err
 
 
 def test_verify_paper_genus_table(capsys):

@@ -16,17 +16,19 @@ from schurscope.exceptio import (
     class_is_rational_in,
     common_orbits,
     coset_average_fixed_points,
-    coset_representatives,
+    coset_verdicts,
     excomp_decompose,
     is_arithmetically_exceptional,
     is_exceptional,
 )
 from schurscope.permcore import (
     CapExceeded,
+    CosetAction,
     DegreeMismatch,
     Perm,
     PermGroup,
     orbits_on_pairs,
+    psl2_sylow2_coset_action,
     psl2_torus_coset_action,
 )
 
@@ -78,18 +80,11 @@ def test_not_normal_and_not_transitive_raise():
         is_exceptional(PermGroup(4, V.gens), V)
 
 
-def test_coset_representatives():
-    reps = coset_representatives(S4, A4)
-    assert len(reps) == 2
-    assert reps[0].is_identity()
-    assert reps[1] not in A4
-
-
 def test_coset_average_equals_common_orbit_count():
     # the average of squared fixed-point counts over a coset xG equals the
     # number of common orbits of (<G, x>, G) on pairs
     for A, G in ((S4, A4), (S3, C3), (D4, C4)):
-        for x in coset_representatives(A, G):
+        for x in CosetAction(A, G).reps:
             B = PermGroup(A.degree, list(G.gens) + [x])
             avg = coset_average_fixed_points(A, G, x)
             assert avg == len(common_orbits(B, G))
@@ -221,13 +216,16 @@ def _relabelled(A, G, seed):
             PermGroup(G.degree, [g.conjugate(s) for g in G.gens]))
 
 
-def test_common_orbits_match_sorted_walk():
+def _walk_pairs():
     act, G8 = psl2_torus_coset_action(8, "pgammal")
-    pairs = [(S3, C3), (S4, A4), (D4, C4), (S4, S4), (C4, C4),
-             build_wreath_diagonal_example(S3, 2)[:2],
-             build_wreath_diagonal_example(S3, 3)[:2],
-             (act.group, PermGroup(28, [act.image(g) for g in G8.gens]))]
-    for seed, (A, G) in enumerate(pairs):
+    return [(S3, C3), (S4, A4), (D4, C4), (S4, S4), (C4, C4),
+            build_wreath_diagonal_example(S3, 2)[:2],
+            build_wreath_diagonal_example(S3, 3)[:2],
+            (act.group, PermGroup(28, [act.image(g) for g in G8.gens]))]
+
+
+def test_common_orbits_match_sorted_walk():
+    for seed, (A, G) in enumerate(_walk_pairs()):
         for A_, G_ in ((A, G), _relabelled(A, G, seed)):
             reps = common_orbits(A_, G_)
             assert reps == old_common_orbits(A_, G_)
@@ -241,3 +239,73 @@ def test_excomp_decompose_refuses_a_not_gm():
     M = PermGroup(4, [Perm([1, 2, 0, 3])])
     with pytest.raises(ValueError, match="A = GM fails"):
         excomp_decompose(S4, A4, M, A4)
+
+
+def test_coset_verdicts_match_the_pair_engine_on_b():
+    # the per-coset verdict against a chain and pair orbits of B = <G, x>
+    for seed, (A, G) in enumerate(_walk_pairs()):
+        for A_, G_ in ((A, G), _relabelled(A, G, seed)):
+            verdicts = list(coset_verdicts(A_, G_))
+            assert [x for x, _ in verdicts] == CosetAction(A_, G_).reps
+            for x, v in verdicts:
+                reps = old_common_orbits(
+                    PermGroup(A_.degree, list(G_.gens) + [x]), G_)
+                off = [p for p in reps if p[0] != p[1]]
+                assert (v.r, v.witness) == (len(reps), off[0] if off else None)
+                assert v.exceptional == (len(reps) == 1)
+
+
+def old_coset_representatives(A, G):
+    """Right-coset representatives of G in A, identity first: breadth first
+    under right multiplication by A's generators, a candidate kept when it
+    lies in no coset found so far."""
+    index = A.order // G.order
+    reps = [Perm.identity(A.degree)]
+    queue = [reps[0]]
+    while queue and len(reps) < index:
+        r = queue.pop(0)
+        for s in A.gens:
+            cand = r * s
+            if not any(cand * t.inverse() in G for t in reps):
+                reps.append(cand)
+                queue.append(cand)
+    return reps
+
+
+def test_coset_action_reps_match_breadth_first_search():
+    deg28 = psl2_torus_coset_action(8, "pgammal")
+    deg45 = psl2_sylow2_coset_action(9, "m10")
+    pairs = [(S4, A4), (S3, C3), (D4, C4)]
+    for act, G0 in (deg28, deg45):
+        pairs.append((act.group, PermGroup(act.group.degree,
+                                           [act.image(g) for g in G0.gens])))
+    for A, G in pairs:
+        reps = CosetAction(A, G).reps
+        assert reps == old_coset_representatives(A, G)
+        assert reps[0].is_identity() and len(reps) == A.order // G.order
+        assert all(x not in G for x in reps[1:])
+
+
+def test_arithmetic_verdict_builds_only_the_chains_of_a_and_g(monkeypatch):
+    act, G8 = psl2_torus_coset_action(8, "pgammal")
+    A = act.group
+    G = PermGroup(A.degree, [act.image(g) for g in G8.gens])
+    built = []
+    build_chain = PermGroup._build_chain
+
+    def counting(self):
+        if self._chain is None:
+            built.append(self)
+        return build_chain(self)
+
+    monkeypatch.setattr(PermGroup, "_build_chain", counting)
+    v = is_arithmetically_exceptional(A, G)
+    assert v.arithmetically_exceptional
+    assert {id(H) for H in built} <= {id(A), id(G)}
+
+
+def test_arithmetic_pair_cap_refused_before_any_chain_is_built():
+    A, G = build_scalar_example(2003, 1, [], 2)
+    with pytest.raises(CapExceeded, match="pairs exceed cap"):
+        is_arithmetically_exceptional(A, G)
+    assert A._chain is None and G._chain is None
