@@ -18,7 +18,7 @@ from .exactalg import (
 )
 from .projmap import SweepReport, schur_sweep, sweep_primes
 from .funfam import builtin_function
-from .permcore import Perm, PermGroup
+from .permcore import DEGREE_CAP, Perm, PermGroup
 from . import claims, exceptio, ramgenus, ellipt
 
 
@@ -33,9 +33,21 @@ def load_function(spec):
 
 
 def load_group(path):
+    """A group file: {"degree": n, "generators": [[images], ...]}, with
+    0 <= n <= DEGREE_CAP; any other shape raises ValueError."""
     with open(path) as fh:
         data = json.load(fh)
-    return PermGroup(data["degree"], [Perm(g) for g in data["generators"]])
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a group file holds a JSON object")
+    degree, gens = data.get("degree"), data.get("generators")
+    if type(degree) is not int or not 0 <= degree <= DEGREE_CAP:
+        raise ValueError(f"{path}: degree must be an integer in "
+                         f"[0, {DEGREE_CAP}]")
+    if not isinstance(gens, list) or not all(
+            isinstance(g, list) and all(type(x) is int for x in g)
+            for g in gens):
+        raise ValueError(f"{path}: generators must be a list of integer lists")
+    return PermGroup(degree, [Perm(g) for g in gens])
 
 
 def dump_group(G, path):

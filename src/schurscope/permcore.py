@@ -6,6 +6,7 @@ bounded enumeration, coset actions, and named group constructors
 from __future__ import annotations
 
 import re
+from itertools import compress
 from math import gcd
 from operator import itemgetter
 
@@ -215,7 +216,9 @@ class PermGroup:
         effective at level i are those stored at levels >= i (all of which fix
         the base points of levels < i).  Transversals only ever grow, so a
         Schreier generator verified once stays verified; the build loops until
-        every Schreier generator of every level sifts to the identity.
+        every Schreier generator of every level sifts to the identity.  Those
+        of the orbit tree's edges are the identity by construction and are
+        never sifted (see `_extend_orbit`).
         """
         if self._chain is not None:
             return
@@ -224,19 +227,22 @@ class PermGroup:
             j, residue = self._strip(0, g)
             if not residue.is_identity():
                 self._add_generator(j, residue)
-        verified = set()  # (level, point, generator images)
+        # (level, point, number of the generator): generators with equal
+        # images share one number, so one verification serves them all
+        verified = set()
+        numbers = {}  # generator images -> number
         dirty = True
         while dirty:
             dirty = False
             for i in range(len(self._chain)):
-                self._extend_orbit(i)
+                self._extend_orbit(i, verified, numbers)
             for i in range(len(self._chain)):
                 lvl = self._chain[i]
-                eff = self._effective_gens(i)
+                eff = self._numbered_gens(i, numbers)
                 for pt in list(lvl.transversal):
                     rep = None  # the coset representative, base_point -> pt
-                    for s in eff:
-                        key = (i, pt, s.images)
+                    for number, s in eff:
+                        key = (i, pt, number)
                         if key in verified:
                             continue
                         if rep is None:
@@ -260,19 +266,29 @@ class PermGroup:
     def _effective_gens(self, i):
         return [g for lvl in self._chain[i:] for g in lvl.gens]
 
-    def _extend_orbit(self, i):
+    def _numbered_gens(self, i, numbers):
+        """(number, generator) for the generators effective at level i, each
+        number given by `numbers` to the generator's images."""
+        return [(numbers.setdefault(g.images, len(numbers)), g)
+                for g in self._effective_gens(i)]
+
+    def _extend_orbit(self, i, verified, numbers):
         """Grow the transversal of level i; existing entries are never replaced,
-        so earlier sift verifications stay valid."""
+        so earlier sift verifications stay valid.  Setting the entry at s(pt)
+        to s^-1 * t_pt makes the Schreier generator of the edge (pt, s) the
+        identity, so the edge is marked in `verified`."""
         lvl = self._chain[i]
-        eff = [(g.images, g.inverse()) for g in self._effective_gens(i)]
+        eff = [(number, g.images, g.inverse())
+               for number, g in self._numbered_gens(i, numbers)]
         queue = list(lvl.transversal)
         while queue:
             pt = queue.pop()
             t_inv = lvl.transversal[pt]
-            for images, g_inv in eff:
+            for number, images, g_inv in eff:
                 img = images[pt]
                 if img not in lvl.transversal:
                     lvl.transversal[img] = g_inv * t_inv
+                    verified.add((i, pt, number))
                     queue.append(img)
 
     def _strip(self, i, g):
@@ -352,27 +368,21 @@ class PermGroup:
         return len(self.orbit(0)) == self.degree
 
     def stabilizer_gens(self, point):
-        """Generators of the stabilizer of `point` (Schreier generators)."""
-        gens = [(g, g.inverse()) for g in self.gens]
-        transversal = {point: Perm.identity(self.degree)}  # pt -> (pt -> point)
-        queue = [point]
-        while queue:
-            pt = queue.pop()
-            for g, g_inv in gens:
-                img = g.images[pt]
-                if img not in transversal:
-                    transversal[img] = g_inv * transversal[pt]
-                    queue.append(img)
-        out = []
-        seen = set()
-        for pt, t_inv in transversal.items():
-            rep = t_inv.inverse()
-            for g, _ in gens:
-                s = rep * g * transversal[g.images[pt]]
-                if not s.is_identity() and s.images not in seen:
-                    seen.add(s.images)
-                    out.append(s)
-        return out
+        """Generators of the stabilizer of `point` in a transitive group.
+
+        The strong generators of levels >= 1 generate the stabilizer of the
+        first base point bp; the stored inverse representative t at `point`
+        maps it to bp, so their conjugates t * s * t^-1 fix `point`."""
+        self._build_chain()
+        # the trivial group is transitive on one point only
+        orbit = self._chain[0].transversal if self._chain else [0]
+        if len(orbit) != self.degree:
+            raise ValueError("G must be transitive")
+        if not self._chain:
+            return []
+        t = orbit[point]
+        t_inv = t.inverse()
+        return [t * s * t_inv for s in self._effective_gens(1)]
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, gens={len(self.gens)})"
@@ -426,6 +436,7 @@ def orbits_on_pairs(gens, n, cap=PAIR_CAP):
 
 _SLICE = 1 << 12  # products ranked at once
 _CHUNK = 1 << 13  # entries of new rows built at once
+_BLOCK = 1 << 14  # entries compared at once in normalizer_of_cyclic
 
 
 def _rank_tables(G):
@@ -554,16 +565,35 @@ def centralizer(G, g, cap=ENUM_CAP):
 
 
 def normalizer_of_cyclic(G, g, cap=ENUM_CAP):
-    """N_G(<g>) by full enumeration."""
-    powers = set()
-    h = g
-    ident = Perm.identity(G.degree)
-    while h.images not in powers and not h.is_identity():
-        powers.add(h.images)
-        h = h * g
-    powers.add(ident.images)
-    els = [h for h in G.elements(cap) if (h.inverse() * g * h).images in powers]
-    return PermGroup(G.degree, els or [ident])
+    """N_G(<g>) by full enumeration: the group generated by the elements h of
+    G, in enumeration order, with h^-1 g h a power of g.
+
+    h^-1 g h = g^k exactly when g h and h g^k agree on the base of G's chain,
+    as both lie in G (so g must lie in G, else NotASubgroup); that is, when
+    g^k maps h(b) to h(g(b)) at every base point b. Only those images of
+    each h are read, and all powers of g are tried on a block of elements
+    at once."""
+    if not G.contains(g):
+        raise NotASubgroup("g is not in G")
+    els = G.elements(cap)
+    base = [lvl.base_point for lvl in G._chain]
+    if not base:  # G is trivial
+        return PermGroup(G.degree, els)
+    powers = [Perm.identity(G.degree)]
+    for _ in range(g.order() - 1):
+        powers.append(powers[-1] * g)
+    powers = np.array([p.images for p in powers], dtype=np.uint16)
+    m = len(base)
+    columns = itemgetter(*base, *(g.images[b] for b in base))
+    # the block's comparisons hold at most _BLOCK entries
+    step = max(1, _BLOCK // (len(powers) * m))
+    keep = []
+    for lo in range(0, len(els), step):
+        block = els[lo:lo + step]
+        rows = np.array([columns(h.images) for h in block], dtype=np.uint16)
+        hits = (powers[:, rows[:, :m]] == rows[:, m:]).all(axis=2).any(axis=0)
+        keep.extend(compress(block, hits.tolist()))
+    return PermGroup(G.degree, keep)
 
 
 def sylow_subgroup(G, p, cap=ENUM_CAP):

@@ -174,6 +174,16 @@ def test_bad_input_exits_2(capsys, tmp_path):
     assert main(["genus", "--type", "2", "--order", "12"]) == 2
     missing = str(tmp_path / "missing.json")
     assert main(["exceptional", "--group", missing, "--normal", missing]) == 2
+    for i, doc in enumerate(([1], {"degree": "3", "generators": []},
+                             {"degree": 3, "generators": 5},
+                             {"degree": 3, "generators": [[0, 1, "a"]]},
+                             {"degree": -1, "generators": []},
+                             {"degree": 3, "generators": [[1, 0, 2]]},
+                             {"generators": []}, {"degree": True,
+                                                  "generators": []})):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["genus0", "--group", str(path)]) == 2, doc
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
@@ -225,3 +235,36 @@ def test_sweep_fuzzed_text_exits_0_or_2(text):
     except SystemExit as exc:  # argparse usage errors, e.g. text "-x"
         rc = exc.code
     assert rc in (0, 2)
+
+
+_GROUP_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["degree", "generators"]), inner),
+    max_leaves=12)
+
+
+@st.composite
+def _group_files(draw):
+    """Arbitrary JSON, or an object with a degree and generators that may
+    or may not be permutations of that degree."""
+    if draw(st.booleans()):
+        return draw(_GROUP_DOCS)
+    degree = draw(st.integers(-1, 5) | _GROUP_DOCS)
+    n = draw(st.integers(0, 5))
+    gen = st.permutations(range(n)) | st.lists(st.integers(-1, 5), max_size=5)
+    return {"degree": degree, "generators": draw(st.lists(gen, max_size=3))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_group_files(), _group_files())
+def test_group_commands_fuzzed_json_exit_0_or_2(tmp_path_factory, a, g):
+    root = tmp_path_factory.mktemp("groups")
+    a_path, g_path = root / "a.json", root / "g.json"
+    a_path.write_text(json.dumps(a))
+    g_path.write_text(json.dumps(g))
+    for argv in (["genus0", "--group", str(a_path), "--rmax", "3"],
+                 ["exceptional", "--group", str(a_path), "--normal", str(g_path)],
+                 ["exceptional", "--group", str(a_path), "--normal", str(g_path),
+                  "--arith"]):
+        assert main(argv) in (0, 2), argv

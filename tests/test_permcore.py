@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from schurscope import permcore
+from schurscope import claims, permcore
 from schurscope.exceptio import build_wreath_diagonal_example
 from schurscope.permcore import (
     ENUM_CAP,
@@ -585,3 +585,258 @@ def test_closures_keep_their_order_across_slices_and_chunks(
     assert [e.images for e in G.elements()] == old_elements(G, ENUM_CAP)
     for cls in conjugacy_classes(G):
         assert {c.images for c in cls} == old_conjugacy_class(G, cls[0])
+
+
+# ---------------------------------------------------------------------------
+# point stabilizers, chains and cyclic normalizers against the Python oracles
+
+
+def old_stabilizer_gens(G, point):
+    """The Schreier generators of the stabilizer of `point`, from a
+    transversal of its orbit under G's generators (Schreier's lemma)."""
+    gens = [(g, g.inverse()) for g in G.gens]
+    transversal = {point: Perm.identity(G.degree)}  # pt -> (pt -> point)
+    queue = [point]
+    while queue:
+        pt = queue.pop()
+        for g, g_inv in gens:
+            img = g.images[pt]
+            if img not in transversal:
+                transversal[img] = g_inv * transversal[pt]
+                queue.append(img)
+    out = []
+    seen = set()
+    for pt, t_inv in transversal.items():
+        rep = t_inv.inverse()
+        for g, _ in gens:
+            s = rep * g * transversal[g.images[pt]]
+            if not s.is_identity() and s.images not in seen:
+                seen.add(s.images)
+                out.append(s)
+    return out
+
+
+def old_build_chain(G):
+    """Schreier-Sims that sifts every Schreier generator, tree edges
+    included, with the verified set keyed by generator images."""
+    G._chain = []
+    for g in G.gens:
+        j, residue = G._strip(0, g)
+        if not residue.is_identity():
+            G._add_generator(j, residue)
+
+    def extend_orbit(i):
+        lvl = G._chain[i]
+        eff = [(g.images, g.inverse()) for g in G._effective_gens(i)]
+        queue = list(lvl.transversal)
+        while queue:
+            pt = queue.pop()
+            t_inv = lvl.transversal[pt]
+            for images, g_inv in eff:
+                img = images[pt]
+                if img not in lvl.transversal:
+                    lvl.transversal[img] = g_inv * t_inv
+                    queue.append(img)
+
+    verified = set()
+    dirty = True
+    while dirty:
+        dirty = False
+        for i in range(len(G._chain)):
+            extend_orbit(i)
+        for i in range(len(G._chain)):
+            lvl = G._chain[i]
+            eff = G._effective_gens(i)
+            for pt in list(lvl.transversal):
+                rep = None
+                for s in eff:
+                    key = (i, pt, s.images)
+                    if key in verified:
+                        continue
+                    if rep is None:
+                        rep = lvl.transversal[pt].inverse()
+                    schreier = rep * s * lvl.transversal[s.images[pt]]
+                    j, residue = G._strip(i + 1, schreier)
+                    if residue.is_identity():
+                        verified.add(key)
+                    else:
+                        G._add_generator(j, residue)
+                        dirty = True
+                if dirty:
+                    break
+            if dirty:
+                break
+    order = 1
+    for lvl in G._chain:
+        order *= len(lvl.transversal)
+    G._order = order
+
+
+def old_normalizer_of_cyclic(G, g):
+    """N_G(<g>) from the elements h with h^-1 g h a power of g, each
+    conjugate computed in full."""
+    powers = set()
+    h = g
+    ident = Perm.identity(G.degree)
+    while h.images not in powers and not h.is_identity():
+        powers.add(h.images)
+        h = h * g
+    powers.add(ident.images)
+    els = [h for h in G.elements() if (h.inverse() * g * h).images in powers]
+    return PermGroup(G.degree, els or [ident])
+
+
+def _chain_of(G):
+    """Base points, strong generators and transversals of G's chain."""
+    G._build_chain()
+    return [(lvl.base_point, [g.images for g in lvl.gens],
+             [(pt, t.images) for pt, t in lvl.transversal.items()])
+            for lvl in G._chain]
+
+
+def _relabelled(G, seed):
+    """G with its points renamed by a seeded shuffle."""
+    sigma = list(range(G.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for g in G.gens:
+        images = [0] * G.degree
+        for i, x in enumerate(g.images):
+            images[sigma[i]] = sigma[x]
+        gens.append(Perm(images))
+    return PermGroup(G.degree, gens)
+
+
+def _s4():
+    return PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])
+
+
+def _c7_wr_c4():
+    c7 = Perm([(i + 1) % 7 if i < 7 else i for i in range(28)])
+    blocks = Perm([(i + 7) % 28 for i in range(28)])
+    return PermGroup(28, [c7, blocks])
+
+
+_TRANSITIVE = {
+    "s4": _s4,
+    "psl2(8)-torus": lambda: psl2_torus_coset_action(8, "psl")[0].group,
+    "pgammal2(8)-torus": lambda: psl2_torus_coset_action(8, "pgammal")[0].group,
+    "psl2(9)-sylow2": lambda: psl2_sylow2_coset_action(9, "psl")[0].group,
+}
+
+
+@pytest.mark.parametrize("name", list(_TRANSITIVE))
+def test_stabilizer_gens_match_schreier_lemma(name):
+    G0 = _TRANSITIVE[name]()
+    for G in (G0, _relabelled(G0, 1), _relabelled(G0, 2)):
+        for point in range(G.degree):
+            new = PermGroup(G.degree, G.stabilizer_gens(point))
+            old = PermGroup(G.degree, old_stabilizer_gens(G, point))
+            assert all(h(point) == point for h in new.gens)
+            assert new.order == old.order == G.order // G.degree
+            assert all(h in old for h in new.gens)
+            assert all(h in new for h in old.gens)
+
+
+def test_stabilizer_gens_need_a_transitive_group():
+    G = PermGroup(6, [Perm([1, 0, 2, 4, 3, 5])])
+    with pytest.raises(ValueError):
+        G.stabilizer_gens(0)
+    assert PermGroup(1, [Perm([0])]).stabilizer_gens(0) == []
+
+
+def _sifts(G, build):
+    """The number of `_strip` calls made by build(G)."""
+    count = [0]
+    strip = PermGroup._strip
+
+    def counting(self, i, g):
+        count[0] += 1
+        return strip(self, i, g)
+
+    PermGroup._strip = counting
+    try:
+        build(G)
+    finally:
+        PermGroup._strip = strip
+    return count[0]
+
+
+def _assert_chain_matches_python_schreier_sims(gens, degree):
+    """The same chain as the oracle's, with one sift fewer for each edge of
+    each level's orbit tree: their Schreier generators are the identity by
+    construction."""
+    new, old = PermGroup(degree, gens), PermGroup(degree, gens)
+    saved = _sifts(old, old_build_chain) - _sifts(new, PermGroup._build_chain)
+    assert _chain_of(new) == _chain_of(old)
+    assert new.order == old.order
+    assert saved == sum(len(lvl.transversal) - 1 for lvl in new._chain)
+
+
+@given(_groups())
+@example(PermGroup(0, [Perm([])]))
+@example(PermGroup(5, [Perm.identity(5)]))
+@settings(max_examples=150, deadline=None)
+def test_chain_matches_python_schreier_sims(G):
+    _assert_chain_matches_python_schreier_sims(G.gens, G.degree)
+
+
+@pytest.mark.parametrize("make", [
+    _TRANSITIVE["psl2(8)-torus"],
+    _TRANSITIVE["psl2(9)-sylow2"],
+    lambda: psl2_torus_coset_action(32, "psl")[0].group,
+    _c7_wr_c4,
+    lambda: _wreath_s3_3().group,
+], ids=["psl2(8)-torus", "psl2(9)-sylow2", "psl2(32)-torus", "c7-wr-c4",
+        "s3-wreath-c3"])
+def test_chain_matches_python_schreier_sims_with_fewer_sifts(make):
+    G = make()
+    _assert_chain_matches_python_schreier_sims(G.gens, G.degree)
+
+
+def _normalizer_cases():
+    """(name, G, g) with g in G: tori of PSL2(q) and PGammaL2(8), every
+    element of S4, and the order-4 elements of the deg16 claim's groups."""
+    for q in (8, 9, 16):
+        G, _ = psl2(q)
+        yield f"psl2({q})", G, element_of_order(G, (q + 1) // (1 + q % 2))
+    A, _ = pgammal2(8)
+    yield "pgammal2(8)", A, element_of_order(psl2(8)[0], 9)
+    S4 = _s4()
+    for g in S4.elements():
+        yield "s4", S4, g
+    A, G = claims._gf16_group_pair()
+    act, G0 = psl2_sylow2_coset_action(9, "m10")
+    for name, (A, G) in (("gf16", (A, G)),
+                         ("m10-sylow2", (act.group, act.image_group(G0)))):
+        for sigma in G.elements():
+            if sigma.order() == 4:
+                yield name, A, sigma
+
+
+def test_normalizer_of_cyclic_matches_per_element_conjugation():
+    seen = set()
+    for name, G, g in _normalizer_cases():
+        seen.add(name)
+        N = normalizer_of_cyclic(G, g)
+        assert [h.images for h in N.gens] == \
+            [h.images for h in old_normalizer_of_cyclic(G, g).gens], name
+    assert seen == {"psl2(8)", "psl2(9)", "psl2(16)", "pgammal2(8)", "s4",
+                    "gf16", "m10-sylow2"}
+
+
+def test_normalizer_of_cyclic_needs_g_in_g():
+    A4 = PermGroup(4, [Perm([1, 2, 0, 3]), Perm([1, 0, 3, 2])])
+    with pytest.raises(NotASubgroup):
+        normalizer_of_cyclic(A4, Perm([1, 0, 2, 3]))
+
+
+@pytest.mark.parametrize("q, ambient", [
+    (8, "psl"), (8, "pgammal"), (9, "m10"), (32, "psl")])
+def test_torus_coset_action_matches_per_element_normalizer(q, ambient):
+    act, G = psl2_torus_coset_action(q, ambient)
+    t = element_of_order(G, (q + 1) // (1 + q % 2))
+    old = CosetAction(act.A, old_normalizer_of_cyclic(act.A, t))
+    assert [r.images for r in act.reps] == [r.images for r in old.reps]
+    assert [g.images for g in act.group.gens] == \
+        [g.images for g in old.group.gens]
