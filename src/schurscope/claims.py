@@ -58,9 +58,10 @@ def genus0():
         yield f"genus-0 types, PSL2({q}) on {G.degree}", ramgenus.genus0_search(G), want
 
 
-def _elements_of_orders(G, orders, seed=0):
-    """One element of each requested order, found by powering random words."""
-    rng = random.Random(seed)
+def _elements_of_orders(G, orders):
+    """One element of each requested order, found by powering random words
+    (a fixed seed)."""
+    rng = random.Random(0)
     els = {}
     cur = G.gens[0]
     while set(orders) - set(els):

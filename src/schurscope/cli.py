@@ -9,14 +9,8 @@ import json
 import os
 import sys
 
-from .exactalg import (
-    QQ,
-    format_ratfunc,
-    parse_fraction,
-    parse_ratfunc,
-    primes_up_to,
-)
-from .projmap import SweepReport, schur_sweep, sweep_primes
+from .exactalg import QQ, format_ratfunc, parse_fraction, parse_ratfunc
+from .projmap import SweepReport, odd_primes, schur_sweep, sweep_primes
 from .funfam import builtin_function
 from .permcore import DEGREE_CAP, Perm, PermGroup
 from . import claims, exceptio, ramgenus, ellipt
@@ -65,7 +59,7 @@ def parallel_sweep(f, bound, workers):
         return schur_sweep(f, bound)
     from concurrent.futures import ProcessPoolExecutor
 
-    primes = [p for p in primes_up_to(bound) if p != 2]
+    primes = odd_primes(bound)
     chunks = [primes[i::workers] for i in range(workers)]
     text = format_ratfunc(f)
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -21,6 +21,7 @@ from .exactalg import (
 )
 
 DIVPOLY_CAP = 30
+CM7_POINTS = 50  # random points on which verify_cm7 checks the identity
 
 
 class OffCurve(ValueError):
@@ -97,22 +98,11 @@ def point_mul(E, m, P):
 # ---------------------------------------------------------------------------
 # division polynomials
 
-class DivPolySet:
-    """psi_1..psi_m with the y-factor tracked by parity: psi_k = a_k(x) for
-    odd k and psi_k = y * a_k(x) for even k.  a[k] is the x-part."""
-
-    def __init__(self, E, m):
-        self.E = E
-        self.m = m
-        self.a = _xparts(E, m)
-
-    def x_part(self, k):
-        return self.a[k]
-
-
-def _xparts(E, m):
-    """x-parts a_0..a_m of the division polynomials, by the standard
-    recursion with y^2 eliminated via f = x^3 + ax + b."""
+def division_polynomials(E, m):
+    """The x-parts a_0..a_m of the division polynomials psi_0..psi_m, as a
+    list indexed by k: psi_k = a_k(x) for odd k and psi_k = y * a_k(x) for
+    even k.  By the standard recursion with y^2 eliminated via
+    f = x^3 + ax + b."""
     if m > DIVPOLY_CAP:
         raise ValueError(f"m = {m} exceeds cap {DIVPOLY_CAP}")
     K = E.field
@@ -146,17 +136,13 @@ def _xparts(E, m):
     return a
 
 
-def division_polynomials(E, m):
-    return DivPolySet(E, m)
-
-
 def xmul_map(E, m):
     """The degree-m^2 rational function F with F(x(P)) = x(mP):
     x(mP) = x - psi_{m-1} psi_{m+1} / psi_m^2."""
     if m < 2:
         raise ValueError("need m >= 2")
     K = E.field
-    a = _xparts(E, m + 1)
+    a = division_polynomials(E, m + 1)
     x = poly_x(K)
     f = x * x * x + E.a * x + poly_const(K, E.b)
     if m % 2 == 1:
@@ -176,7 +162,7 @@ def _ymul_parts(E, m):
     """y(mP) = y * num(x) / den(x): returns (num, den) as polynomials in x,
     from y(mP) = psi_2m / (2 psi_m^4)."""
     K = E.field
-    a = _xparts(E, 2 * m)
+    a = division_polynomials(E, 2 * m)
     x = poly_x(K)
     f = x * x * x + E.a * x + poly_const(K, E.b)
     num = a[2 * m]
@@ -350,10 +336,11 @@ def _cm7_ratfunc_mod_p(field, omega, B):
     return RatFunc(num, den)
 
 
-def verify_cm7(p, B=1, trials=50, seed=0):
-    """Check y(([3] + beta) P) = R(y(P)) on random points of y^2 = x^3 + B
-    over F_p, with beta(x, y) = (omega x, y).  Both cube roots of unity are
-    tried; returns True when one works for every sampled point."""
+def verify_cm7(p, B=1):
+    """Check y(([3] + beta) P) = R(y(P)) on CM7_POINTS random points (a
+    fixed seed) of y^2 = x^3 + B over F_p, with beta(x, y) = (omega x, y).
+    Both cube roots of unity are tried; returns True when one works for
+    every sampled point."""
     if p % 3 != 1:
         raise ValueError("need p = 1 (mod 3) so that F_p has cube roots of 1")
     if p % 7 == 0 or p == 3:
@@ -367,8 +354,8 @@ def verify_cm7(p, B=1, trials=50, seed=0):
     inv2 = pow(2, -1, p)
     omegas = [K.from_int((p - 1 + s) * inv2 % p),
               K.from_int((p - 1 - s) * inv2 % p)]
-    rng = random.Random(seed)
-    pts = [random_point(E, rng) for _ in range(trials)]
+    rng = random.Random(0)
+    pts = [random_point(E, rng) for _ in range(CM7_POINTS)]
     for omega in omegas:
         R = _cm7_ratfunc_mod_p(K, omega, Bf)
         ok = True

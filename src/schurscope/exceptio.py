@@ -17,7 +17,6 @@ y_x alone decides: no chain of B is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import eq
 
 from .permcore import (
@@ -185,19 +184,18 @@ def chi_fixed_points(G, H, g):
         raise ValueError("H is not a point stabilizer of G")
     direct = len(g.fixed_points())
 
-    cls = conjugacy_class(G, g, ENUM_CAP)
+    cls = conjugacy_class(G, g)
     cls_keys = {c.images for c in cls}
     cg_order = G.order // len(cls)  # |C_G(g)| = |G| / |g^G|
-    h_els = H.elements(ENUM_CAP)
-    in_h = [h for h in h_els if h.images in cls_keys]
+    in_h = [h for h in H.elements() if h.images in cls_keys]
     remaining = {h.images for h in in_h}
     formula = 0
     for h in in_h:
         if h.images not in remaining:
             continue
-        h_cls = {(s.inverse() * h * s).images for s in h_els}
-        remaining -= h_cls
-        ch_order = len(h_els) // len(h_cls)
+        h_cls = conjugacy_class(H, h)
+        remaining.difference_update(c.images for c in h_cls)
+        ch_order = H.order // len(h_cls)
         formula += cg_order // ch_order
     if formula != direct:
         raise AssertionError(
@@ -218,17 +216,9 @@ def coset_average_fixed_points(A, G, x):
     # x*g fixes i exactly when g maps x(i) to i, so count the j = x(i) with
     # g(j) = x^-1(j)
     x_inv = x.inverse().images
-    els = G.elements(ENUM_CAP)
+    els = G.elements()
     total = sum(sum(map(eq, g.images, x_inv)) ** 2 for g in els)
     return Fraction(total, len(els))
-
-
-def class_is_rational_in(A, sigma):
-    """Whether sigma^m is A-conjugate to sigma for every m coprime to its order."""
-    cls = {c.images for c in conjugacy_class(A, sigma, ENUM_CAP)}
-    o = sigma.order()
-    return all((sigma ** m).images in cls
-               for m in range(1, o) if gcd(m, o) == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ predicates that decide when they permute P^1 over a prime field."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 from .exactalg import (
+    PARSE_DEGREE_CAP,
     QQ,
     Poly,
     QuadElem,
@@ -22,9 +23,12 @@ from .exactalg import (
 
 def dickson(n, a):
     """Degree-n Dickson polynomial D_n(a, X), defined by
-    D_n(a, Z + a/Z) = Z^n + (a/Z)^n, via the three-term recurrence."""
+    D_n(a, Z + a/Z) = Z^n + (a/Z)^n, via the three-term recurrence.
+    Refuses n above PARSE_DEGREE_CAP, the degree cap of function text."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > PARSE_DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds cap {PARSE_DEGREE_CAP}")
     a = Fraction(a)
     if a == 0:
         raise ValueError("need a != 0")
@@ -41,13 +45,8 @@ def _is_rational_square(d):
     num, den = d.numerator, d.denominator
     if num < 0:
         return False
-    rn, rd = _isqrt(num), _isqrt(den)
+    rn, rd = isqrt(num), isqrt(den)
     return rn * rn == num and rd * rd == den
-
-
-def _isqrt(n):
-    import math
-    return math.isqrt(n)
 
 
 def redei(n, d):
@@ -56,9 +55,12 @@ def redei(n, d):
     coefficients are rational:
         R_n = sum_{k even} C(n,k) d^(k/2) X^(n-k)
               / sum_{k odd} C(n,k) d^((k-1)/2) X^(n-k).
+    Refuses n above PARSE_DEGREE_CAP, the degree cap of function text.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("need odd n >= 1")
+    if n > PARSE_DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds cap {PARSE_DEGREE_CAP}")
     d = Fraction(d)
     if d == 0 or _is_rational_square(d):
         raise ValueError("d must be a nonzero non-square rational")

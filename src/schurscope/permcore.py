@@ -1,11 +1,10 @@
 """Permutation-group engine: Schreier-Sims stabilizer chains, orbits on
-points and pairs, conjugacy classes, centralizers and normalizers by
-bounded enumeration, coset actions, and named group constructors
-(PSL/PGL/PGammaL over small fields, M10, affine groups)."""
+points and pairs, conjugacy classes, cyclic normalizers and Sylow subgroups
+by bounded enumeration, coset actions, and named group constructors
+(PSL/PGammaL over small fields, M10, affine spaces)."""
 
 from __future__ import annotations
 
-import re
 from itertools import compress
 from math import gcd
 from operator import itemgetter
@@ -165,18 +164,6 @@ def format_cycles(perm):
     return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cs)
 
 
-def parse_cycles(s, degree):
-    """Parse cycle notation like '(0 1 2)(3 4)'."""
-    images = list(range(degree))
-    for grp in re.findall(r"\(([^()]*)\)", s):
-        pts = [int(t) for t in grp.replace(",", " ").split()]
-        for i, pt in enumerate(pts):
-            if pt >= degree:
-                raise ValueError(f"point {pt} out of range for degree {degree}")
-            images[pt] = pts[(i + 1) % len(pts)]
-    return Perm(images)
-
-
 # ---------------------------------------------------------------------------
 # stabilizer chains (Schreier-Sims)
 
@@ -227,22 +214,21 @@ class PermGroup:
             j, residue = self._strip(0, g)
             if not residue.is_identity():
                 self._add_generator(j, residue)
-        # (level, point, number of the generator): generators with equal
-        # images share one number, so one verification serves them all
+        # (level, point, id of the generator): a stored generator is kept for
+        # the chain's lifetime, so its id names it
         verified = set()
-        numbers = {}  # generator images -> number
         dirty = True
         while dirty:
             dirty = False
             for i in range(len(self._chain)):
-                self._extend_orbit(i, verified, numbers)
+                self._extend_orbit(i, verified)
             for i in range(len(self._chain)):
                 lvl = self._chain[i]
-                eff = self._numbered_gens(i, numbers)
+                eff = self._effective_gens(i)
                 for pt in list(lvl.transversal):
                     rep = None  # the coset representative, base_point -> pt
-                    for number, s in eff:
-                        key = (i, pt, number)
+                    for s in eff:
+                        key = (i, pt, id(s))
                         if key in verified:
                             continue
                         if rep is None:
@@ -266,29 +252,22 @@ class PermGroup:
     def _effective_gens(self, i):
         return [g for lvl in self._chain[i:] for g in lvl.gens]
 
-    def _numbered_gens(self, i, numbers):
-        """(number, generator) for the generators effective at level i, each
-        number given by `numbers` to the generator's images."""
-        return [(numbers.setdefault(g.images, len(numbers)), g)
-                for g in self._effective_gens(i)]
-
-    def _extend_orbit(self, i, verified, numbers):
+    def _extend_orbit(self, i, verified):
         """Grow the transversal of level i; existing entries are never replaced,
         so earlier sift verifications stay valid.  Setting the entry at s(pt)
         to s^-1 * t_pt makes the Schreier generator of the edge (pt, s) the
         identity, so the edge is marked in `verified`."""
         lvl = self._chain[i]
-        eff = [(number, g.images, g.inverse())
-               for number, g in self._numbered_gens(i, numbers)]
+        eff = [(id(g), g.images, g.inverse()) for g in self._effective_gens(i)]
         queue = list(lvl.transversal)
         while queue:
             pt = queue.pop()
             t_inv = lvl.transversal[pt]
-            for number, images, g_inv in eff:
+            for gid, images, g_inv in eff:
                 img = images[pt]
                 if img not in lvl.transversal:
                     lvl.transversal[img] = g_inv * t_inv
-                    verified.add((i, pt, number))
+                    verified.add((i, pt, gid))
                     queue.append(img)
 
     def _strip(self, i, g):
@@ -303,13 +282,18 @@ class PermGroup:
         return i, g
 
     def _add_generator(self, i, g):
-        """Store g (which fixes all base points below level i) at level i."""
+        """Store g (which fixes all base points below level i) at level i,
+        unless a generator with its images is stored there already: several
+        Schreier generators sifted before the level's orbit is extended can
+        leave the same residue."""
         if i == len(self._chain):
             bp = next(k for k, x in enumerate(g.images) if x != k)
             lvl = _ChainLevel(bp)
             lvl.transversal = {bp: Perm.identity(self.degree)}
             self._chain.append(lvl)
-        self._chain[i].gens.append(g)
+        gens = self._chain[i].gens
+        if g not in gens:
+            gens.append(g)
 
     @property
     def order(self):
@@ -328,15 +312,15 @@ class PermGroup:
 
     # -- enumeration ---------------------------------------------------------
 
-    def elements(self, cap=ENUM_CAP):
+    def elements(self):
         """All elements by BFS closure from the identity under right
         multiplication by the generators, in discovery order (frontier by
         frontier, then generator by generator); cached. Raises CapExceeded
-        when |G| > cap."""
+        when |G| > ENUM_CAP."""
         if self._elements is not None:
             return self._elements
-        if self.order > cap:
-            raise CapExceeded(f"group larger than cap {cap}")
+        if self.order > ENUM_CAP:
+            raise CapExceeded(f"group larger than cap {ENUM_CAP}")
         post = np.array([g.images for g in self.gens])
         self._elements = _closure(self, Perm.identity(self.degree), post)
         return self._elements
@@ -402,15 +386,15 @@ class PairOrbits:
         return len(np.unique(self.labels))
 
 
-def check_pair_cap(n, cap=PAIR_CAP):
-    """Raise CapExceeded when the n*n ordered pairs exceed the cap."""
-    if n * n > cap:
-        raise CapExceeded(f"{n * n} pairs exceed cap {cap}")
+def check_pair_cap(n):
+    """Raise CapExceeded when the n*n ordered pairs exceed PAIR_CAP."""
+    if n * n > PAIR_CAP:
+        raise CapExceeded(f"{n * n} pairs exceed cap {PAIR_CAP}")
 
 
-def orbits_on_pairs(gens, n, cap=PAIR_CAP):
+def orbits_on_pairs(gens, n):
     """BFS/min-label orbit partition of {0..n-1}^2 using the generators only."""
-    check_pair_cap(n, cap)
+    check_pair_cap(n)
     dtype = np.int32 if n * n < 2 ** 31 else np.int64
     maps = []
     for g in gens:
@@ -528,43 +512,37 @@ def _closure(G, start, post, pre=None):
     return out
 
 
-def conjugacy_class(G, g, cap=ENUM_CAP):
+def conjugacy_class(G, g):
     """The conjugacy class g^G as a list of Perm, g first, then its orbit
     under conjugation by the generators in breadth-first order.
 
     The closure ranks elements in G's chain, so g must lie in G (else
-    NotASubgroup) and |G| must be at most cap (else CapExceeded)."""
+    NotASubgroup) and |G| must be at most ENUM_CAP (else CapExceeded)."""
     if not G.contains(g):
         raise NotASubgroup("g is not in G")
-    if G.order > cap:
-        raise CapExceeded(f"group larger than cap {cap}")
+    if G.order > ENUM_CAP:
+        raise CapExceeded(f"group larger than cap {ENUM_CAP}")
     post = np.array([s.images for s in G.gens])
     pre = np.array([s.inverse().images for s in G.gens])
     return _closure(G, g, post, pre)
 
 
-def conjugacy_classes(G, cap=ENUM_CAP):
+def conjugacy_classes(G):
     """All conjugacy classes, each as a list of Perm. Needs full enumeration."""
-    els = G.elements(cap)
+    els = G.elements()
     remaining = {e.images for e in els}
     out = []
     for e in els:
         if e.images not in remaining:
             continue
-        cls = conjugacy_class(G, e, cap)
+        cls = conjugacy_class(G, e)
         for c in cls:
             remaining.discard(c.images)
         out.append(cls)
     return out
 
 
-def centralizer(G, g, cap=ENUM_CAP):
-    """C_G(g) by full enumeration."""
-    els = [h for h in G.elements(cap) if h * g == g * h]
-    return PermGroup(G.degree, els or [Perm.identity(G.degree)])
-
-
-def normalizer_of_cyclic(G, g, cap=ENUM_CAP):
+def normalizer_of_cyclic(G, g):
     """N_G(<g>) by full enumeration: the group generated by the elements h of
     G, in enumeration order, with h^-1 g h a power of g.
 
@@ -575,7 +553,7 @@ def normalizer_of_cyclic(G, g, cap=ENUM_CAP):
     at once."""
     if not G.contains(g):
         raise NotASubgroup("g is not in G")
-    els = G.elements(cap)
+    els = G.elements()
     base = [lvl.base_point for lvl in G._chain]
     if not base:  # G is trivial
         return PermGroup(G.degree, els)
@@ -596,7 +574,7 @@ def normalizer_of_cyclic(G, g, cap=ENUM_CAP):
     return PermGroup(G.degree, keep)
 
 
-def sylow_subgroup(G, p, cap=ENUM_CAP):
+def sylow_subgroup(G, p):
     """A Sylow p-subgroup by greedy closure over the enumerated elements."""
     order = G.order
     target = 1
@@ -605,7 +583,7 @@ def sylow_subgroup(G, p, cap=ENUM_CAP):
         order //= p
     if target == 1:
         return PermGroup(G.degree, [Perm.identity(G.degree)])
-    els = G.elements(cap)
+    els = G.elements()
     sub_gens = []
     sub = PermGroup(G.degree, [Perm.identity(G.degree)])
     while sub.order < target:
@@ -705,10 +683,6 @@ class CosetAction:
     def image_group(self, H):
         """The image of a subgroup H of A, acting on the cosets."""
         return PermGroup(self.index, [self.image(h) for h in H.gens])
-
-
-def coset_action(A, M):
-    return CosetAction(A, M)
 
 
 # ---------------------------------------------------------------------------
@@ -894,20 +868,6 @@ def psl2(q):
     return G, line
 
 
-def pgl2(q):
-    """PGL_2(q) on P^1(F_q)."""
-    p, k = _factor_prime_power(q)
-    line = ProjectiveLine(p, k)
-    gens = _psl2_gens(line)
-    g = line.gf.multiplicative_generator()
-    gens.append(line.moebius_perm(g, line.gf.zero, line.gf.zero, line.gf.one))
-    G = PermGroup(line.degree, gens)
-    expected = q * (q * q - 1)
-    if G.order != expected:
-        raise RuntimeError(f"PGL2({q}) construction has order {G.order}")
-    return G, line
-
-
 def pgammal2(q):
     """PGammaL_2(q) on P^1(F_q): PGL_2(q) extended by the Frobenius."""
     p, k = _factor_prime_power(q)
@@ -952,9 +912,9 @@ def _factor_prime_power(q):
     raise ValueError(f"{q} is not a supported prime power")
 
 
-def element_of_order(G, n, cap=ENUM_CAP):
+def element_of_order(G, n):
     """A deterministic element of order n: first one found in enumeration order."""
-    for h in G.elements(cap):
+    for h in G.elements():
         if h.order() == n:
             return h
     raise ValueError(f"no element of order {n}")
@@ -1039,14 +999,3 @@ class AffineSpace:
         """Permutation from an arbitrary bijection on vectors."""
         return Perm([self.index[fn(w)] for w in self.vectors])
 
-
-def affine_group(p, e, matrix_gens):
-    """V semidirect H on p^e points: translations plus the given linear maps."""
-    sp = AffineSpace(p, e)
-    gens = []
-    for j in range(e):
-        v = tuple(1 if i == j else 0 for i in range(e))
-        gens.append(sp.translation(v))
-    for mat in matrix_gens:
-        gens.append(sp.linear(mat))
-    return PermGroup(sp.n, gens), sp

@@ -158,20 +158,22 @@ def _image_at_inf(f):
     return c.v if field.ext == 1 else c.u * field.p + c.v
 
 
-def is_bijective(f, cap=DEFAULT_POINT_CAP):
+def is_bijective(f):
     """Whether f permutes P^1(F_q). Returns (verdict, witness).
 
     witness is a colliding pair of points when the verdict is False: the
     first collision in evaluation order (field elements in enumeration
     order, then INF), else None. Raises PointCapExceeded, before any
-    allocation, when q + 1 > cap or the field is too large for int64.
+    allocation, when q + 1 > DEFAULT_POINT_CAP or the field is too large
+    for int64.
     """
     field = f.field
     if not isinstance(field, FqField):
         raise TypeError("is_bijective needs a function over a finite field")
     q = field.order
-    if q + 1 > cap:
-        raise PointCapExceeded(f"q + 1 = {q + 1} exceeds cap {cap}", field.ext)
+    if q + 1 > DEFAULT_POINT_CAP:
+        raise PointCapExceeded(f"q + 1 = {q + 1} exceeds cap {DEFAULT_POINT_CAP}",
+                               field.ext)
     if not _int64_exact(field):
         raise PointCapExceeded(f"{field} is too large for int64 evaluation",
                                field.ext)
@@ -251,38 +253,48 @@ class SweepReport:
         }
 
 
-def sweep_prime(f, p, cap=DEFAULT_POINT_CAP):
+def sweep_prime(f, p):
     """The sweep verdict for one odd prime. Raises PointCapExceeded when
-    P^1 over the residue field has more than cap points."""
+    P^1 over the residue field has more than DEFAULT_POINT_CAP points."""
     try:
         fp = reduce_mod_place(f, p)
     except RamifiedPlace:
         return SweepRecord(p, 0, "ramified")
     except BadReduction:
         return SweepRecord(p, 0, "bad-reduction")
-    ok, _ = is_bijective(fp, cap=cap)
+    ok, _ = is_bijective(fp)
     return SweepRecord(p, fp.field.ext, "bijective" if ok else "not-bijective")
 
 
-def sweep_primes(f, primes, cap=DEFAULT_POINT_CAP):
+def sweep_primes(f, primes):
     """One record per prime, in the given order; a cap overrun is the
     prime's point-cap verdict."""
     records = []
     for p in primes:
         try:
-            records.append(sweep_prime(f, p, cap=cap))
+            records.append(sweep_prime(f, p))
         except PointCapExceeded as e:
             records.append(SweepRecord(p, e.place_degree, "point-cap"))
     return records
 
 
-def schur_sweep(f, prime_bound, cap=DEFAULT_POINT_CAP):
+def odd_primes(prime_bound):
+    """The odd primes <= prime_bound, for a sweep. Raises ValueError, before
+    sieving, when prime_bound < 3, or when it exceeds DEFAULT_POINT_CAP:
+    every prime beyond the cap could only get the verdict point-cap."""
+    if prime_bound < 3:
+        raise ValueError("prime_bound must be >= 3")
+    if prime_bound > DEFAULT_POINT_CAP:
+        raise ValueError(f"prime_bound {prime_bound} exceeds the point cap "
+                         f"{DEFAULT_POINT_CAP}")
+    return primes_up_to(prime_bound)[1:]
+
+
+def schur_sweep(f, prime_bound):
     """Classify every odd prime <= prime_bound: does f mod p permute P^1?
 
     p = 2 is always skipped; per-prime failures, cap overruns included, are
     verdicts, not errors. Deterministic: records in increasing prime order.
+    Raises ValueError on a bound that `odd_primes` refuses.
     """
-    if prime_bound < 3:
-        raise ValueError("prime_bound must be >= 3")
-    primes = [p for p in primes_up_to(prime_bound) if p != 2]
-    return SweepReport.from_records(sweep_primes(f, primes, cap=cap))
+    return SweepReport.from_records(sweep_primes(f, odd_primes(prime_bound)))

@@ -6,39 +6,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .permcore import (
-    ENUM_CAP,
-    CapExceeded,
-    Perm,
-    PermGroup,
-    conjugacy_classes,
-)
+from .permcore import CapExceeded, Perm, PermGroup, conjugacy_classes
 
 GROUP_ORDER_CAP = 40_000
 DEGREE_CAP_SEARCH = 1300
-
-
-class GenusSystem:
-    """A tuple of group elements with product one; carries the generation
-    flag, the cycle indices, and both genus values."""
-
-    def __init__(self, elements, group_order):
-        self.elements = tuple(elements)
-        n = self.elements[0].degree
-        prod = Perm.identity(n)
-        for s in self.elements:
-            prod = prod * s
-        self.product_one = prod.is_identity()
-        self.indices = tuple(ind(s) for s in self.elements)
-        self.ram_type = tuple(sorted(s.order() for s in self.elements))
-        sub = PermGroup(n, self.elements)
-        self.generates = sub.order == group_order
-        self.genus = permutation_genus(self.elements, n)
-        self.genus_regular = regular_genus(self.ram_type, group_order)
-
-    def __repr__(self):
-        return (f"GenusSystem(type={self.ram_type}, genus={self.genus}, "
-                f"generates={self.generates})")
 
 
 def ind(sigma):
@@ -171,7 +142,7 @@ def _has_product_one_generating_tuple(G, classes, multiset):
     return rec(0, [rep], rep)
 
 
-def genus0_search(G, r_max=5, order_cap=GROUP_ORDER_CAP, enum_cap=ENUM_CAP):
+def genus0_search(G, r_max=5):
     """All ramification types (e_1..e_r), r <= r_max, admitting a product-one
     generating tuple of permutation genus 0 in the transitive group G.
 
@@ -181,13 +152,13 @@ def genus0_search(G, r_max=5, order_cap=GROUP_ORDER_CAP, enum_cap=ENUM_CAP):
     """
     if G.degree > DEGREE_CAP_SEARCH:
         raise CapExceeded(f"degree {G.degree} exceeds {DEGREE_CAP_SEARCH}")
-    if G.order > order_cap:
-        raise CapExceeded(f"group order {G.order} exceeds {order_cap}")
+    if G.order > GROUP_ORDER_CAP:
+        raise CapExceeded(f"group order {G.order} exceeds {GROUP_ORDER_CAP}")
     if not G.is_transitive():
         raise ValueError("G must be transitive")
     n = G.degree
     budget = 2 * (n - 1)
-    classes = [cls for cls in conjugacy_classes(G, enum_cap)
+    classes = [cls for cls in conjugacy_classes(G)
                if not cls[0].is_identity()]
     class_data = [(i, ind(cls[0])) for i, cls in enumerate(classes)]
     found = set()

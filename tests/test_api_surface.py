@@ -1,0 +1,102 @@
+"""The package's public surface: every public top-level name in
+`src/schurscope` is used by the package or the benchmark, or is a kept
+oracle named below; and no public function takes a cap as a parameter."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "schurscope").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+# public names that no code in src/ or perfbench/ calls, kept on purpose
+ALLOWED_UNREFERENCED = {
+    "projmap.eval_proj": "point-by-point oracle of the array evaluator",
+    "funfam.redei_bijectivity_predicate":
+        "the per-prime criterion that Redei sweeps are checked against",
+    "funfam.a4s4_branch_identity":
+        "symbolic check of the branch cycles of a4s4_function",
+    "ellipt.fiber_profiles": "branch data that identifies xmul_map and descents",
+    "ramgenus.permutation_genus":
+        "Riemann-Hurwitz genus of branch cycles; genus0_search's index budget "
+        "is its genus-0 case",
+    "exceptio.excomp_decompose":
+        "oracle of exceptionality through a chain of subgroups",
+    "cli.dump_group": "writes the group file format that load_group reads",
+}
+
+# the index cap of a coset action takes two values: exceptio.INDEX_CAP for
+# the cosets of an arithmetic-exceptionality search, DEGREE_CAP otherwise
+ALLOWED_CAP_PARAMETERS = {("permcore", "CosetAction.__init__", "index_cap")}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _public_definitions():
+    """(module, name) for every public top-level def and class in src/."""
+    out = set()
+    for path in SRC:
+        for node in _parse(path).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                out.add((path.stem, node.name))
+    return out
+
+
+def _references():
+    """Every name read as an ast.Name or an ast.Attribute's attr in src/ and
+    perfbench/, except within the top-level definition of that name."""
+    out = set()
+    for path in SRC + BENCH:
+        for top in _parse(path).body:
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(top.name)
+            out |= names
+    return out
+
+
+def test_every_public_name_is_used_or_an_allowed_oracle():
+    defined = _public_definitions()
+    used = _references()
+    unused = {f"{mod}.{name}" for mod, name in defined if name not in used}
+    assert unused - set(ALLOWED_UNREFERENCED) == set()
+
+
+def test_allowlist_names_exist_and_are_otherwise_unreferenced():
+    defined = {f"{mod}.{name}" for mod, name in _public_definitions()}
+    used = _references()
+    for qualified in ALLOWED_UNREFERENCED:
+        assert qualified in defined, qualified
+        assert qualified.split(".")[1] not in used, qualified
+
+
+def _functions(path):
+    """(qualified name, node) for the public functions and the public or
+    special methods of the public classes of one module."""
+    for node in _parse(path).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        else:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                        not item.name.startswith("_")
+                        or item.name.startswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_no_public_function_takes_a_cap():
+    found = set()
+    for path in SRC:
+        for name, fn in _functions(path):
+            a = fn.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                if arg.arg == "cap" or arg.arg.endswith("_cap"):
+                    found.add((path.stem, name, arg.arg))
+    assert found == ALLOWED_CAP_PARAMETERS

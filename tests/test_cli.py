@@ -171,6 +171,13 @@ def test_bad_input_exits_2(capsys, tmp_path):
     assert main(["family", "dickson"]) == 2
     assert main(["family", "redei"]) == 2
     assert main(["family", "dickson", "--n", "3", "--a", "1/0"]) == 2
+    # builtin degrees are capped like the exponents of function text
+    for argv in (["family", "dickson", "--n", "20000"],
+                 ["sweep", "--function", "builtin:redei:20001:3", "--bound", "5"]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert "exceeds cap" in capsys.readouterr().err
     assert main(["genus", "--type", "2", "--order", "12"]) == 2
     missing = str(tmp_path / "missing.json")
     assert main(["exceptional", "--group", missing, "--normal", missing]) == 2
@@ -197,6 +204,20 @@ def test_large_sqrt_discriminant_exits_2_at_once(capsys):
                  "--bound", "30"]) == 2
     assert time.perf_counter() - start < 1
     assert "exceeds cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_bound_past_the_point_cap_exits_2_at_once(monkeypatch, capsys,
+                                                        workers):
+    # every prime past the cap could only be a point-cap verdict, and the
+    # sieve of the bound would not fit in memory
+    monkeypatch.setenv("SCHURSCOPE_WORKERS", workers)
+    start = time.perf_counter()
+    assert main(["sweep", "--function", "builtin:dickson:3:1",
+                 "--bound", "100000000000000"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "exceeds the point cap" in err and "Traceback" not in err
 
 
 def test_verify_paper_genus_table(capsys):

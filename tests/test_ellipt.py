@@ -76,7 +76,7 @@ def test_division_polynomial_roots_are_torsion():
     K = E.field
     dp = division_polynomials(E, 7)
     for m in (2, 3, 5, 7):
-        xs = {v for v in range(101) if not dp.x_part(m).eval(K.from_int(v))}
+        xs = {v for v in range(101) if not dp[m].eval(K.from_int(v))}
         tor = set()
         for v in range(101):
             r = E.rhs(K.from_int(v))
@@ -228,7 +228,7 @@ def test_division_polynomial_constant_shape():
         dp = division_polynomials(E, 5)
         t = poly_x(QQ)
         c = t - poly_const(QQ, Fraction(B))
-        red = _reduce_mod_cubic(dp.x_part(5), c)
+        red = _reduce_mod_cubic(dp[5], c)
         assert red[1].is_zero() and red[2].is_zero()
         const = red[0].eval(Fraction(0)) / 5
         assert const == Fraction(3 ** 6 * B ** 4, 5)

@@ -13,7 +13,6 @@ from schurscope.exceptio import (
     build_scalar_example,
     build_wreath_diagonal_example,
     chi_fixed_points,
-    class_is_rational_in,
     common_orbits,
     coset_average_fixed_points,
     coset_verdicts,
@@ -122,12 +121,6 @@ def test_chi_fixed_points_matches_direct_count():
     H = PermGroup(G.degree, G.stabilizer_gens(0))
     for g in (G.gens[0], G.gens[0] * G.gens[-1]):
         assert chi_fixed_points(G, H, g) == len(g.fixed_points())
-
-
-def test_class_rationality():
-    assert class_is_rational_in(S3, Perm([1, 2, 0]))
-    # inside C3 itself, sigma and sigma^2 are not conjugate
-    assert not class_is_rational_in(C3, Perm([1, 2, 0]))
 
 
 def test_wreath_example_small():

@@ -21,19 +21,14 @@ from schurscope.permcore import (
     PermGroup,
     ProjectiveLine,
     SmallGF,
-    affine_group,
-    centralizer,
     conjugacy_class,
     conjugacy_classes,
-    coset_action,
     element_of_order,
     format_cycles,
     m10,
     normalizer_of_cyclic,
     orbits_on_pairs,
-    parse_cycles,
     pgammal2,
-    pgl2,
     psl2,
     psl2_sylow2_coset_action,
     psl2_torus_coset_action,
@@ -81,10 +76,11 @@ def test_perm_right_action_convention():
     assert (g * h)(0) == h(g(0))
 
 
-def test_cycle_format_roundtrip():
-    g = Perm([1, 2, 0, 4, 3])
-    assert parse_cycles(format_cycles(g), 5) == g
-    assert parse_cycles("(0 1)(2 3)", 6) == Perm([1, 0, 3, 2, 4, 5])
+def test_format_cycles():
+    assert format_cycles(Perm([1, 2, 0, 4, 3])) == "(0 1 2)(3 4)"
+    assert format_cycles(Perm([1, 0, 3, 2, 4, 5])) == "(0 1)(2 3)"
+    assert format_cycles(Perm([0, 2, 1])) == "(1 2)"
+    assert format_cycles(Perm.identity(4)) == repr(Perm.identity(4)) == "()"
 
 
 def test_group_order_random_vs_brute_force():
@@ -151,10 +147,13 @@ def test_conjugacy_classes_s4():
 
 def test_centralizer_and_class_sizes():
     S4 = PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])
-    for rep in (Perm([1, 0, 2, 3]), Perm([1, 2, 0, 3]), Perm([1, 2, 3, 0])):
-        C = centralizer(S4, rep)
+    for rep, centralizer_order in ((Perm([1, 0, 2, 3]), 4),
+                                   (Perm([1, 2, 0, 3]), 3),
+                                   (Perm([1, 2, 3, 0]), 4)):
+        commuting = [h for h in S4.elements() if h * rep == rep * h]
         cls = conjugacy_class(S4, rep)
-        assert C.order * len(cls) == S4.order
+        assert len(commuting) == centralizer_order
+        assert len(commuting) * len(cls) == S4.order
 
 
 def test_normalizer_of_cyclic_brute():
@@ -204,8 +203,6 @@ def test_projective_group_orders():
     assert A.order == 1512
     A, _ = psl2(9)
     assert A.degree == 10 and A.order == 360
-    A, _ = pgl2(5)
-    assert A.order == 120
     A, _ = m10()
     assert A.order == 720
     A, _ = pgammal2(32)
@@ -220,7 +217,7 @@ def test_psl2_is_transitive_and_simple_order():
 def test_coset_action_s4_mod_s3():
     S4 = PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])
     M = PermGroup(4, S4.stabilizer_gens(3))
-    act = coset_action(S4, M)
+    act = CosetAction(S4, M)
     A = act.group
     assert A.degree == 4 and A.order == 24
     # the action homomorphism is multiplicative
@@ -249,7 +246,9 @@ def test_affine_space_and_group():
     mat = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]]
     lin = sp.linear(mat)
     assert lin(0) == 0  # linear maps fix the origin
-    G, _ = affine_group(2, 4, [mat])
+    basis = [sp.translation(tuple(int(i == j) for j in range(4)))
+             for i in range(4)]
+    G = PermGroup(sp.n, basis + [lin])
     assert G.degree == 16
     assert G.order % 16 == 0  # contains all translations
 
@@ -423,7 +422,7 @@ def old_coset_action(A, M):
 
 def _s4_mod_s3():
     S4 = PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])
-    return coset_action(S4, PermGroup(4, S4.stabilizer_gens(3)))
+    return CosetAction(S4, PermGroup(4, S4.stabilizer_gens(3)))
 
 
 def _wreath_s3_3():
@@ -543,13 +542,15 @@ def test_elements_and_classes_match_python_on_psl2_8():
         assert {c.images for c in cls} == old_conjugacy_class(G, cls[0])
 
 
-def test_elements_cap_exactly_at_the_order():
+def test_elements_cap_exactly_at_the_order(monkeypatch):
     for make in (lambda: psl2(8)[0],
                  lambda: PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])):
         order = make().order
-        assert len(make().elements(cap=order)) == order
+        monkeypatch.setattr(permcore, "ENUM_CAP", order)
+        assert len(make().elements()) == order
+        monkeypatch.setattr(permcore, "ENUM_CAP", order - 1)
         with pytest.raises(CapExceeded):
-            make().elements(cap=order - 1)
+            make().elements()
         with pytest.raises(CapExceeded):
             old_elements(make(), order - 1)
 
@@ -568,12 +569,13 @@ def test_closures_share_the_identity_ints_above_256():
     _assert_ints_shared(cls[1:], n)  # cls[0] is flip itself
 
 
-def test_conjugacy_class_needs_g_in_g():
+def test_conjugacy_class_needs_g_in_g(monkeypatch):
     A4 = PermGroup(4, [Perm([1, 2, 0, 3]), Perm([1, 0, 3, 2])])
     with pytest.raises(NotASubgroup):
         conjugacy_class(A4, Perm([1, 0, 2, 3]))
+    monkeypatch.setattr(permcore, "ENUM_CAP", 11)
     with pytest.raises(CapExceeded):
-        conjugacy_class(A4, Perm([1, 2, 0, 3]), cap=11)
+        conjugacy_class(A4, Perm([1, 2, 0, 3]))
 
 
 @pytest.mark.parametrize("slice_, chunk", [(1, 1), (4, 10_000), (64, 100)])
@@ -618,12 +620,23 @@ def old_stabilizer_gens(G, point):
 
 def old_build_chain(G):
     """Schreier-Sims that sifts every Schreier generator, tree edges
-    included, with the verified set keyed by generator images."""
+    included, with the verified set keyed by generator images, and that
+    stores every residue, equal ones included. Returns the number of sifts
+    made for a repeated copy of a strong generator."""
     G._chain = []
+
+    def add_generator(i, g):
+        if i == len(G._chain):
+            bp = next(k for k, x in enumerate(g.images) if x != k)
+            lvl = permcore._ChainLevel(bp)
+            lvl.transversal = {bp: Perm.identity(G.degree)}
+            G._chain.append(lvl)
+        G._chain[i].gens.append(g)
+
     for g in G.gens:
         j, residue = G._strip(0, g)
         if not residue.is_identity():
-            G._add_generator(j, residue)
+            add_generator(j, residue)
 
     def extend_orbit(i):
         lvl = G._chain[i]
@@ -639,6 +652,7 @@ def old_build_chain(G):
                     queue.append(img)
 
     verified = set()
+    copy_sifts = 0
     dirty = True
     while dirty:
         dirty = False
@@ -647,20 +661,23 @@ def old_build_chain(G):
         for i in range(len(G._chain)):
             lvl = G._chain[i]
             eff = G._effective_gens(i)
+            is_copy = [s.images in {t.images for t in eff[:k]}
+                       for k, s in enumerate(eff)]
             for pt in list(lvl.transversal):
                 rep = None
-                for s in eff:
+                for s, copy in zip(eff, is_copy):
                     key = (i, pt, s.images)
                     if key in verified:
                         continue
                     if rep is None:
                         rep = lvl.transversal[pt].inverse()
                     schreier = rep * s * lvl.transversal[s.images[pt]]
+                    copy_sifts += copy
                     j, residue = G._strip(i + 1, schreier)
                     if residue.is_identity():
                         verified.add(key)
                     else:
-                        G._add_generator(j, residue)
+                        add_generator(j, residue)
                         dirty = True
                 if dirty:
                     break
@@ -670,6 +687,7 @@ def old_build_chain(G):
     for lvl in G._chain:
         order *= len(lvl.transversal)
     G._order = order
+    return copy_sifts
 
 
 def old_normalizer_of_cyclic(G, g):
@@ -746,7 +764,7 @@ def test_stabilizer_gens_need_a_transitive_group():
 
 
 def _sifts(G, build):
-    """The number of `_strip` calls made by build(G)."""
+    """The number of `_strip` calls made by build(G), and its result."""
     count = [0]
     strip = PermGroup._strip
 
@@ -756,21 +774,31 @@ def _sifts(G, build):
 
     PermGroup._strip = counting
     try:
-        build(G)
+        out = build(G)
     finally:
         PermGroup._strip = strip
-    return count[0]
+    return count[0], out
+
+
+def _without_repeats(chain):
+    """A chain from `_chain_of` with each level's repeated strong generators
+    dropped, first copies kept."""
+    return [(bp, list(dict.fromkeys(gens)), transversal)
+            for bp, gens, transversal in chain]
 
 
 def _assert_chain_matches_python_schreier_sims(gens, degree):
-    """The same chain as the oracle's, with one sift fewer for each edge of
-    each level's orbit tree: their Schreier generators are the identity by
-    construction."""
+    """The same chain as the oracle's with its repeated strong generators
+    dropped, and one sift fewer for each edge of each level's orbit tree,
+    whose Schreier generators are the identity by construction, and for each
+    sift the oracle makes for a repeated copy."""
     new, old = PermGroup(degree, gens), PermGroup(degree, gens)
-    saved = _sifts(old, old_build_chain) - _sifts(new, PermGroup._build_chain)
-    assert _chain_of(new) == _chain_of(old)
+    old_sifts, copy_sifts = _sifts(old, old_build_chain)
+    new_sifts, _ = _sifts(new, PermGroup._build_chain)
+    assert _chain_of(new) == _without_repeats(_chain_of(old))
     assert new.order == old.order
-    assert saved == sum(len(lvl.transversal) - 1 for lvl in new._chain)
+    assert old_sifts - new_sifts == copy_sifts + sum(
+        len(lvl.transversal) - 1 for lvl in new._chain)
 
 
 @given(_groups())
@@ -792,6 +820,23 @@ def test_chain_matches_python_schreier_sims(G):
 def test_chain_matches_python_schreier_sims_with_fewer_sifts(make):
     G = make()
     _assert_chain_matches_python_schreier_sims(G.gens, G.degree)
+
+
+def _s3_wreath_c3_pair():
+    S3 = PermGroup(3, [Perm([1, 0, 2]), Perm([1, 2, 0])])
+    return build_wreath_diagonal_example(S3, 3)[:2]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _s3_wreath_c3_pair()[0],
+    lambda: _s3_wreath_c3_pair()[1],
+    _TRANSITIVE["pgammal2(8)-torus"],
+], ids=["s3-wreath-c3-A", "s3-wreath-c3-G", "pgammal2(8)-torus"])
+def test_chain_stores_each_strong_generator_once(make):
+    G = make()
+    G._build_chain()
+    for lvl in G._chain:
+        assert len({g.images for g in lvl.gens}) == len(lvl.gens)
 
 
 def _normalizer_cases():

@@ -96,10 +96,11 @@ def test_is_bijective_over_fq2():
     assert not ok and witness is not None
 
 
-def test_is_bijective_cap():
+def test_is_bijective_cap(monkeypatch):
     f = _over_fp(1009, [0, 1], [1])
+    monkeypatch.setattr(projmap, "DEFAULT_POINT_CAP", 100)
     with pytest.raises(PointCapExceeded):
-        is_bijective(f, cap=100)
+        is_bijective(f)
 
 
 class _NoArrays:
@@ -113,8 +114,9 @@ def test_is_bijective_refuses_fields_past_int64_before_allocating(monkeypatch, e
     F = FqField(p, ext=ext)
     f = RatFunc(poly_x(F), poly_const(F, F.one))
     monkeypatch.setattr(projmap, "np", _NoArrays())
+    monkeypatch.setattr(projmap, "DEFAULT_POINT_CAP", 1 << 70)
     with pytest.raises(PointCapExceeded) as exc:
-        is_bijective(f, cap=1 << 70)
+        is_bijective(f)
     assert exc.value.place_degree == ext
 
 
@@ -223,9 +225,11 @@ def test_sweep_to_dict_shape():
     assert int(num) >= 0 and int(den) >= 1
 
 
-def test_sweep_point_cap_is_a_verdict():
+def test_sweep_point_cap_is_a_verdict(monkeypatch):
     f = cm7_function(1)
-    rep = schur_sweep(f, 60, cap=1000)
+    uncapped = schur_sweep(f, 60)
+    monkeypatch.setattr(projmap, "DEFAULT_POINT_CAP", 1000)
+    rep = schur_sweep(f, 60)
     odd_primes = [p for p in primes_up_to(60) if p > 2]
     assert [r.p for r in rep.records] == odd_primes
     capped = [r for r in rep.records if r.verdict == "point-cap"]
@@ -237,11 +241,11 @@ def test_sweep_point_cap_is_a_verdict():
     assert rep.good_primes == rep.bijective + rep.not_bijective
     assert rep.good_primes + rep.bad_reduction + rep.ramified + rep.point_cap \
         == len(odd_primes)
-    for r, u in zip(rep.records, schur_sweep(f, 60).records):
+    for r, u in zip(rep.records, uncapped.records):
         assert r == u or (r.verdict == "point-cap" and u.place_degree == 2)
     # on its own, a prime past the cap is an error, not a verdict
     with pytest.raises(PointCapExceeded):
-        sweep_prime(f, 59, cap=1000)
+        sweep_prime(f, 59)
 
 
 def test_sweep_report_from_records_counts_each_verdict():

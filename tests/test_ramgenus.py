@@ -7,7 +7,6 @@ import pytest
 
 from schurscope.permcore import Perm, PermGroup, psl2_torus_coset_action
 from schurscope.ramgenus import (
-    GenusSystem,
     classify_type,
     genus0_search,
     ind,
@@ -85,16 +84,6 @@ def test_classify_type():
         assert classify_type(t) == ("Euclidean", None)
     assert classify_type((2, 3, 7)) == ("hyperbolic", None)
     assert classify_type((2, 2, 2, 2, 2)) == ("hyperbolic", None)
-
-
-def test_genus_system():
-    x = Perm([1, 0, 2])
-    y = Perm([0, 2, 1])
-    z = (x * y).inverse()
-    gs = GenusSystem([x, y, z], 6)
-    assert gs.product_one and gs.generates
-    assert gs.ram_type == (2, 2, 3)
-    assert gs.genus == 0
 
 
 def brute_force_genus0_types(G, r_max):
