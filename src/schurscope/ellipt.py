@@ -12,7 +12,6 @@ from .exactalg import (
     QQ,
     FqField,
     Poly,
-    QuadElem,
     RatFunc,
     kronecker,
     poly_const,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 
 
 class ZeroDenominator(ZeroDivisionError):

@@ -1,11 +1,11 @@
 """Permutation-group engine: Schreier-Sims stabilizer chains, orbits on
-points and pairs, conjugacy classes, cyclic normalizers and Sylow subgroups
-by bounded enumeration, coset actions, and named group constructors
-(PSL/PGammaL over small fields, M10, affine spaces)."""
+points and pairs, conjugacy classes and Sylow subgroups by bounded
+enumeration, cyclic normalizers by a backtrack search over the chain, coset
+actions, and named group constructors (PSL/PGammaL over small fields, M10,
+affine spaces)."""
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd
 from operator import itemgetter
 
@@ -322,7 +322,9 @@ class PermGroup:
         if self.order > ENUM_CAP:
             raise CapExceeded(f"group larger than cap {ENUM_CAP}")
         post = np.array([g.images for g in self.gens])
-        self._elements = _closure(self, Perm.identity(self.degree), post)
+        ident = Perm.identity(self.degree)
+        self._elements = _perms(list(_closure(self, ident, post)),
+                                self.degree, [ident])
         return self._elements
 
     # -- orbits ---------------------------------------------------------------
@@ -420,22 +422,19 @@ def orbits_on_pairs(gens, n):
 
 _SLICE = 1 << 12  # products ranked at once
 _CHUNK = 1 << 13  # entries of new rows built at once
-_BLOCK = 1 << 14  # entries compared at once in normalizer_of_cyclic
 
 
 def _rank_tables(G):
     """For each level of G's chain: the orbit size, the position of every
-    point in the orbit, and, above the last level, the inverse coset
-    representatives as rows of a uint16 table."""
+    point in the orbit, and the inverse coset representatives as rows of a
+    uint16 table."""
     tables = []
-    for i, lvl in enumerate(G._chain):
+    for lvl in G._chain:
         orbit = list(lvl.transversal)
         position = np.zeros(G.degree, dtype=np.intp)
         position[orbit] = np.arange(len(orbit))
-        table = None
-        if i + 1 < len(G._chain):
-            table = np.array([lvl.transversal[pt].images for pt in orbit],
-                             dtype=np.uint16)
+        table = np.array([lvl.transversal[pt].images for pt in orbit],
+                         dtype=np.uint16)
         tables.append((len(orbit), position, table))
     return tables
 
@@ -449,27 +448,25 @@ def _rank(tables, base_images):
     for size, position, table in tables:
         pos = position[rest[:, 0]]
         rank = rank * size + pos
-        if table is not None:
-            rest = table[pos[:, None], rest[:, 1:]]
+        rest = table[pos[:, None], rest[:, 1:]]
     return rank
 
 
 def _closure(G, start, post, pre=None):
-    """start, then every element of G reached from it by the moves
-    h -> post[j][h[pre[j]]], breadth first: frontier by frontier, each
-    element's moves in order j = 0, 1, ...  Right multiplication by s is
-    post = s with no pre; conjugation by s is pre = s^-1, post = s.
+    """The elements of G other than start reached from it by the moves
+    h -> post[j][h[pre[j]]], as uint16 row blocks, yielded in discovery
+    order: breadth first, frontier by frontier, each element's moves in order
+    j = 0, 1, ...  Right multiplication by s is post = s with no pre;
+    conjugation by s is pre = s^-1, post = s.
 
     Each frontier slice is moved by one fancy index per step. A product is
     new when its rank in G's chain, computed from its base images alone, is
     unseen; full rows are computed only for new elements, a chunk at a time.
     Rows are kept as uint16 (every degree is below DEGREE_CAP), and every
-    temporary array is bounded by the slice and chunk sizes. The Perms are
-    made after the search, with tuples that share the int objects of the
-    degree's identity tuple.
+    temporary array is bounded by the slice and chunk sizes.
     """
     if not len(post):
-        return [start]
+        return
     n = G.degree
     base = [lvl.base_point for lvl in G._chain]
     post = post.astype(np.uint16)
@@ -481,7 +478,6 @@ def _closure(G, start, post, pre=None):
     moves = np.arange(len(post))[:, None]
     step, chunk = max(1, _SLICE // len(post)), max(1, _CHUNK // n)
     frontier = [np.array([start.images], dtype=np.uint16)]
-    found = []  # row blocks of the new elements, in discovery order
     while frontier:
         layer = []
         for piece in frontier:
@@ -500,15 +496,20 @@ def _closure(G, start, post, pre=None):
                     rc, jc = r[c:c + chunk], j[c:c + chunk]
                     src = rows[rc] if pre is None else rows[rc[:, None], pre[jc]]
                     layer.append(post[jc[:, None], src])
-        found += layer
+                    yield layer[-1]
         frontier = layer
-    # making the tuples after the search keeps them from interleaving in the
-    # heap with the search's temporaries; each block is dropped once used
+
+
+def _perms(blocks, n, out):
+    """out, extended by the Perms of a list of uint16 row blocks of degree n,
+    in order. The tuples share the int objects of the degree's identity
+    tuple; each block is dropped from the list once used. Making the tuples
+    after a search keeps them from interleaving in the heap with the search's
+    temporaries."""
     points = np.array(_ident(n), dtype=object)
-    out = [start]
-    found.reverse()
-    while found:
-        out.extend(map(Perm._raw, map(tuple, points[found.pop()].tolist())))
+    blocks.reverse()
+    while blocks:
+        out.extend(map(Perm._raw, map(tuple, points[blocks.pop()].tolist())))
     return out
 
 
@@ -524,7 +525,7 @@ def conjugacy_class(G, g):
         raise CapExceeded(f"group larger than cap {ENUM_CAP}")
     post = np.array([s.images for s in G.gens])
     pre = np.array([s.inverse().images for s in G.gens])
-    return _closure(G, g, post, pre)
+    return _perms(list(_closure(G, g, post, pre)), G.degree, [g])
 
 
 def conjugacy_classes(G):
@@ -543,35 +544,110 @@ def conjugacy_classes(G):
 
 
 def normalizer_of_cyclic(G, g):
-    """N_G(<g>) by full enumeration: the group generated by the elements h of
-    G, in enumeration order, with h^-1 g h a power of g.
+    """N_G(<g>), with all its elements as generators, by a backtrack search
+    over G's chain (Seress, Permutation Group Algorithms, ch. 9).
 
-    h^-1 g h = g^k exactly when g h and h g^k agree on the base of G's chain,
-    as both lie in G (so g must lie in G, else NotASubgroup); that is, when
-    g^k maps h(b) to h(g(b)) at every base point b. Only those images of
-    each h are read, and all powers of g are tried on a block of elements
-    at once."""
+    h normalizes <g> exactly when h^-1 g h = g^k for a unit k mod ord(g),
+    that is, when h(g(x)) = g^k(h(x)) at every point x. The search chooses
+    the image beta_i = h(b_i) of each base point in turn. A partial product
+    P of inverse coset representatives, a uint16 row, maps the images chosen
+    so far onto their base points, so beta_i is possible only when
+    P(beta_i) lies in the orbit of level i. When b_i = g^j(b_l) for an
+    earlier base point, beta_i = g^(kj)(beta_l) is forced; otherwise beta_i
+    is any point on a g-cycle as long as b_i's (g^k has the cycle lengths of
+    g), so k is chosen only at the first forced level or at the last. At a
+    leaf P = h^-1. It is tested on the base first, which decides the
+    equation as both sides lie in G, and then on every point.
+
+    Rows are extended a chunk at a time, so no temporary of the search grows
+    with |G|. g must lie in G (else NotASubgroup) and |G| must be at most
+    ENUM_CAP (else CapExceeded).
+    """
     if not G.contains(g):
         raise NotASubgroup("g is not in G")
-    els = G.elements()
+    if G.order > ENUM_CAP:
+        raise CapExceeded(f"group larger than cap {ENUM_CAP}")
+    n = G.degree
     base = [lvl.base_point for lvl in G._chain]
     if not base:  # G is trivial
-        return PermGroup(G.degree, els)
-    powers = [Perm.identity(G.degree)]
+        return PermGroup(n, [Perm.identity(n)])
+    powers = [Perm.identity(n)]
     for _ in range(g.order() - 1):
         powers.append(powers[-1] * g)
+    order = len(powers)
     powers = np.array([p.images for p in powers], dtype=np.uint16)
-    m = len(base)
-    columns = itemgetter(*base, *(g.images[b] for b in base))
-    # the block's comparisons hold at most _BLOCK entries
-    step = max(1, _BLOCK // (len(powers) * m))
-    keep = []
-    for lo in range(0, len(els), step):
-        block = els[lo:lo + step]
-        rows = np.array([columns(h.images) for h in block], dtype=np.uint16)
-        hits = (powers[:, rows[:, :m]] == rows[:, m:]).all(axis=2).any(axis=0)
-        keep.extend(compress(block, hits.tolist()))
-    return PermGroup(G.degree, keep)
+    lengths = np.zeros(n, dtype=np.intp)
+    # point -> (the number of its g-cycle, its place j: it is g^j(cycle[0]))
+    where = {}
+    for c, cycle in enumerate(g.cycles(include_fixed=True)):
+        lengths[list(cycle)] = len(cycle)
+        where.update((x, (c, j)) for j, x in enumerate(cycle))
+    # per level: base point, forced (l, j) or None, orbit, position, table
+    levels = []
+    for i, (b, (_, position, table)) in enumerate(zip(base, _rank_tables(G))):
+        c, j = where[b]
+        forced = next(((l, (j - where[a][1]) % lengths[b])
+                       for l, a in enumerate(base[:i]) if where[a][0] == c),
+                      None)
+        orbit = np.array(list(G._chain[i].transversal))
+        levels.append((b, forced, orbit, position, table))
+    units = np.array([k for k in range(order) if gcd(k, order) == 1])
+    rows = max(1, _CHUNK // n)
+    ident = np.array(_ident(n), dtype=np.uint16)
+    g_images = np.array(g.images, dtype=np.uint16)
+    base_points = np.array(base)
+    found = []  # row blocks of N's elements
+
+    def search(i, k, P):
+        """Extend the nodes with partial products P at level i, depth first.
+        k holds their powers, or is None above the first level that depends
+        on k (a forced level, or the last); there each node is split into
+        one node per unit."""
+        b, forced, orbit, position, table = levels[i]
+        last = i + 1 == len(levels)
+        if k is None and (forced or last):
+            r, u = np.divmod(np.arange(len(P) * len(units)), len(units))
+            for lo in range(0, len(r), rows):
+                search(i, units[u[lo:lo + rows]], P[r[lo:lo + rows]])
+            return
+        if forced:
+            l, j = forced
+            r = np.arange(len(P))
+            # P maps beta_l onto b_l
+            delta = P[r, powers[k * j % order, np.argmax(P == base[l], axis=1)]]
+            pos = position[delta]
+            # delta is in the orbit exactly when its inverse representative
+            # maps it onto the base point
+            keep = table[pos, delta] == b
+        else:
+            # every delta in the orbit, for beta = P^-1(delta) on a g-cycle
+            # as long as b's
+            inverse = np.empty_like(P)
+            inverse[np.arange(len(P))[:, None], P] = ident
+            r, pos = np.divmod(np.arange(len(P) * len(orbit)), len(orbit))
+            keep = lengths[inverse[r, orbit[pos]]] == lengths[b]
+        r, pos = r[keep], pos[keep]
+        if last:
+            # the leaves Q = table[pos] o P[r] are the h^-1, and h(g(x)) =
+            # g^k(h(x)) for all x exactly when g(Q(y)) = Q(g^k(y)) for all y.
+            # Both sides lie in G, so a test on the base rejects early; the
+            # rest are checked on every point below
+            t, rb = pos[:, None], r[:, None]
+            keep = (g_images[table[t, P[rb, base_points]]]
+                    == table[t, P[rb, powers[k[rb], base_points]]]).all(axis=1)
+            r, pos = r[keep], pos[keep]
+        for lo in range(0, len(r), rows):
+            rc = r[lo:lo + rows]
+            Q = table[pos[lo:lo + rows, None], P[rc]]
+            if not last:
+                search(i + 1, None if k is None else k[rc], Q)
+                continue
+            # N is closed under inverses, so it is the set of the Q that pass
+            hold = g_images[Q] == Q[np.arange(len(Q))[:, None], powers[k[rc]]]
+            found.append(Q[hold.all(axis=1)])
+
+    search(0, None, ident[None])
+    return PermGroup(n, _perms(found, n, []))
 
 
 def sylow_subgroup(G, p):
@@ -913,10 +989,20 @@ def _factor_prime_power(q):
 
 
 def element_of_order(G, n):
-    """A deterministic element of order n: first one found in enumeration order."""
-    for h in G.elements():
-        if h.order() == n:
-            return h
+    """The first element of order n in the order of G.elements(), found
+    block by block as the closure discovers them: the closure stops at the
+    block that holds it, and G's element cache is left as it is. Raises
+    CapExceeded when |G| > ENUM_CAP."""
+    if G.order > ENUM_CAP:
+        raise CapExceeded(f"group larger than cap {ENUM_CAP}")
+    ident = Perm.identity(G.degree)
+    if n == 1:
+        return ident
+    post = np.array([g.images for g in G.gens])
+    for block in _closure(G, ident, post):
+        for h in _perms([block], G.degree, []):
+            if h.order() == n:
+                return h
     raise ValueError(f"no element of order {n}")
 
 

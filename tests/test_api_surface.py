@@ -1,6 +1,7 @@
 """The package's public surface: every public top-level name in
 `src/schurscope` is used by the package or the benchmark, or is a kept
-oracle named below; and no public function takes a cap as a parameter."""
+oracle named below; no public function takes a cap as a parameter; and no
+module of the package or its tests imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "schurscope").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # public names that no code in src/ or perfbench/ calls, kept on purpose
 ALLOWED_UNREFERENCED = {
@@ -23,6 +25,12 @@ ALLOWED_UNREFERENCED = {
     "exceptio.excomp_decompose":
         "oracle of exceptionality through a chain of subgroups",
     "cli.dump_group": "writes the group file format that load_group reads",
+}
+
+# imports that their own module never reads, kept on purpose
+ALLOWED_UNUSED_IMPORTS = {
+    "exceptio.orbits_on_pairs":
+        "perfbench/tracer.py patches that name to count pair-orbit calls",
 }
 
 # the index cap of a coset action takes two values: exceptio.INDEX_CAP for
@@ -100,3 +108,21 @@ def test_no_public_function_takes_a_cap():
                 if arg.arg == "cap" or arg.arg.endswith("_cap"):
                     found.add((path.stem, name, arg.arg))
     assert found == ALLOWED_CAP_PARAMETERS
+
+
+def _unused_imports(path):
+    """The names that one module binds by an import and never reads."""
+    tree = _parse(path)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    return bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_no_unused_imports():
+    found = {f"{path.stem}.{name}"
+             for path in SRC + TESTS for name in _unused_imports(path)}
+    assert found == set(ALLOWED_UNUSED_IMPORTS)

@@ -2,7 +2,6 @@
 shapes, and the builtin function registry."""
 
 import json
-import os
 import time
 
 import pytest

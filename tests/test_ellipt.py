@@ -8,7 +8,6 @@ import pytest
 
 from schurscope.exactalg import QQ, FqField, reduce_mod_place
 from schurscope.ellipt import (
-    DescentError,
     EllCurve,
     OffCurve,
     division_polynomials,
@@ -220,7 +219,6 @@ def test_fiber_profiles_orders_4_and_6():
 def test_division_polynomial_constant_shape():
     # for y^2 = x^3 + B, the constant term of psi_5 restricted to the order-3
     # quotient variable t (x^3 = t - B) is 3^6 B^4 / 5 after dividing by 5
-    from schurscope.exactalg import Poly
     from schurscope.ellipt import _reduce_mod_cubic
     from schurscope.exactalg import poly_x, poly_const
     for B in (1, 2, 3):

@@ -2,7 +2,6 @@
 constructions (wreath diagonal and affine scalar)."""
 
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest

@@ -19,7 +19,6 @@ from schurscope.permcore import (
     NotASubgroup,
     Perm,
     PermGroup,
-    ProjectiveLine,
     SmallGF,
     conjugacy_class,
     conjugacy_classes,
@@ -181,6 +180,27 @@ def test_element_of_order():
         assert element_of_order(S4, n).order() == n
     with pytest.raises(ValueError):
         element_of_order(S4, 5)
+
+
+@pytest.mark.parametrize("make, orders", [
+    (lambda: _s4(), (1, 2, 3, 4)),
+    (lambda: psl2(8)[0], (2, 3, 7, 9)),
+    (lambda: psl2(9)[0], (2, 3, 4, 5)),
+    (lambda: psl2(16)[0], (2, 3, 5, 15, 17)),
+    (lambda: pgammal2(8)[0], (2, 3, 6, 7, 9)),
+], ids=["s4", "psl2(8)", "psl2(9)", "psl2(16)", "pgammal2(8)"])
+def test_element_of_order_is_the_first_in_enumeration_order(make, orders):
+    G = make()
+    els = make().elements()
+    for n in orders:
+        want = next(h for h in els if h.order() == n)
+        assert element_of_order(G, n) == want
+    assert G._elements is None
+
+
+def test_torus_coset_action_never_enumerates_psl2_32():
+    act, G = psl2_torus_coset_action(32, "psl")
+    assert act.A._elements is None and G._elements is None
 
 
 def test_small_gf():
@@ -860,14 +880,26 @@ def _normalizer_cases():
 
 
 def test_normalizer_of_cyclic_matches_per_element_conjugation():
+    """The same elements as the oracle's; the search lists them in its own
+    order, not in enumeration order."""
     seen = set()
     for name, G, g in _normalizer_cases():
         seen.add(name)
         N = normalizer_of_cyclic(G, g)
-        assert [h.images for h in N.gens] == \
-            [h.images for h in old_normalizer_of_cyclic(G, g).gens], name
+        assert {h.images for h in N.gens} == \
+            {h.images for h in old_normalizer_of_cyclic(G, g).gens}, name
+        assert len(N.gens) == N.order - 1, name
     assert seen == {"psl2(8)", "psl2(9)", "psl2(16)", "pgammal2(8)", "s4",
                     "gf16", "m10-sylow2"}
+
+
+def test_normalizer_of_cyclic_is_the_same_in_chunks_of_one_row(monkeypatch):
+    cases = list(_normalizer_cases())
+    want = [[h.images for h in normalizer_of_cyclic(G, g).gens]
+            for _, G, g in cases]
+    monkeypatch.setattr(permcore, "_CHUNK", 1)
+    for (name, G, g), gens in zip(cases, want):
+        assert [h.images for h in normalizer_of_cyclic(G, g).gens] == gens, name
 
 
 def test_normalizer_of_cyclic_needs_g_in_g():
@@ -877,7 +909,7 @@ def test_normalizer_of_cyclic_needs_g_in_g():
 
 
 @pytest.mark.parametrize("q, ambient", [
-    (8, "psl"), (8, "pgammal"), (9, "m10"), (32, "psl")])
+    (8, "psl"), (8, "pgammal"), (9, "m10"), (16, "psl"), (32, "psl")])
 def test_torus_coset_action_matches_per_element_normalizer(q, ambient):
     act, G = psl2_torus_coset_action(q, ambient)
     t = element_of_order(G, (q + 1) // (1 + q % 2))
