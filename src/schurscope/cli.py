@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .exactalg import QQ, format_ratfunc, parse_fraction, parse_ratfunc
 from .projmap import SweepReport, odd_primes, schur_sweep, sweep_primes
@@ -54,23 +55,18 @@ def dump_group(G, path):
 # worker support for sweeps
 
 def parallel_sweep(f, bound, workers):
-    """schur_sweep, optionally splitting the prime range over processes."""
+    """schur_sweep, optionally splitting the prime range over processes;
+    each worker is sent f itself, pickled, and a share of the primes."""
     if workers <= 1:
         return schur_sweep(f, bound)
     from concurrent.futures import ProcessPoolExecutor
 
     primes = odd_primes(bound)
     chunks = [primes[i::workers] for i in range(workers)]
-    text = format_ratfunc(f)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_sweep_primes, [(text, c) for c in chunks]))
+        parts = list(pool.map(partial(sweep_primes, f), chunks))
     records = sorted((r for part in parts for r in part), key=lambda r: r.p)
     return SweepReport.from_records(records)
-
-
-def _sweep_primes(args):
-    text, primes = args
-    return sweep_primes(parse_ratfunc(text), primes)
 
 
 def worker_count():

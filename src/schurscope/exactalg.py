@@ -1,5 +1,6 @@
-"""Exact arithmetic kernel: rationals, quadratic field elements a + b*sqrt(d),
-dense univariate polynomials, rational functions, prime fields F_p and F_p^2.
+"""Exact arithmetic kernel: rationals, prime fields F_p, quadratic extensions
+a + b*sqrt(d) of either (QQ(sqrt(d)), and F_p^2 = F_p(sqrt(r))), dense
+univariate polynomials and rational functions.
 
 All values are immutable after construction and safe to share.
 """
@@ -154,23 +155,35 @@ QQ = RationalField()
 
 
 class QuadElem:
-    """a + b*sqrt(d) with a, b rational and d a squarefree nonzero integer."""
+    """a + b*sqrt(d) in a quadratic extension of a base field, with d an
+    integer that is not a square in the base: a, b are Fractions in
+    QQ(sqrt(d)), and FpElems in F_p^2 = F_p(sqrt(r)) with d = r.
+
+    The arithmetic is the base's own; the fields, the parser and funfam
+    build the elements from base elements, so nothing is coerced here.
+    """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a
+        self.b = b
         self.d = d
 
     def _lift(self, other):
+        """other as an element of this field: a QuadElem with the same d, or
+        a scalar of the base (ints included), lifted as zero + other."""
         if isinstance(other, QuadElem):
             if other.d != self.d:
                 raise FieldMismatch(f"sqrt({other.d}) vs sqrt({self.d})")
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(other, 0, self.d)
-        return NotImplemented
+        zero = self.b * 0
+        a = zero + other
+        # a polynomial or a rational function on the right absorbs the
+        # scalar instead, through its reflected operator
+        if type(a) is not type(zero):
+            return NotImplemented
+        return QuadElem(a, zero, self.d)
 
     def __add__(self, other):
         o = self._lift(other)
@@ -217,22 +230,17 @@ class QuadElem:
         return self.inverse() * other
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
         if isinstance(other, QuadElem):
             return self.d == other.d and self.a == other.a and self.b == other.b
-        return NotImplemented
+        return not self.b and self.a == other
 
     def __hash__(self):
-        if self.b == 0:
+        if not self.b:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def conjugate(self):
-        return QuadElem(self.a, -self.b, self.d)
+        return bool(self.a or self.b)
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.d}))"
@@ -259,23 +267,19 @@ class QuadField:
 
     @property
     def zero(self):
-        return QuadElem(0, 0, self.d)
+        return self.from_int(0)
 
     @property
     def one(self):
-        return QuadElem(1, 0, self.d)
-
-    @property
-    def sqrt_gen(self):
-        return QuadElem(0, 1, self.d)
+        return self.from_int(1)
 
     def from_int(self, n):
-        return QuadElem(n, 0, self.d)
+        return QuadElem(Fraction(n), Fraction(0), self.d)
 
     def coerce(self, x):
         if isinstance(x, (int, Fraction)):
-            return QuadElem(x, 0, self.d)
-        if isinstance(x, QuadElem) and x.d == self.d:
+            return self.from_int(x)
+        if isinstance(x, QuadElem) and x.d == self.d and isinstance(x.a, Fraction):
             return x
         raise FieldMismatch(f"cannot coerce {x!r} into {self!r}")
 
@@ -357,92 +361,6 @@ class FpElem:
         return f"{self.v}"
 
 
-class Fq2Elem:
-    """u + v*sqrt(r) in F_p^2, with r a fixed non-residue mod p."""
-
-    __slots__ = ("u", "v", "p", "r")
-
-    def __init__(self, u, v, p, r):
-        self.u = u % p
-        self.v = v % p
-        self.p = p
-        self.r = r
-
-    def _lift(self, other):
-        if isinstance(other, Fq2Elem):
-            if (other.p, other.r) != (self.p, self.r):
-                raise FieldMismatch("different F_p^2 models")
-            return other
-        if isinstance(other, int):
-            return Fq2Elem(other, 0, self.p, self.r)
-        if isinstance(other, FpElem):
-            if other.p != self.p:
-                raise FieldMismatch("different characteristics")
-            return Fq2Elem(other.v, 0, self.p, self.r)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return Fq2Elem(self.u + o.u, self.v + o.v, self.p, self.r)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Fq2Elem(-self.u, -self.v, self.p, self.r)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return Fq2Elem(self.u - o.u, self.v - o.v, self.p, self.r)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return Fq2Elem(self.u * o.u + self.r * self.v * o.v,
-                       self.u * o.v + self.v * o.u, self.p, self.r)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        n = (self.u * self.u - self.r * self.v * self.v) % self.p
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0")
-        ninv = pow(n, -1, self.p)
-        return Fq2Elem(self.u * ninv, -self.v * ninv, self.p, self.r)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.v == 0 and self.u == other % self.p
-        if isinstance(other, Fq2Elem):
-            return (self.p, self.r, self.u, self.v) == (other.p, other.r, other.u, other.v)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.u, self.v, self.p, self.r))
-
-    def __bool__(self):
-        return self.u != 0 or self.v != 0
-
-    def __repr__(self):
-        return f"({self.u} + {self.v}*sqrt({self.r}) mod {self.p})"
-
-
 class FqField:
     """F_p (ext=1) or F_p^2 (ext=2, as F_p[sqrt(r)] with r a non-residue)."""
 
@@ -484,10 +402,12 @@ class FqField:
     def one(self):
         return self.from_int(1)
 
+    def _embed(self, x):
+        """An FpElem of this p as an element of this field."""
+        return x if self.ext == 1 else QuadElem(x, FpElem(0, self.p), self.r)
+
     def from_int(self, n):
-        if self.ext == 1:
-            return FpElem(n, self.p)
-        return Fq2Elem(n, 0, self.p, self.r)
+        return self._embed(FpElem(n, self.p))
 
     def coerce(self, x):
         if isinstance(x, int):
@@ -496,20 +416,19 @@ class FqField:
             if x.denominator % self.p == 0:
                 raise BadReduction(f"denominator of {x} vanishes mod {self.p}")
             return self.from_int(x.numerator * pow(x.denominator, -1, self.p))
-        if self.ext == 1 and isinstance(x, FpElem) and x.p == self.p:
+        if isinstance(x, FpElem) and x.p == self.p:
+            return self._embed(x)
+        if (self.ext == 2 and isinstance(x, QuadElem) and x.d == self.r
+                and isinstance(x.a, FpElem) and x.a.p == self.p):
             return x
-        if self.ext == 2:
-            if isinstance(x, Fq2Elem) and (x.p, x.r) == (self.p, self.r):
-                return x
-            if isinstance(x, FpElem) and x.p == self.p:
-                return Fq2Elem(x.v, 0, self.p, self.r)
         raise FieldMismatch(f"cannot coerce {x!r} into {self!r}")
 
     def elements(self):
+        """F_p as 0..p-1; F_p^2 as u + v*sqrt(r) in the order of u*p + v."""
+        fp = [FpElem(v, self.p) for v in range(self.p)]
         if self.ext == 1:
-            return [FpElem(v, self.p) for v in range(self.p)]
-        return [Fq2Elem(u, v, self.p, self.r)
-                for u in range(self.p) for v in range(self.p)]
+            return fp
+        return [QuadElem(u, v, self.r) for u in fp for v in fp]
 
 
 def smallest_nonresidue(p):
@@ -672,9 +591,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * other + Poly(self.field, [c])
         return acc
-
-    def map_coeffs(self, field, fn):
-        return Poly(field, [fn(c) for c in self.coeffs])
 
     def __repr__(self):
         return format_poly(self)
@@ -921,7 +837,8 @@ def reduce_mod_place(f, p):
         cs = [mul(c, lead_inv) for c in cs]
         if target.ext == 1:
             return Poly._raw(target, [FpElem(c, p) for c in cs])
-        return Poly._raw(target, [Fq2Elem(u, v, p, target.r) for u, v in cs])
+        return Poly._raw(target, [QuadElem(FpElem(u, p), FpElem(v, p), target.r)
+                                  for u, v in cs])
 
     return RatFunc._raw(poly(num), poly(den))
 
@@ -937,8 +854,6 @@ def format_scalar(c):
         return f"({format_scalar(c.a)} + {format_scalar(c.b)}*sqrt({c.d}))"
     if isinstance(c, FpElem):
         return str(c.v)
-    if isinstance(c, Fq2Elem):
-        return f"({c.u} + {c.v}*sqrt({c.r}))"
     raise TypeError(f"unknown scalar {c!r}")
 
 

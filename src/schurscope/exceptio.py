@@ -20,13 +20,12 @@ from fractions import Fraction
 from operator import eq
 
 from .permcore import (
-    ENUM_CAP,
-    CapExceeded,
     CosetAction,
     DegreeMismatch,
     NotASubgroup,
     Perm,
     PermGroup,
+    check_enum_cap,
     check_pair_cap,
     conjugacy_class,
     orbits_on_pairs,  # noqa: F401  perfbench/tracer.py patches exceptio.orbits_on_pairs
@@ -248,8 +247,7 @@ def build_wreath_diagonal_example(L, t):
     base_gens = [shift(g, b) for b in range(t) for g in L.gens]
     A = PermGroup(n, base_gens + [cycle])
     G = PermGroup(n, base_gens)
-    if A.order > ENUM_CAP:
-        raise CapExceeded(f"|A| = {A.order} exceeds cap {ENUM_CAP}")
+    check_enum_cap(A)
     diag = [Perm([b * d + g.images[i] for b in range(t) for i in range(d)])
             for g in L.gens]
     M = PermGroup(n, diag + [cycle])

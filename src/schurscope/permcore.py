@@ -1,8 +1,8 @@
 """Permutation-group engine: Schreier-Sims stabilizer chains, orbits on
-points and pairs, conjugacy classes and Sylow subgroups by bounded
-enumeration, cyclic normalizers by a backtrack search over the chain, coset
-actions, and named group constructors (PSL/PGammaL over small fields, M10,
-affine spaces)."""
+points and pairs, elements and conjugacy classes by bounded enumeration,
+cyclic normalizers by a backtrack search over the chain, coset actions, and
+named group constructors (PSL/PGammaL over small fields, M10, affine spaces,
+the actions on 2-sets and on torus normalizer cosets)."""
 
 from __future__ import annotations
 
@@ -103,10 +103,6 @@ class Perm:
             k >>= 1
         return out
 
-    def conjugate(self, h):
-        """h^-1 * self * h."""
-        return h.inverse() * self * h
-
     @staticmethod
     def identity(n):
         return Perm._raw(_ident(n))
@@ -130,10 +126,6 @@ class Perm:
             if len(c) > 1 or include_fixed:
                 out.append(tuple(c))
         return out
-
-    def cycle_type(self):
-        """Multiset of cycle lengths (including fixed points), sorted."""
-        return tuple(sorted(len(c) for c in self.cycles(include_fixed=True)))
 
     def num_cycles(self):
         return len(self.cycles(include_fixed=True))
@@ -319,8 +311,7 @@ class PermGroup:
         when |G| > ENUM_CAP."""
         if self._elements is not None:
             return self._elements
-        if self.order > ENUM_CAP:
-            raise CapExceeded(f"group larger than cap {ENUM_CAP}")
+        check_enum_cap(self)
         post = np.array([g.images for g in self.gens])
         ident = Perm.identity(self.degree)
         self._elements = _perms(list(_closure(self, ident, post)),
@@ -386,6 +377,13 @@ class PairOrbits:
 
     def orbit_count(self):
         return len(np.unique(self.labels))
+
+
+def check_enum_cap(G):
+    """Raise CapExceeded when |G| exceeds ENUM_CAP, the bound on every
+    enumeration of G's elements."""
+    if G.order > ENUM_CAP:
+        raise CapExceeded(f"|G| = {G.order} exceeds cap {ENUM_CAP}")
 
 
 def check_pair_cap(n):
@@ -521,8 +519,7 @@ def conjugacy_class(G, g):
     NotASubgroup) and |G| must be at most ENUM_CAP (else CapExceeded)."""
     if not G.contains(g):
         raise NotASubgroup("g is not in G")
-    if G.order > ENUM_CAP:
-        raise CapExceeded(f"group larger than cap {ENUM_CAP}")
+    check_enum_cap(G)
     post = np.array([s.images for s in G.gens])
     pre = np.array([s.inverse().images for s in G.gens])
     return _perms(list(_closure(G, g, post, pre)), G.degree, [g])
@@ -565,8 +562,7 @@ def normalizer_of_cyclic(G, g):
     """
     if not G.contains(g):
         raise NotASubgroup("g is not in G")
-    if G.order > ENUM_CAP:
-        raise CapExceeded(f"group larger than cap {ENUM_CAP}")
+    check_enum_cap(G)
     n = G.degree
     base = [lvl.base_point for lvl in G._chain]
     if not base:  # G is trivial
@@ -648,42 +644,6 @@ def normalizer_of_cyclic(G, g):
 
     search(0, None, ident[None])
     return PermGroup(n, _perms(found, n, []))
-
-
-def sylow_subgroup(G, p):
-    """A Sylow p-subgroup by greedy closure over the enumerated elements."""
-    order = G.order
-    target = 1
-    while order % p == 0:
-        target *= p
-        order //= p
-    if target == 1:
-        return PermGroup(G.degree, [Perm.identity(G.degree)])
-    els = G.elements()
-    sub_gens = []
-    sub = PermGroup(G.degree, [Perm.identity(G.degree)])
-    while sub.order < target:
-        for h in els:
-            o = h.order()
-            if o == 1 or not _is_p_power(o, p):
-                continue
-            if h in sub:
-                continue
-            cand = PermGroup(G.degree, sub_gens + [h])
-            co = cand.order
-            if _is_p_power(co, p):
-                sub_gens.append(h)
-                sub = cand
-                break
-        else:
-            raise RuntimeError("greedy Sylow search stalled")
-    return sub
-
-
-def _is_p_power(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 # ---------------------------------------------------------------------------
@@ -993,8 +953,7 @@ def element_of_order(G, n):
     block by block as the closure discovers them: the closure stops at the
     block that holds it, and G's element cache is left as it is. Raises
     CapExceeded when |G| > ENUM_CAP."""
-    if G.order > ENUM_CAP:
-        raise CapExceeded(f"group larger than cap {ENUM_CAP}")
+    check_enum_cap(G)
     ident = Perm.identity(G.degree)
     if n == 1:
         return ident
@@ -1038,10 +997,19 @@ def psl2_torus_coset_action(q, ambient="psl"):
 
 
 def psl2_sylow2_coset_action(q, ambient="psl"):
-    """The degree q(q+1)/2 action on cosets of a Sylow 2-subgroup normalizer
-    setup used for PSL2(9)/M10 (stabilizer = Sylow 2-subgroup of the ambient)."""
+    """The degree q(q+1)/2 action of PSL2(q) (or an overgroup) on the 2-sets
+    of P^1(F_q), as the cosets of M, the setwise stabilizer of {0, INF}.
+
+    PSL2(q) is 2-transitive, so the index is q(q+1)/2 in every ambient. M is
+    generated by the ambient's generators that fix {0, INF}: all but the
+    translations. For q = 9, M is a Sylow 2-subgroup of the ambient.
+    ambient: 'psl', 'pgammal', or 'm10' (q=9 only). Returns (coset_action,
+    G_in_ambient) as psl2_torus_coset_action does.
+    """
     A, G = _psl2_in_ambient(q, ambient)
-    M = sylow_subgroup(A, 2)
+    pair = {0, q}  # the points 0 and INF of ProjectiveLine
+    M = PermGroup(A.degree, [h for h in A.gens
+                             if {h.images[0], h.images[q]} == pair])
     return CosetAction(A, M), G
 
 

@@ -2,12 +2,12 @@
 prime sweeps measuring how often a function permutes the projective line.
 
 `is_bijective` evaluates num and den over all of F_q at once, as int64
-arrays: F_p elements are ints 0..p-1, and an element u + v*sqrt(r) of F_p^2
-is the pair (u, v), enumerated as the int u*p + v in the order of
-`FqField.elements()`. Division uses a table of inverses in F_p, and
-collisions are found by counting images. Only a verdict of "not bijective"
-decodes a witness: the first collision in evaluation order (the elements in
-order, then INF).
+arrays: F_p elements are ints 0..p-1, and an element u + v*sqrt(r) of F_p^2,
+a QuadElem over F_p, is the pair (u, v), enumerated as the int u*p + v in
+the order of `FqField.elements()`. Division uses a table of inverses in F_p,
+and collisions are found by counting images. Only a verdict of "not
+bijective" decodes a witness: the first collision in evaluation order (the
+elements in order, then INF).
 
 A sweep classifies each odd prime as bijective, not-bijective,
 bad-reduction, ramified or point-cap; point-cap means P^1(F_q) has more
@@ -23,8 +23,9 @@ import numpy as np
 
 from .exactalg import (
     BadReduction,
-    Fq2Elem,
+    FpElem,
     FqField,
+    QuadElem,
     RamifiedPlace,
     primes_up_to,
     reduce_mod_place,
@@ -60,7 +61,7 @@ class PointCapExceeded(ValueError):
 
 
 def eval_proj(f, x):
-    """Evaluate f at a point of P^1(F_q), x an FqElem/Fq2Elem or INF."""
+    """Evaluate f at a point of P^1(F_q), x an element of F_q or INF."""
     if x is INF:
         dn, dd = f.num.degree, f.den.degree
         if dn > dd:
@@ -130,11 +131,11 @@ def _images(f):
 
         def horner(poly):
             *rest, lead = poly.coeffs
-            au = np.full(q, lead.u, dtype=np.int64)
-            av = np.full(q, lead.v, dtype=np.int64)
+            au = np.full(q, lead.a.v, dtype=np.int64)
+            av = np.full(q, lead.b.v, dtype=np.int64)
             for c in reversed(rest):
-                au, av = ((au * xu + r * av * xv + c.u) % p,
-                          (au * xv + av * xu + c.v) % p)
+                au, av = ((au * xu + r * av * xv + c.a.v) % p,
+                          (au * xv + av * xu + c.b.v) % p)
             return au, av
 
         (nu, nv), (du, dv) = horner(f.num), horner(f.den)
@@ -155,7 +156,7 @@ def _image_at_inf(f):
     if dn < dd:
         return 0
     c = f.num.coeffs[-1] / f.den.coeffs[-1]
-    return c.v if field.ext == 1 else c.u * field.p + c.v
+    return c.v if field.ext == 1 else c.a.v * field.p + c.b.v
 
 
 def is_bijective(f):
@@ -195,7 +196,8 @@ def _decode(field, i):
         return INF
     if field.ext == 1:
         return field.from_int(i)
-    return Fq2Elem(*divmod(i, field.p), field.p, field.r)
+    u, v = divmod(i, field.p)
+    return QuadElem(FpElem(u, field.p), FpElem(v, field.p), field.r)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from schurscope import claims
 from schurscope.cli import (
-    _sweep_primes,
     builtin_function,
     dump_group,
     load_function,
@@ -21,8 +20,7 @@ from schurscope.cli import (
 )
 from schurscope.funfam import dickson, sporadic_degree5
 from schurscope.permcore import Perm, PermGroup
-from schurscope.exactalg import format_ratfunc
-from schurscope.projmap import SweepRecord, schur_sweep
+from schurscope.projmap import SweepRecord, schur_sweep, sweep_primes
 
 
 def test_builtin_function_registry():
@@ -75,18 +73,18 @@ def test_sweep_command_out_file(tmp_path):
 
 
 def test_parallel_sweep_matches_serial():
-    f = dickson(3, 1)
-    serial = schur_sweep(f, 300)
-    par = parallel_sweep(f, 300, 2)
-    assert [(r.p, r.verdict) for r in par.records] == \
-        [(r.p, r.verdict) for r in serial.records]
-    assert par.density == serial.density
+    # cm7 is over QQ(sqrt(-3)), so its workers get QuadElem coefficients
+    for f, bound in ((dickson(3, 1), 300), (builtin_function("builtin:cm7"), 120)):
+        serial = schur_sweep(f, bound)
+        par = parallel_sweep(f, bound, 2)
+        assert par.records == serial.records
+        assert par.density == serial.density
 
 
 def test_sweep_worker_records_point_cap_verdicts():
     # 1031 is inert for cm7, and 1031^2 + 1 points exceed the default cap
-    text = format_ratfunc(builtin_function("builtin:cm7"))
-    assert _sweep_primes((text, [11, 1031, 19])) == [
+    f = builtin_function("builtin:cm7")
+    assert sweep_primes(f, [11, 1031, 19]) == [
         SweepRecord(11, 2, "bijective"), SweepRecord(1031, 2, "point-cap"),
         SweepRecord(19, 1, "not-bijective")]
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from schurscope.exactalg import (
     QQ,
     BadReduction,
-    Fq2Elem,
+    FieldMismatch,
+    FpElem,
     FqField,
     Poly,
     QuadElem,
@@ -167,16 +168,48 @@ def test_ratfunc_derivative_quotient_rule():
     assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
 
 
+# sqrt(-3) in QQ(sqrt(-3))
+_SQRT_M3 = QuadElem(Fraction(0), Fraction(1), -3)
+
+
 def test_quadfield_arithmetic():
     K = QuadField(-3)
-    s = K.sqrt_gen
+    s = _SQRT_M3
     assert s * s == K.coerce(-3)
     w = (K.coerce(-1) + s) / K.coerce(2)  # primitive cube root of unity
     assert w * w * w == K.one
     assert w * w + w + K.one == K.zero
     a = QuadElem(Fraction(2), Fraction(5, 3), -3)
     assert a * a.inverse() == K.one
-    assert a + a.conjugate() == K.coerce(4)
+    assert a + QuadElem(a.a, -a.b, a.d) == K.coerce(4)
+    # a polynomial on the right takes the scalar through its own operators
+    y = poly_x(K)
+    assert a * y == y * a and a + y == y + a
+
+
+def test_quadratic_fields_over_q_and_fp_do_not_mix():
+    # F_5^2 and F_11^2 are F_p(sqrt(2)), and QQ(sqrt(2)) has the same d = 2
+    F5, F11, K = FqField(5, ext=2), FqField(11, ext=2), QuadField(2)
+    assert F5.r == F11.r == K.d
+    # 1 + 2*sqrt(2) in each, F_p^2 enumerated as u + v*sqrt(r) at u*p + v
+    x5, x11 = F5.elements()[5 + 2], F11.elements()[11 + 2]
+    k = QuadElem(Fraction(1), Fraction(2), 2)
+    for y in (x5, x11):
+        with pytest.raises(FieldMismatch):
+            K.coerce(y)
+        with pytest.raises((FieldMismatch, TypeError)):
+            y + k
+        with pytest.raises((FieldMismatch, TypeError)):
+            k * y
+        assert y != k
+    with pytest.raises(FieldMismatch):
+        F5.coerce(k)
+    with pytest.raises(FieldMismatch):
+        F5.coerce(x11)
+    for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b):
+        with pytest.raises(FieldMismatch):
+            op(x5, x11)
+    assert x5 + F5.from_int(1) == F5.elements()[2 * 5 + 2]
 
 
 def test_fq2_is_a_field():
@@ -214,7 +247,7 @@ def test_reduce_mod_place_bad_and_ramified():
         reduce_mod_place(g, 3)
     K = QuadField(-3)
     y = poly_x(K)
-    h = RatFunc(y + poly_const(K, K.sqrt_gen), poly_const(K, K.one))
+    h = RatFunc(y + poly_const(K, _SQRT_M3), poly_const(K, K.one))
     with pytest.raises(RamifiedPlace):
         reduce_mod_place(h, 3)  # 3 | 2d
 
@@ -222,7 +255,7 @@ def test_reduce_mod_place_bad_and_ramified():
 def test_reduce_mod_place_split_vs_inert():
     K = QuadField(-3)
     y = poly_x(K)
-    f = RatFunc(y + poly_const(K, K.sqrt_gen), poly_const(K, K.one))
+    f = RatFunc(y + poly_const(K, _SQRT_M3), poly_const(K, K.one))
     split = reduce_mod_place(f, 13)   # -3 is a square mod 13
     assert split.field.ext == 1
     inert = reduce_mod_place(f, 5)    # -3 is not a square mod 5
@@ -241,14 +274,16 @@ def _slow_reduce(f, p):
             root = F.from_int(min(r0, p - r0))
         else:
             F = FqField(p, ext=2)
-            root = Fq2Elem(0, sqrt_mod(K.d * pow(F.r, -1, p), p), p, F.r)
+            s = sqrt_mod(K.d * pow(F.r, -1, p), p)
+            root = QuadElem(FpElem(0, p), FpElem(s, p), F.r)
 
         def red(c):
             return F.coerce(c.a) + F.coerce(c.b) * root
     else:
         F = FqField(p)
         red = F.coerce
-    num, den = f.num.map_coeffs(F, red), f.den.map_coeffs(F, red)
+    num = Poly(F, [red(c) for c in f.num.coeffs])
+    den = Poly(F, [red(c) for c in f.den.coeffs])
     if num.degree < f.num.degree or den.degree < f.den.degree:
         raise BadReduction(p)
     if not num.is_zero() and num.gcd(den).degree > 0:
@@ -295,7 +330,7 @@ def test_reduce_mod_place_matches_object_reduction(f, p):
 def test_reduce_mod_place_matches_object_reduction_over_q_sqrt_minus_3():
     from schurscope.funfam import cm7_function
     K = QuadField(-3)
-    x, s = poly_x(K), poly_const(K, K.sqrt_gen)
+    x, s = poly_x(K), poly_const(K, _SQRT_M3)
     # coprime over K, but both vanish at sqrt(-3) mod 5, an inert place
     h = RatFunc((x - s) * (x + poly_const(K, K.one)),
                 x - s + poly_const(K, K.from_int(5)))

@@ -204,8 +204,9 @@ def _relabelled(A, G, seed):
     sigma = list(range(A.degree))
     rng.shuffle(sigma)
     s = Perm(sigma)
-    return (PermGroup(A.degree, [g.conjugate(s) for g in A.gens]),
-            PermGroup(G.degree, [g.conjugate(s) for g in G.gens]))
+    s_inv = s.inverse()
+    return (PermGroup(A.degree, [s_inv * g * s for g in A.gens]),
+            PermGroup(G.degree, [s_inv * g * s for g in G.gens]))
 
 
 def _walk_pairs():

@@ -8,6 +8,8 @@ import pytest
 
 from schurscope.exactalg import (
     QQ,
+    Poly,
+    QuadElem,
     QuadField,
     RatFunc,
     poly_const,
@@ -80,13 +82,12 @@ def test_redei_power_map_conjugation():
     # with mu(X) = (X - a)/(X + a), a^2 = d: mu(R_n(X)) = mu(X)^n
     for d in (2, -1, 3):
         K = QuadField(d)
-        a = K.sqrt_gen
+        a = QuadElem(Fraction(0), Fraction(1), d)
         y = poly_x(K)
         mu = RatFunc(y - poly_const(K, a), y + poly_const(K, a))
         for n in (3, 5, 7):
             f = redei(n, d)
-            fk = RatFunc(f.num.map_coeffs(K, K.coerce),
-                         f.den.map_coeffs(K, K.coerce))
+            fk = RatFunc(Poly(K, f.num.coeffs), Poly(K, f.den.coeffs))
             lhs = mu.compose(fk)
             rhs = mu
             for _ in range(n - 1):
