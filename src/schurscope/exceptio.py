@@ -17,7 +17,8 @@ y_x alone decides: no chain of B is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import eq
+
+import numpy as np
 
 from .permcore import (
     CosetAction,
@@ -25,6 +26,8 @@ from .permcore import (
     NotASubgroup,
     Perm,
     PermGroup,
+    _effective_gens,
+    _element_blocks,
     check_enum_cap,
     check_pair_cap,
     conjugacy_class,
@@ -97,15 +100,19 @@ def _suborbit_test(G):
     element that takes bp to 0."""
     G._build_chain()
     # the trivial group is transitive on one point only
-    bp, trans = ((G._chain[0].base_point, G._chain[0].transversal) if G._chain
-                 else (0, {0: Perm.identity(G.degree)}))
-    to0 = trans[0].inverse().images
-    named = [(min(to0[p] for p in orb), orb[0], set(orb))
-             for orb in PermGroup(G.degree, G._effective_gens(1)).orbits()]
+    bp = G._chain[0].base_point if G._chain else 0
+
+    def rep(pt):
+        """The stored inverse representative at pt, mapping it to bp."""
+        return G._inverse_rep(0, pt) if G._chain else Perm.identity(G.degree)
+
+    to0 = rep(0).inverse().images
+    G0 = PermGroup(G.degree, _effective_gens(G._chain, 1))
+    named = [(min(to0[p] for p in orb), orb[0], set(orb)) for orb in G0.orbits()]
 
     def common(xs):
         # y_x normalizes G_0, so one point of a G_0-orbit shows where it goes
-        ys = [(x * trans[x.images[bp]]).images for x in xs]
+        ys = [(x * rep(x.images[bp])).images for x in xs]
         return sorted((0, v) for v, p, orb in named if all(y[p] in orb for y in ys))
 
     return common
@@ -213,11 +220,14 @@ def coset_average_fixed_points(A, G, x):
     if x not in A:
         raise NotASubgroup("x is not in A")
     # x*g fixes i exactly when g maps x(i) to i, so count the j = x(i) with
-    # g(j) = x^-1(j)
-    x_inv = x.inverse().images
-    els = G.elements()
-    total = sum(sum(map(eq, g.images, x_inv)) ** 2 for g in els)
-    return Fraction(total, len(els))
+    # g(j) = x^-1(j): for g = 1 these are x's fixed points, and for the rest
+    # of G one comparison per block of uint16 rows
+    total = len(x.fixed_points()) ** 2
+    x_inv = np.array(x.inverse().images, dtype=np.uint16)
+    for block in _element_blocks(G):
+        fixed = np.count_nonzero(block == x_inv, axis=1)
+        total += int(fixed @ fixed)
+    return Fraction(total, G.order)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import numpy as np
 
 DEGREE_CAP = 4096
 ENUM_CAP = 200_000
-# bounds n*n, for an exceptionality verdict: the n entries of each of the n
-# inverse coset representatives in the level-0 transversal of G's chain
+# bounds n*n, for an exceptionality verdict: the entries of the level-0
+# transversal of G's chain, n uint16 rows of n inverse coset representatives
 PAIR_CAP = 4_000_000
 
 
@@ -159,15 +159,252 @@ def format_cycles(perm):
 # ---------------------------------------------------------------------------
 # stabilizer chains (Schreier-Sims)
 
-class _ChainLevel:
-    __slots__ = ("base_point", "gens", "transversal")
+_SIFT = 1 << 16  # entries of Schreier generator rows sifted at once
+_EDGE, _SIFTED = 1, 2  # how a Schreier generator was verified
 
-    def __init__(self, base_point):
+
+class _ChainLevel:
+    """A level of a stabilizer chain: the strong generators first seen there
+    and the transversal of the base point's orbit, as the orbit in discovery
+    order, the position of every point in it (-1 off the orbit) and a uint16
+    table whose row k is the inverse coset representative of orbit[k]: a
+    permutation mapping it to the base point, the factor a sift composes
+    with. Row 0 is the identity, at the base point."""
+
+    __slots__ = ("base_point", "gens", "orbit", "position", "table")
+
+    def __init__(self, base_point, n):
         self.base_point = base_point
         self.gens = []
-        # point -> inverse coset representative: a perm mapping point to
-        # base_point, the factor a sift composes with
-        self.transversal = {}
+        self.orbit = [base_point]
+        self.position = np.full(n, -1, dtype=np.intp)
+        self.position[base_point] = 0
+        self.table = np.array([_ident(n)], dtype=np.uint16)
+
+
+def _perm(row):
+    """The Perm of a uint16 row, sharing the ints of the identity tuple."""
+    return Perm._raw(tuple(map(_ident(len(row)).__getitem__, row.tolist())))
+
+
+def _gather(table, rows, index):
+    """table[rows[:, None], index] for a 2-D table, as one take from the
+    flattened table: several times faster than numpy's 2-D fancy index.
+    Offsets fit int32, as every table has at most DEGREE_CAP^2 entries."""
+    offsets = (rows.astype(np.int32) * table.shape[1])[:, None] + index
+    return table.ravel().take(offsets)
+
+
+def _first_non_identity(rows):
+    """The index of the first of the uint16 rows that is not the identity,
+    or -1."""
+    if not rows.size:
+        return -1
+    moved = (rows != np.arange(rows.shape[1], dtype=np.uint16)).ravel()
+    k = moved.argmax()
+    return k // rows.shape[1] if moved[k] else -1
+
+
+def _effective_gens(chain, i):
+    """The strong generators effective at level i: those stored at levels
+    >= i, all of which fix the base points of the levels below i."""
+    return [g for lvl in chain[i:] for g in lvl.gens]
+
+
+def _strip(chain, i, row):
+    """Sift one uint16 row through levels i.. of the chain: (the level
+    where its image of the base point leaves the orbit, or len(chain); the
+    residue)."""
+    for j in range(i, len(chain)):
+        lvl = chain[j]
+        pos = lvl.position[row[lvl.base_point]]
+        if pos < 0:
+            return j, row
+        row = lvl.table[pos][row]
+    return len(chain), row
+
+
+def _sift(chain, i, rows):
+    """The residues of uint16 rows sifted through levels i.. of the chain.
+    A row whose image of a level's base point is off its orbit is composed
+    with row 0, the identity, there; it stays a non-identity, since the
+    later levels' factors fix that base point."""
+    for lvl in chain[i:]:
+        pos = lvl.position[rows[:, lvl.base_point]]
+        rows = _gather(lvl.table, np.maximum(pos, 0), rows)
+    return rows
+
+
+class _SchreierSims:
+    """Deterministic Schreier-Sims (Seress, Permutation Group Algorithms,
+    ch. 4) for the group of degree n generated by gens.
+
+    Level i of `chain` stores the strong generators first seen there.
+    Transversals only ever grow, so a Schreier generator verified once stays
+    verified; the build loops until every Schreier generator of every level
+    sifts to the identity. Each pass extends every level's orbit, then
+    verifies the levels in order, and restarts at the first residue it
+    stores. The chain is the one a build that sifts each Schreier generator
+    alone, in the same order, makes.
+
+    `gens` lists the strong generators in the order they were stored, and
+    states[i][s, pt] tells how the Schreier generator of (pt, gens[s]) at
+    level i was verified: not yet (0), as an edge of the orbit tree
+    (`_EDGE`, never sifted) or by a sift (`_SIFTED`). A level is skipped
+    while its `_signature` is the one it was last extended with (`closed`)
+    or fully verified with (`clean`). forward[i] holds the coset
+    representatives of level i, the inverses of its table's rows in the
+    same order: scratch for the Schreier generators, dropped with the
+    build.
+    """
+
+    def __init__(self, n, gens):
+        self.n = n
+        self.chain, self.gens, self.states, self.forward = [], [], [], []
+        self.serial = {}  # id of a strong generator -> its index in gens
+        self.closed, self.clean = [], []
+        self._sift_each(0, np.array([g.images for g in gens],
+                                    dtype=np.uint16).reshape(len(gens), n))
+        dirty = True
+        while dirty:
+            for i in range(len(self.chain)):
+                self._extend_orbit(i)
+            dirty = any(self._verify_level(i) for i in range(len(self.chain)))
+
+    def _add_generator(self, j, row):
+        """Store the residue row (which fixes all base points below level j)
+        at level j, unless a generator with its images is stored there
+        already: several Schreier generators sifted before the level's orbit
+        is extended can leave the same residue."""
+        if j == len(self.chain):
+            moved = np.flatnonzero(row != np.arange(self.n))
+            self.chain.append(_ChainLevel(int(moved[0]), self.n))
+            self.forward.append(self.chain[-1].table)
+            self.states.append(np.zeros((0, self.n), dtype=np.int8))
+            self.closed.append(None)
+            self.clean.append(None)
+        g = _perm(row)
+        if g not in self.chain[j].gens:
+            self.chain[j].gens.append(g)
+            self.serial[id(g)] = len(self.gens)
+            self.gens.append(g)
+
+    def _sift_each(self, i, rows):
+        """Sift rows from level i as if one at a time: each non-identity
+        residue is stored before the rows after it are sifted, against the
+        grown chain. Returns the mask of the rows that sifted to the
+        identity."""
+        ok = np.ones(len(rows), dtype=bool)
+        lo = 0
+        while lo < len(rows):
+            f = _first_non_identity(_sift(self.chain, i, rows[lo:]))
+            if f < 0:
+                break
+            f += lo
+            ok[f] = False
+            self._add_generator(*_strip(self.chain, i, rows[f]))
+            lo = f + 1
+        return ok
+
+    def _signature(self, i):
+        """Level i's orbit size and number of effective generators: both
+        only grow, so the level is unchanged while they are."""
+        return len(self.chain[i].orbit), sum(len(l.gens) for l in self.chain[i:])
+
+    def _level(self, i):
+        """Level i's effective generators, their indices in gens and its
+        states, grown to a row per strong generator."""
+        eff = _effective_gens(self.chain, i)
+        st = self.states[i]
+        if len(st) < len(self.gens):
+            st = self.states[i] = np.concatenate(
+                [st, np.zeros((len(self.gens) - len(st), self.n), np.int8)])
+        return eff, np.array([self.serial[id(g)] for g in eff]), st
+
+    def _extend_orbit(self, i):
+        """Grow the transversal of level i under its effective generators, in
+        the order of a stack of the orbit's points; existing rows are never
+        replaced, so earlier sift verifications stay valid. The row at s(pt)
+        set to s^-1 * t_pt makes the Schreier generator of the edge (pt, s)
+        the identity, so the edge is marked verified without a sift. The
+        coset representative at s(pt) is u_pt * s."""
+        if self.closed[i] == self._signature(i):
+            return
+        lvl = self.chain[i]
+        eff, idx, st = self._level(i)
+        gens = [(g, g.images, st[s]) for g, s in zip(eff, idx)]
+        where = lvl.position.tolist()
+        orbit, old = lvl.orbit, len(lvl.orbit)
+        edges = []  # (position of pt, s) per new point s(pt), in order
+        queue = list(orbit)
+        while queue:
+            pt = queue.pop()
+            for g, images, state in gens:
+                img = images[pt]
+                if where[img] < 0:
+                    where[img] = len(orbit)
+                    orbit.append(img)
+                    edges.append((where[pt], g))
+                    state[pt] = _EDGE
+                    queue.append(img)
+        if edges:
+            lvl.position[orbit[old:]] = np.arange(old, len(orbit))
+            # each new row from the row of its edge's start, made before it
+            table = np.empty((len(orbit), self.n), dtype=np.uint16)
+            forward = np.empty_like(table)
+            table[:old], forward[:old] = lvl.table, self.forward[i]
+            arrays = {}  # id of a generator -> it and its inverse as rows
+            for row, (k, g) in enumerate(edges, old):
+                g_arr = arrays.get(id(g))
+                if g_arr is None:
+                    g_arr = arrays[id(g)] = np.array(
+                        [g.images, g.inverse().images], dtype=np.uint16)
+                table[row] = table[k][g_arr[1]]
+                forward[row] = g_arr[0][forward[k]]
+            lvl.table, self.forward[i] = table, forward
+        self.closed[i] = self._signature(i)
+
+    def _verify_level(self, i):
+        """Sift the unverified Schreier generators of level i in order, point
+        by point and generator by generator, `_SIFT` entries at a time. At
+        the first that leaves a residue, the ones before it are verified,
+        the residue is stored, and the point's remaining generators are
+        sifted as `_sift_each` does. Returns whether a residue was stored."""
+        if self.clean[i] == self._signature(i):
+            return False
+        lvl = self.chain[i]
+        eff, idx, st = self._level(i)
+        orbit = np.array(lvl.orbit)
+        pos, k = np.nonzero(st[idx[:, None], orbit].T == 0)
+        gens = np.array([g.images for g in eff], dtype=np.uint16)
+
+        def verified(p, kk):
+            st[idx[kk], orbit[p]] = _SIFTED
+
+        def schreier_rows(p, kk):
+            """The Schreier generators u * s * t of the pairs (orbit[p],
+            gens[kk]): u the coset representative of the point and t the
+            inverse one of its image under s."""
+            t = lvl.position[gens[kk, orbit[p]]]
+            return _gather(lvl.table, t, _gather(gens, kk, self.forward[i][p]))
+
+        step = max(1, _SIFT // self.n)
+        for lo in range(0, len(pos), step):
+            p, kk = pos[lo:lo + step], k[lo:lo + step]
+            rows = schreier_rows(p, kk)
+            f = _first_non_identity(_sift(self.chain, i + 1, rows))
+            if f < 0:
+                verified(p, kk)
+                continue
+            verified(p[:f], kk[:f])
+            self._add_generator(*_strip(self.chain, i + 1, rows[f]))
+            rest = slice(lo + f + 1, np.searchsorted(pos, p[f], side="right"))
+            p, kk = pos[rest], k[rest]
+            ok = self._sift_each(i + 1, schreier_rows(p, kk))
+            verified(p[ok], kk[ok])
+            return True
+        self.clean[i] = self._signature(i)
+        return False
 
 
 class PermGroup:
@@ -189,103 +426,18 @@ class PermGroup:
     # -- stabilizer chain ---------------------------------------------------
 
     def _build_chain(self):
-        """Deterministic Schreier-Sims.
-
-        Level i stores the strong generators first seen there; the generators
-        effective at level i are those stored at levels >= i (all of which fix
-        the base points of levels < i).  Transversals only ever grow, so a
-        Schreier generator verified once stays verified; the build loops until
-        every Schreier generator of every level sifts to the identity.  Those
-        of the orbit tree's edges are the identity by construction and are
-        never sifted (see `_extend_orbit`).
-        """
         if self._chain is not None:
             return
-        self._chain = []
-        for g in self.gens:
-            j, residue = self._strip(0, g)
-            if not residue.is_identity():
-                self._add_generator(j, residue)
-        # (level, point, id of the generator): a stored generator is kept for
-        # the chain's lifetime, so its id names it
-        verified = set()
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(len(self._chain)):
-                self._extend_orbit(i, verified)
-            for i in range(len(self._chain)):
-                lvl = self._chain[i]
-                eff = self._effective_gens(i)
-                for pt in list(lvl.transversal):
-                    rep = None  # the coset representative, base_point -> pt
-                    for s in eff:
-                        key = (i, pt, id(s))
-                        if key in verified:
-                            continue
-                        if rep is None:
-                            rep = lvl.transversal[pt].inverse()
-                        schreier = rep * s * lvl.transversal[s.images[pt]]
-                        j, residue = self._strip(i + 1, schreier)
-                        if residue.is_identity():
-                            verified.add(key)
-                        else:
-                            self._add_generator(j, residue)
-                            dirty = True
-                    if dirty:
-                        break
-                if dirty:
-                    break
+        self._chain = _SchreierSims(self.degree, self.gens).chain
         order = 1
         for lvl in self._chain:
-            order *= len(lvl.transversal)
+            order *= len(lvl.orbit)
         self._order = order
 
-    def _effective_gens(self, i):
-        return [g for lvl in self._chain[i:] for g in lvl.gens]
-
-    def _extend_orbit(self, i, verified):
-        """Grow the transversal of level i; existing entries are never replaced,
-        so earlier sift verifications stay valid.  Setting the entry at s(pt)
-        to s^-1 * t_pt makes the Schreier generator of the edge (pt, s) the
-        identity, so the edge is marked in `verified`."""
+    def _inverse_rep(self, i, pt):
+        """The inverse coset representative at pt of level i, as a Perm."""
         lvl = self._chain[i]
-        eff = [(id(g), g.images, g.inverse()) for g in self._effective_gens(i)]
-        queue = list(lvl.transversal)
-        while queue:
-            pt = queue.pop()
-            t_inv = lvl.transversal[pt]
-            for gid, images, g_inv in eff:
-                img = images[pt]
-                if img not in lvl.transversal:
-                    lvl.transversal[img] = g_inv * t_inv
-                    verified.add((i, pt, gid))
-                    queue.append(img)
-
-    def _strip(self, i, g):
-        """Sift g through levels i.. ; returns (stuck level, residue)."""
-        while i < len(self._chain):
-            lvl = self._chain[i]
-            t_inv = lvl.transversal.get(g.images[lvl.base_point])
-            if t_inv is None:
-                return i, g
-            g = g * t_inv
-            i += 1
-        return i, g
-
-    def _add_generator(self, i, g):
-        """Store g (which fixes all base points below level i) at level i,
-        unless a generator with its images is stored there already: several
-        Schreier generators sifted before the level's orbit is extended can
-        leave the same residue."""
-        if i == len(self._chain):
-            bp = next(k for k, x in enumerate(g.images) if x != k)
-            lvl = _ChainLevel(bp)
-            lvl.transversal = {bp: Perm.identity(self.degree)}
-            self._chain.append(lvl)
-        gens = self._chain[i].gens
-        if g not in gens:
-            gens.append(g)
+        return _perm(lvl.table[lvl.position[pt]])
 
     @property
     def order(self):
@@ -296,8 +448,9 @@ class PermGroup:
         if g.degree != self.degree:
             raise DegreeMismatch("degree mismatch")
         self._build_chain()
-        _, residue = self._strip(0, g)
-        return residue.is_identity()
+        _, residue = _strip(self._chain, 0,
+                            np.fromiter(g.images, np.uint16, self.degree))
+        return _first_non_identity(residue[None]) < 0
 
     def __contains__(self, g):
         return self.contains(g)
@@ -311,11 +464,8 @@ class PermGroup:
         when |G| > ENUM_CAP."""
         if self._elements is not None:
             return self._elements
-        check_enum_cap(self)
-        post = np.array([g.images for g in self.gens])
-        ident = Perm.identity(self.degree)
-        self._elements = _perms(list(_closure(self, ident, post)),
-                                self.degree, [ident])
+        self._elements = _perms(list(_element_blocks(self)), self.degree,
+                                [Perm.identity(self.degree)])
         return self._elements
 
     # -- orbits ---------------------------------------------------------------
@@ -352,14 +502,14 @@ class PermGroup:
         maps it to bp, so their conjugates t * s * t^-1 fix `point`."""
         self._build_chain()
         # the trivial group is transitive on one point only
-        orbit = self._chain[0].transversal if self._chain else [0]
+        orbit = self._chain[0].orbit if self._chain else [0]
         if len(orbit) != self.degree:
             raise ValueError("G must be transitive")
         if not self._chain:
             return []
-        t = orbit[point]
+        t = self._inverse_rep(0, point)
         t_inv = t.inverse()
-        return [t * s * t_inv for s in self._effective_gens(1)]
+        return [t * s * t_inv for s in _effective_gens(self._chain, 1)]
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, gens={len(self.gens)})"
@@ -422,31 +572,16 @@ _SLICE = 1 << 12  # products ranked at once
 _CHUNK = 1 << 13  # entries of new rows built at once
 
 
-def _rank_tables(G):
-    """For each level of G's chain: the orbit size, the position of every
-    point in the orbit, and the inverse coset representatives as rows of a
-    uint16 table."""
-    tables = []
-    for lvl in G._chain:
-        orbit = list(lvl.transversal)
-        position = np.zeros(G.degree, dtype=np.intp)
-        position[orbit] = np.arange(len(orbit))
-        table = np.array([lvl.transversal[pt].images for pt in orbit],
-                         dtype=np.uint16)
-        tables.append((len(orbit), position, table))
-    return tables
-
-
-def _rank(tables, base_images):
+def _rank(chain, base_images):
     """The rank in [0, |G|) of each element of G given by its row of base
     images: the mixed-radix position of its coset representatives, found by
-    sifting the base images alone through the transversals."""
+    sifting the base images alone through the transversals of G's chain."""
     rank = np.zeros(len(base_images), dtype=np.int64)
     rest = base_images
-    for size, position, table in tables:
-        pos = position[rest[:, 0]]
-        rank = rank * size + pos
-        rest = table[pos[:, None], rest[:, 1:]]
+    for lvl in chain:
+        pos = lvl.position[rest[:, 0]]
+        rank = rank * len(lvl.orbit) + pos
+        rest = _gather(lvl.table, pos, rest[:, 1:])
     return rank
 
 
@@ -469,10 +604,8 @@ def _closure(G, start, post, pre=None):
     base = [lvl.base_point for lvl in G._chain]
     post = post.astype(np.uint16)
     pre_base = np.array([base] * len(post)) if pre is None else pre[:, base]
-    # built per call: tables cached on G stay in the heap and fragment it
-    tables = _rank_tables(G)
     seen = np.zeros(G.order, dtype=bool)
-    seen[_rank(tables, np.array([start.images])[:, base])] = True
+    seen[_rank(G._chain, np.array([start.images])[:, base])] = True
     moves = np.arange(len(post))[:, None]
     step, chunk = max(1, _SLICE // len(post)), max(1, _CHUNK // n)
     frontier = [np.array([start.images], dtype=np.uint16)]
@@ -483,7 +616,7 @@ def _closure(G, start, post, pre=None):
                 rows = piece[lo:lo + step]
                 # base images of every product, ordered (row, move)
                 images = post[moves, rows[:, pre_base]]
-                ranks = _rank(tables, images.reshape(-1, len(base)))
+                ranks = _rank(G._chain, images.reshape(-1, len(base)))
                 uniq, first = np.unique(ranks, return_index=True)
                 fresh = ~seen[uniq]
                 if not fresh.any():
@@ -493,9 +626,17 @@ def _closure(G, start, post, pre=None):
                 for c in range(0, len(r), chunk):
                     rc, jc = r[c:c + chunk], j[c:c + chunk]
                     src = rows[rc] if pre is None else rows[rc[:, None], pre[jc]]
-                    layer.append(post[jc[:, None], src])
+                    layer.append(_gather(post, jc, src))
                     yield layer[-1]
         frontier = layer
+
+
+def _element_blocks(G):
+    """The elements of G other than the identity as uint16 row blocks, in
+    the order of G.elements(). Raises CapExceeded when |G| > ENUM_CAP."""
+    check_enum_cap(G)
+    return _closure(G, Perm.identity(G.degree),
+                    np.array([g.images for g in G.gens]))
 
 
 def _perms(blocks, n, out):
@@ -580,13 +721,13 @@ def normalizer_of_cyclic(G, g):
         where.update((x, (c, j)) for j, x in enumerate(cycle))
     # per level: base point, forced (l, j) or None, orbit, position, table
     levels = []
-    for i, (b, (_, position, table)) in enumerate(zip(base, _rank_tables(G))):
+    for i, lvl in enumerate(G._chain):
+        b = lvl.base_point
         c, j = where[b]
         forced = next(((l, (j - where[a][1]) % lengths[b])
                        for l, a in enumerate(base[:i]) if where[a][0] == c),
                       None)
-        orbit = np.array(list(G._chain[i].transversal))
-        levels.append((b, forced, orbit, position, table))
+        levels.append((b, forced, np.array(lvl.orbit), lvl.position, lvl.table))
     units = np.array([k for k in range(order) if gcd(k, order) == 1])
     rows = max(1, _CHUNK // n)
     ident = np.array(_ident(n), dtype=np.uint16)
@@ -612,9 +753,7 @@ def normalizer_of_cyclic(G, g):
             # P maps beta_l onto b_l
             delta = P[r, powers[k * j % order, np.argmax(P == base[l], axis=1)]]
             pos = position[delta]
-            # delta is in the orbit exactly when its inverse representative
-            # maps it onto the base point
-            keep = table[pos, delta] == b
+            keep = pos >= 0  # delta is in the orbit
         else:
             # every delta in the orbit, for beta = P^-1(delta) on a g-cycle
             # as long as b's
@@ -634,7 +773,7 @@ def normalizer_of_cyclic(G, g):
             r, pos = r[keep], pos[keep]
         for lo in range(0, len(r), rows):
             rc = r[lo:lo + rows]
-            Q = table[pos[lo:lo + rows, None], P[rc]]
+            Q = _gather(table, pos[lo:lo + rows], P[rc])
             if not last:
                 search(i + 1, None if k is None else k[rc], Q)
                 continue
@@ -660,15 +799,18 @@ def right_coset_key(M):
     per level; M is never enumerated.
     """
     M._build_chain()
-    levels = [(list(lvl.transversal), lvl.base_point,
-               {pt: t.inverse() for pt, t in lvl.transversal.items()})
-              for lvl in M._chain]
+    # per level: the orbit, the base point and the forward representatives
+    # made so far, by orbit point
+    levels = [(lvl.orbit, lvl.base_point, {}) for lvl in M._chain]
 
     def key(r):
-        for orbit, base_point, forward in levels:
+        for i, (orbit, base_point, forward) in enumerate(levels):
             o = min(orbit, key=r.images.__getitem__)
             if o != base_point:
-                r = forward[o] * r
+                u = forward.get(o)
+                if u is None:
+                    u = forward[o] = M._inverse_rep(i, o).inverse()
+                r = u * r
         return r.images
 
     return key
@@ -953,12 +1095,10 @@ def element_of_order(G, n):
     block by block as the closure discovers them: the closure stops at the
     block that holds it, and G's element cache is left as it is. Raises
     CapExceeded when |G| > ENUM_CAP."""
-    check_enum_cap(G)
-    ident = Perm.identity(G.degree)
+    blocks = _element_blocks(G)
     if n == 1:
-        return ident
-    post = np.array([g.images for g in G.gens])
-    for block in _closure(G, ident, post):
+        return Perm.identity(G.degree)
+    for block in blocks:
         for h in _perms([block], G.degree, []):
             if h.order() == n:
                 return h

@@ -1,6 +1,8 @@
 """Exact arithmetic kernel: primes, symbols, polynomials, rational functions,
 and reduction modulo a prime place."""
 
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -212,6 +214,21 @@ def test_quadratic_fields_over_q_and_fp_do_not_mix():
     assert x5 + F5.from_int(1) == F5.elements()[2 * 5 + 2]
 
 
+def test_fp_elem_arithmetic_matches_residues():
+    p, q = 7, 11
+    for u, v in itertools.product(range(-8, 9), repeat=2):
+        a, b = FpElem(u, p), FpElem(v, p)
+        for op in (operator.add, operator.sub, operator.mul):
+            want = op(u, v) % p
+            for got in (op(a, b), op(a, v), op(u, b)):
+                assert type(got) is FpElem and (got.v, got.p) == (want, p)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(FieldMismatch):
+            op(FpElem(3, p), FpElem(3, q))
+        with pytest.raises(TypeError):
+            op(FpElem(3, p), Fraction(1, 2))
+
+
 def test_fq2_is_a_field():
     F = FqField(7, ext=2)
     els = F.elements()
@@ -219,10 +236,15 @@ def test_fq2_is_a_field():
     for a in els:
         if a:
             assert a * a.inverse() == F.one
-    # Frobenius x -> x^7 fixes exactly F_7
-    fixed = [a for a in els if a ** 7 == a] if hasattr(els[0], "__pow__") else None
-    if fixed is not None:
-        assert len(fixed) == 7
+    # Frobenius x -> x^7 fixes exactly F_7, the elements with no sqrt(r) part
+    def seventh_power(a):
+        a2 = a * a
+        a3 = a2 * a
+        return a3 * a3 * a
+
+    fixed = [a for a in els if seventh_power(a) == a]
+    assert len(fixed) == 7
+    assert all(not a.b for a in fixed)
 
 
 def test_reduce_mod_place_good_prime():

@@ -2,10 +2,12 @@
 constructions (wreath diagonal and affine scalar)."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from schurscope import permcore
 from schurscope.exceptio import (
     NotNormal,
     NotTransitive,
@@ -93,6 +95,34 @@ def test_coset_average_known_values():
     assert coset_average_fixed_points(S4, A4, x) == 2
     y = Perm([1, 0, 2])
     assert coset_average_fixed_points(S3, C3, y) == 1
+
+
+def old_coset_average_fixed_points(G, x):
+    """(1/|G|) * sum over g in G of fix(x*g)^2, each x*g a Perm product."""
+    els = G.elements()
+    return Fraction(sum(len((x * g).fixed_points()) ** 2 for g in els),
+                    len(els))
+
+
+def test_coset_average_matches_perm_products():
+    S3_ = PermGroup(3, [Perm([1, 0, 2]), Perm([1, 2, 0])])
+    act28, G8 = psl2_torus_coset_action(8, "pgammal")
+    wreath_a, wreath_g, _ = build_wreath_diagonal_example(S3_, 3)
+    pairs = [(S4, A4), (D4, C4),
+             (act28.group, act28.image_group(G8)), (wreath_a, wreath_g)]
+    for A, G in pairs:
+        for x in CosetAction(A, G).reps:
+            assert coset_average_fixed_points(A, G, x) == \
+                old_coset_average_fixed_points(G, x)
+
+
+def test_coset_average_keeps_the_enum_cap(monkeypatch):
+    x = Perm([1, 0, 2, 3])
+    monkeypatch.setattr(permcore, "ENUM_CAP", A4.order - 1)
+    with pytest.raises(CapExceeded):
+        coset_average_fixed_points(S4, A4, x)
+    monkeypatch.setattr(permcore, "ENUM_CAP", A4.order)
+    assert coset_average_fixed_points(S4, A4, x) == 2
 
 
 def test_arithmetic_exceptionality_small():

@@ -3,7 +3,9 @@ projective/affine group constructions."""
 
 import itertools
 import random
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -369,8 +371,13 @@ def _random_group(rng, deg):
 def _assert_transversals_map_to_base(G):
     G._build_chain()
     for lvl in G._chain:
-        for pt, t_inv in lvl.transversal.items():
-            assert t_inv(pt) == lvl.base_point
+        assert len(lvl.table) == len(lvl.orbit) == len(set(lvl.orbit))
+        off = sorted(set(range(G.degree)) - set(lvl.orbit))
+        assert list(lvl.position[off]) == [-1] * len(off)
+        for k, pt in enumerate(lvl.orbit):
+            assert lvl.position[pt] == k
+            assert sorted(lvl.table[k].tolist()) == list(range(G.degree))
+            assert lvl.table[k][pt] == lvl.base_point
 
 
 def test_contains_matches_closure_on_all_of_sn():
@@ -640,29 +647,55 @@ def old_stabilizer_gens(G, point):
     return out
 
 
-def old_build_chain(G):
-    """Schreier-Sims that sifts every Schreier generator, tree edges
-    included, with the verified set keyed by generator images, and that
-    stores every residue, equal ones included. Returns the number of sifts
-    made for a repeated copy of a strong generator."""
-    G._chain = []
+class OldLevel:
+    """A chain level with its transversal as a dict: point -> the inverse
+    coset representative, a Perm mapping the point to the base point."""
+
+    def __init__(self, base_point, degree):
+        self.base_point = base_point
+        self.gens = []
+        self.transversal = {base_point: Perm.identity(degree)}
+
+
+def old_strip(chain, i, g):
+    """Sift the Perm g through levels i.. : (stuck level, residue)."""
+    while i < len(chain):
+        lvl = chain[i]
+        t_inv = lvl.transversal.get(g.images[lvl.base_point])
+        if t_inv is None:
+            return i, g
+        g = g * t_inv
+        i += 1
+    return i, g
+
+
+def old_build_chain(degree, gens):
+    """Schreier-Sims on Perm tuples that sifts every Schreier generator
+    alone, tree edges included, with the verified set keyed by generator
+    images, and that stores every residue, equal ones included. Returns the
+    chain of `OldLevel`s, the verified set of (level, point, generator
+    images) and the set of the orbit trees' edges, keyed alike."""
+    chain = []
 
     def add_generator(i, g):
-        if i == len(G._chain):
+        if i == len(chain):
             bp = next(k for k, x in enumerate(g.images) if x != k)
-            lvl = permcore._ChainLevel(bp)
-            lvl.transversal = {bp: Perm.identity(G.degree)}
-            G._chain.append(lvl)
-        G._chain[i].gens.append(g)
+            chain.append(OldLevel(bp, degree))
+        chain[i].gens.append(g)
 
-    for g in G.gens:
-        j, residue = G._strip(0, g)
+    def effective_gens(i):
+        return [g for lvl in chain[i:] for g in lvl.gens]
+
+    for g in gens:
+        j, residue = old_strip(chain, 0, g)
         if not residue.is_identity():
             add_generator(j, residue)
 
+    edges = set()
+
     def extend_orbit(i):
-        lvl = G._chain[i]
-        eff = [(g.images, g.inverse()) for g in G._effective_gens(i)]
+        lvl = chain[i]
+        eff = [(g.images, g.inverse()) for g in effective_gens(i)]
         queue = list(lvl.transversal)
         while queue:
             pt = queue.pop()
@@ -671,31 +704,28 @@ def old_build_chain(G):
                 img = images[pt]
                 if img not in lvl.transversal:
                     lvl.transversal[img] = g_inv * t_inv
+                    edges.add((i, pt, images))
                     queue.append(img)
 
     verified = set()
-    copy_sifts = 0
     dirty = True
     while dirty:
         dirty = False
-        for i in range(len(G._chain)):
+        for i in range(len(chain)):
             extend_orbit(i)
-        for i in range(len(G._chain)):
-            lvl = G._chain[i]
-            eff = G._effective_gens(i)
-            is_copy = [s.images in {t.images for t in eff[:k]}
-                       for k, s in enumerate(eff)]
+        for i in range(len(chain)):
+            lvl = chain[i]
+            eff = effective_gens(i)
             for pt in list(lvl.transversal):
                 rep = None
-                for s, copy in zip(eff, is_copy):
+                for s in eff:
                     key = (i, pt, s.images)
                     if key in verified:
                         continue
                     if rep is None:
                         rep = lvl.transversal[pt].inverse()
                     schreier = rep * s * lvl.transversal[s.images[pt]]
-                    copy_sifts += copy
-                    j, residue = G._strip(i + 1, schreier)
+                    j, residue = old_strip(chain, i + 1, schreier)
                     if residue.is_identity():
                         verified.add(key)
                     else:
@@ -705,11 +735,7 @@ def old_build_chain(G):
                     break
             if dirty:
                 break
-    order = 1
-    for lvl in G._chain:
-        order *= len(lvl.transversal)
-    G._order = order
-    return copy_sifts
+    return chain, verified, edges
 
 
 def old_normalizer_of_cyclic(G, g):
@@ -726,12 +752,20 @@ def old_normalizer_of_cyclic(G, g):
     return PermGroup(G.degree, els or [ident])
 
 
-def _chain_of(G):
-    """Base points, strong generators and transversals of G's chain."""
-    G._build_chain()
+def _chain_of(chain):
+    """Base points, strong generators and transversal rows of a chain, in
+    order, read from the uint16 tables."""
+    return [(lvl.base_point, [g.images for g in lvl.gens],
+             [(pt, tuple(lvl.table[k].tolist()))
+              for k, pt in enumerate(lvl.orbit)])
+            for lvl in chain]
+
+
+def _old_chain_of(chain):
+    """`_chain_of` for a chain of `OldLevel`s."""
     return [(lvl.base_point, [g.images for g in lvl.gens],
              [(pt, t.images) for pt, t in lvl.transversal.items()])
-            for lvl in G._chain]
+            for lvl in chain]
 
 
 def _relabelled(G, seed):
@@ -785,23 +819,6 @@ def test_stabilizer_gens_need_a_transitive_group():
     assert PermGroup(1, [Perm([0])]).stabilizer_gens(0) == []
 
 
-def _sifts(G, build):
-    """The number of `_strip` calls made by build(G), and its result."""
-    count = [0]
-    strip = PermGroup._strip
-
-    def counting(self, i, g):
-        count[0] += 1
-        return strip(self, i, g)
-
-    PermGroup._strip = counting
-    try:
-        out = build(G)
-    finally:
-        PermGroup._strip = strip
-    return count[0], out
-
-
 def _without_repeats(chain):
     """A chain from `_chain_of` with each level's repeated strong generators
     dropped, first copies kept."""
@@ -809,18 +826,32 @@ def _without_repeats(chain):
             for bp, gens, transversal in chain]
 
 
+def _verification(build):
+    """The (level, point, generator images) whose Schreier generators the
+    build verified as orbit-tree edges, and those it verified by a sift."""
+    edges, sifted = set(), set()
+    for i, states in enumerate(build.states):
+        for s, pt in zip(*np.nonzero(states)):
+            key = (i, int(pt), build.gens[s].images)
+            (edges if states[s, pt] == permcore._EDGE else sifted).add(key)
+    return edges, sifted
+
+
 def _assert_chain_matches_python_schreier_sims(gens, degree):
     """The same chain as the oracle's with its repeated strong generators
-    dropped, and one sift fewer for each edge of each level's orbit tree,
-    whose Schreier generators are the identity by construction, and for each
-    sift the oracle makes for a repeated copy."""
-    new, old = PermGroup(degree, gens), PermGroup(degree, gens)
-    old_sifts, copy_sifts = _sifts(old, old_build_chain)
-    new_sifts, _ = _sifts(new, PermGroup._build_chain)
-    assert _chain_of(new) == _without_repeats(_chain_of(old))
-    assert new.order == old.order
-    assert old_sifts - new_sifts == copy_sifts + sum(
-        len(lvl.transversal) - 1 for lvl in new._chain)
+    dropped: base points, strong generators and transversal rows, in order.
+    The build verifies the oracle's orbit-tree edges without a sift, since
+    their Schreier generators are the identity by construction, and every
+    other Schreier generator by a sift, as the oracle does."""
+    G = PermGroup(degree, gens)
+    build = permcore._SchreierSims(degree, G.gens)
+    old, verified, old_edges = old_build_chain(degree, G.gens)
+    assert _chain_of(build.chain) == _without_repeats(_old_chain_of(old))
+    assert G.order == prod(len(lvl.transversal) for lvl in old)
+    edges, sifted = _verification(build)
+    assert edges == old_edges
+    assert sum(len(lvl.orbit) - 1 for lvl in build.chain) == len(edges)
+    assert sifted == verified - old_edges
 
 
 @given(_groups())
@@ -831,17 +862,49 @@ def test_chain_matches_python_schreier_sims(G):
     _assert_chain_matches_python_schreier_sims(G.gens, G.degree)
 
 
-@pytest.mark.parametrize("make", [
-    _TRANSITIVE["psl2(8)-torus"],
-    _TRANSITIVE["psl2(9)-sylow2"],
-    lambda: psl2_torus_coset_action(32, "psl")[0].group,
-    _c7_wr_c4,
-    lambda: _wreath_s3_3().group,
-], ids=["psl2(8)-torus", "psl2(9)-sylow2", "psl2(32)-torus", "c7-wr-c4",
-        "s3-wreath-c3"])
-def test_chain_matches_python_schreier_sims_with_fewer_sifts(make):
-    G = make()
+# the named groups of the tests and claims whose chains are checked against
+# the oracle: natural actions, coset actions, wreath products, affine groups
+_NAMED = {
+    "s4": _s4,
+    "psl2(7)": lambda: psl2(7)[0],
+    "psl2(16)": lambda: psl2(16)[0],
+    "pgammal2(8)": lambda: pgammal2(8)[0],
+    "pgammal2(32)": lambda: pgammal2(32)[0],
+    "m10": lambda: m10()[0],
+    "psl2(8)-torus": _TRANSITIVE["psl2(8)-torus"],
+    "pgammal2(8)-torus": _TRANSITIVE["pgammal2(8)-torus"],
+    "psl2(9)-sylow2": _TRANSITIVE["psl2(9)-sylow2"],
+    "m10-sylow2": lambda: psl2_sylow2_coset_action(9, "m10")[0].group,
+    "psl2(32)-torus": lambda: psl2_torus_coset_action(32, "psl")[0].group,
+    "psl2(32)-torus-relabelled": lambda: _relabelled(
+        psl2_torus_coset_action(32, "psl")[0].group, 3),
+    "pgammal2(32)-torus": lambda: psl2_torus_coset_action(
+        32, "pgammal")[0].group,
+    "c7-wr-c4": _c7_wr_c4,
+    "s3-wreath-c3": lambda: _wreath_s3_3().group,
+    "s3-wreath-c3-A": lambda: _s3_wreath_c3_pair()[0],
+    "s3-wreath-c3-G": lambda: _s3_wreath_c3_pair()[1],
+    "gf16-A": lambda: claims._gf16_group_pair()[0],
+    "gf16-G": lambda: claims._gf16_group_pair()[1],
+}
+
+
+@pytest.mark.parametrize("name", _NAMED)
+def test_chain_matches_python_schreier_sims_with_fewer_sifts(name):
+    G = _NAMED[name]()
     _assert_chain_matches_python_schreier_sims(G.gens, G.degree)
+
+
+@pytest.mark.parametrize("name", ["psl2(8)-torus", "pgammal2(8)-torus",
+                                  "c7-wr-c4", "s3-wreath-c3-A",
+                                  "psl2(32)-torus"])
+def test_chain_is_the_same_sifting_one_row_at_a_time(monkeypatch, name):
+    G = _NAMED[name]()
+    want = _chain_of(permcore._SchreierSims(G.degree, G.gens).chain)
+    for entries in (1, 3 * G.degree):
+        monkeypatch.setattr(permcore, "_SIFT", entries)
+        got = _chain_of(permcore._SchreierSims(G.degree, G.gens).chain)
+        assert got == want, entries
 
 
 def _s3_wreath_c3_pair():
