@@ -6,6 +6,7 @@ the actions on 2-sets and on torus normalizer cosets)."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import gcd
 from operator import itemgetter
 
@@ -190,8 +191,8 @@ def _perm(row):
 def _gather(table, rows, index):
     """table[rows[:, None], index] for a 2-D table, as one take from the
     flattened table: several times faster than numpy's 2-D fancy index.
-    Offsets fit int32, as every table has at most DEGREE_CAP^2 entries."""
-    offsets = (rows.astype(np.int32) * table.shape[1])[:, None] + index
+    rows is an intp array (positions in an orbit or in a list of rows)."""
+    offsets = (rows * table.shape[1])[:, None] + index
     return table.ravel().take(offsets)
 
 
@@ -211,28 +212,19 @@ def _effective_gens(chain, i):
     return [g for lvl in chain[i:] for g in lvl.gens]
 
 
-def _strip(chain, i, row):
-    """Sift one uint16 row through levels i.. of the chain: (the level
+def _sift(chain, i, rows):
+    """Sift uint16 rows through levels i.. of the chain: (per row, the level
     where its image of the base point leaves the orbit, or len(chain); the
-    residue)."""
+    residues). From that level on a row is composed with row 0, the
+    identity, so its residue is the one it had there."""
+    stuck = np.full(len(rows), len(chain))
     for j in range(i, len(chain)):
         lvl = chain[j]
-        pos = lvl.position[row[lvl.base_point]]
-        if pos < 0:
-            return j, row
-        row = lvl.table[pos][row]
-    return len(chain), row
-
-
-def _sift(chain, i, rows):
-    """The residues of uint16 rows sifted through levels i.. of the chain.
-    A row whose image of a level's base point is off its orbit is composed
-    with row 0, the identity, there; it stays a non-identity, since the
-    later levels' factors fix that base point."""
-    for lvl in chain[i:]:
         pos = lvl.position[rows[:, lvl.base_point]]
+        pos[stuck < j] = 0
+        stuck[pos < 0] = j
         rows = _gather(lvl.table, np.maximum(pos, 0), rows)
-    return rows
+    return stuck, rows
 
 
 class _SchreierSims:
@@ -277,8 +269,8 @@ class _SchreierSims:
         already: several Schreier generators sifted before the level's orbit
         is extended can leave the same residue."""
         if j == len(self.chain):
-            moved = np.flatnonzero(row != np.arange(self.n))
-            self.chain.append(_ChainLevel(int(moved[0]), self.n))
+            moved = row != np.arange(self.n, dtype=np.uint16)
+            self.chain.append(_ChainLevel(int(moved.argmax()), self.n))
             self.forward.append(self.chain[-1].table)
             self.states.append(np.zeros((0, self.n), dtype=np.int8))
             self.closed.append(None)
@@ -297,13 +289,13 @@ class _SchreierSims:
         ok = np.ones(len(rows), dtype=bool)
         lo = 0
         while lo < len(rows):
-            f = _first_non_identity(_sift(self.chain, i, rows[lo:]))
+            stuck, residues = _sift(self.chain, i, rows[lo:])
+            f = _first_non_identity(residues)
             if f < 0:
                 break
-            f += lo
-            ok[f] = False
-            self._add_generator(*_strip(self.chain, i, rows[f]))
-            lo = f + 1
+            self._add_generator(int(stuck[f]), residues[f])
+            ok[lo + f] = False
+            lo += f + 1
         return ok
 
     def _signature(self, i):
@@ -391,14 +383,14 @@ class _SchreierSims:
         step = max(1, _SIFT // self.n)
         for lo in range(0, len(pos), step):
             p, kk = pos[lo:lo + step], k[lo:lo + step]
-            rows = schreier_rows(p, kk)
-            f = _first_non_identity(_sift(self.chain, i + 1, rows))
+            stuck, residues = _sift(self.chain, i + 1, schreier_rows(p, kk))
+            f = _first_non_identity(residues)
             if f < 0:
                 verified(p, kk)
                 continue
             verified(p[:f], kk[:f])
-            self._add_generator(*_strip(self.chain, i + 1, rows[f]))
-            rest = slice(lo + f + 1, np.searchsorted(pos, p[f], side="right"))
+            self._add_generator(int(stuck[f]), residues[f])
+            rest = slice(lo + f + 1, bisect_right(pos, p[f]))
             p, kk = pos[rest], k[rest]
             ok = self._sift_each(i + 1, schreier_rows(p, kk))
             verified(p[ok], kk[ok])
@@ -448,9 +440,9 @@ class PermGroup:
         if g.degree != self.degree:
             raise DegreeMismatch("degree mismatch")
         self._build_chain()
-        _, residue = _strip(self._chain, 0,
-                            np.fromiter(g.images, np.uint16, self.degree))
-        return _first_non_identity(residue[None]) < 0
+        _, residue = _sift(self._chain, 0,
+                           np.fromiter(g.images, np.uint16, self.degree)[None])
+        return _first_non_identity(residue) < 0
 
     def __contains__(self, g):
         return self.contains(g)
