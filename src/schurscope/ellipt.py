@@ -6,16 +6,17 @@ rational functions on the projective line."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from math import gcd
 
+from . import funfam
 from .exactalg import (
-    QQ,
     FqField,
     Poly,
     RatFunc,
     kronecker,
     poly_const,
     poly_x,
+    reduce_mod_place,
     sqrt_mod,
 )
 
@@ -102,6 +103,8 @@ def division_polynomials(E, m):
     list indexed by k: psi_k = a_k(x) for odd k and psi_k = y * a_k(x) for
     even k.  By the standard recursion with y^2 eliminated via
     f = x^3 + ax + b."""
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m = {m}")
     if m > DIVPOLY_CAP:
         raise ValueError(f"m = {m} exceeds cap {DIVPOLY_CAP}")
     K = E.field
@@ -180,69 +183,25 @@ class DescentError(ArithmeticError):
     vanish; signals an implementation or hypothesis error."""
 
 
-def _reduce_mod_cubic(poly, c_poly):
-    """Rewrite a polynomial in x as d0(t) + d1(t) x + d2(t) x^2 modulo
-    x^3 = c(t), coefficients in QQ[t].  Input coefficients are rationals;
-    returns three Polys in t."""
-    zero = Poly(QQ, [0])
-    out = [zero, zero, zero]
-    powers = {0: Poly(QQ, [1])}  # (t - B)^q cache
-
-    def cpow(q):
-        if q not in powers:
-            powers[q] = cpow(q - 1) * c_poly
-        return powers[q]
-
-    for e, coeff in enumerate(poly.coeffs):
-        if not coeff:
-            continue
-        q, r = divmod(e, 3)
-        out[r] = out[r] + coeff * cpow(q)
-    return out
-
-
-def _cubic_norm_and_adjugate(d, c_poly):
-    """For D = d0 + d1 x + d2 x^2 in QQ[t][x]/(x^3 - c), return (norm, adj)
-    with D * adj = norm, norm in QQ[t]."""
-    d0, d1, d2 = d
-    c = c_poly
-    norm = (d0 ** 3 + d1 ** 3 * c + d2 ** 3 * c * c
-            - 3 * d0 * d1 * d2 * c)
-    adj = [d0 * d0 - c * d1 * d2,
-           c * d2 * d2 - d0 * d1,
-           d1 * d1 - d0 * d2]
-    return norm, adj
-
-
-def _cubic_mul(u, v, c_poly):
-    """Product in QQ[t][x]/(x^3 - c)."""
-    zero = Poly(QQ, [0])
-    raw = [zero] * 5
-    for i, ui in enumerate(u):
-        for j, vj in enumerate(v):
-            raw[i + j] = raw[i + j] + ui * vj
-    out = list(raw[:3])
-    out[0] = out[0] + raw[3] * c_poly
-    out[1] = out[1] + raw[4] * c_poly
-    return out
+def _in_powers(poly, k):
+    """Rewrite p(x) as q(x^k); error if a term of degree not divisible by k
+    survives."""
+    coeffs = poly.coeffs
+    if any(c for i, c in enumerate(coeffs) if i % k):
+        raise DescentError(f"terms outside the powers of x^{k} survive")
+    return Poly(poly.field, list(coeffs[0::k]))
 
 
 def _descend_to_y(E, m):
     """For y^2 = x^3 + B, express y(mP) as a function of y alone:
-    y(mP) = y * W(y^2) / N(y^2).  Returns (W, N) as Polys in t = y^2."""
+    y(mP) = y * W(y^2) / N(y^2).  Returns (W, N) as Polys in t = y^2.
+    y(mP) / y is invariant under x -> omega x, so in lowest terms its
+    numerator and denominator are polynomials in x^3 = t - B."""
     if E.a:
         raise ValueError("curve must have the shape y^2 = x^3 + B")
-    B = E.b
-    num_x, den_x = _ymul_parts(E, m)
-    t = poly_x(QQ)
-    c_poly = t - poly_const(QQ, Fraction(B))  # x^3 = t - B
-    num_red = _reduce_mod_cubic(num_x, c_poly)
-    den_red = _reduce_mod_cubic(den_x, c_poly)
-    norm, adj = _cubic_norm_and_adjugate(den_red, c_poly)
-    w = _cubic_mul(num_red, adj, c_poly)
-    if not (w[1].is_zero() and w[2].is_zero()):
-        raise DescentError("x-dependence survives the order-3 descent")
-    return w[0], norm
+    q = RatFunc(*_ymul_parts(E, m))
+    x3 = poly_x(E.field) - poly_const(E.field, E.b)
+    return (_in_powers(q.num, 3).compose(x3), _in_powers(q.den, 3).compose(x3))
 
 
 def quotient_descent(E, m, beta_order):
@@ -252,7 +211,8 @@ def quotient_descent(E, m, beta_order):
     y^2 (order 6, curve y^2=x^3+B).  deg R = m^2."""
     if beta_order not in (2, 3, 4, 6):
         raise ValueError("beta_order must be one of 2, 3, 4, 6")
-    from math import gcd
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m = {m}")
     if gcd(m, beta_order) != 1:
         raise ValueError(f"m = {m} must be coprime to the automorphism "
                          f"order {beta_order}")
@@ -260,46 +220,26 @@ def quotient_descent(E, m, beta_order):
     if beta_order == 2:
         return xmul_map(E, m)
 
+    z = poly_x(E.field)
     if beta_order == 3:
         w, norm = _descend_to_y(E, m)
-        y = poly_x(QQ)
-        R = RatFunc(y * w.compose(y * y), norm.compose(y * y))
-        if R.degree != m * m:
-            raise DescentError(f"order-3 descent degree {R.degree} != {m * m}")
-        return R
-
-    if beta_order == 6:
+        R = RatFunc(z * w.compose(z * z), norm.compose(z * z))
+    elif beta_order == 6:
         w, norm = _descend_to_y(E, m)
-        t = poly_x(QQ)
-        R = RatFunc(t * w * w, norm * norm)
-        if R.degree != m * m:
-            raise DescentError(f"order-6 descent degree {R.degree} != {m * m}")
-        return R
-
-    # beta_order == 4: psi = x^2 on y^2 = x^3 + Ax
-    if E.b:
-        raise ValueError("curve must have the shape y^2 = x^3 + Ax")
-    F = xmul_map(E, m)
-    neg_x = -poly_x(E.field)
-    flipped = RatFunc(F.num.compose(neg_x), F.den.compose(neg_x))
-    if flipped != -F:
-        raise DescentError("x-multiplication map is not odd on y^2 = x^3 + Ax")
-    F2 = F * F
-    num_u = _even_part_as_u(F2.num)
-    den_u = _even_part_as_u(F2.den)
-    R = RatFunc(num_u, den_u)
+        R = RatFunc(z * w * w, norm * norm)
+    else:
+        # psi = x^2 on y^2 = x^3 + Ax
+        if E.b:
+            raise ValueError("curve must have the shape y^2 = x^3 + Ax")
+        F = xmul_map(E, m)
+        if RatFunc(F.num.compose(-z), F.den.compose(-z)) != -F:
+            raise DescentError("x-multiplication map is not odd on y^2 = x^3 + Ax")
+        F2 = F * F
+        R = RatFunc(_in_powers(F2.num, 2), _in_powers(F2.den, 2))
     if R.degree != m * m:
-        raise DescentError(f"order-4 descent degree {R.degree} != {m * m}")
+        raise DescentError(f"order-{beta_order} descent degree {R.degree} "
+                           f"!= {m * m}")
     return R
-
-
-def _even_part_as_u(poly):
-    """Rewrite an even polynomial p(x) as q(u) with u = x^2; error if an
-    odd-degree coefficient survives."""
-    coeffs = poly.coeffs
-    if any(c for i, c in enumerate(coeffs) if i % 2 == 1):
-        raise DescentError("odd-degree terms survive an even-function rewrite")
-    return Poly(poly.field, list(coeffs[0::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -320,25 +260,11 @@ def random_point(E, rng):
             return (x, y)
 
 
-def _cm7_ratfunc_mod_p(field, omega, B):
-    """The degree-7 quotient map of cm7_function, instantiated over F_p with
-    a concrete cube root of unity omega."""
-    def w(a, b):
-        return field.from_int(a) + field.from_int(b) * omega
-
-    y = poly_x(field)
-    num = (y ** 6 + poly_const(field, w(9, 108) * B) * y ** 4
-           + poly_const(field, w(459, 216) * B * B) * y ** 2
-           - poly_const(field, w(405, 324) * B * B * B)) * y
-    num = num.scale(w(1, -18))
-    den = (7 * y ** 2 - poly_const(field, w(3, -12) * B)) ** 3
-    return RatFunc(num, den)
-
-
 def verify_cm7(p, B=1):
-    """Check y(([3] + beta) P) = R(y(P)) on CM7_POINTS random points (a
-    fixed seed) of y^2 = x^3 + B over F_p, with beta(x, y) = (omega x, y).
-    Both cube roots of unity are tried; returns True when one works for
+    """Check y(([3] + beta) P) = R(y(P)) for R = funfam.cm7_function(B)
+    reduced mod p, on CM7_POINTS random points (a fixed seed) of
+    y^2 = x^3 + B over F_p, with beta(x, y) = (omega x, y).  Both cube roots
+    of unity omega are tried for beta; returns True when one works for
     every sampled point."""
     if p % 3 != 1:
         raise ValueError("need p = 1 (mod 3) so that F_p has cube roots of 1")
@@ -349,30 +275,23 @@ def verify_cm7(p, B=1):
     if not Bf:
         raise ValueError("need B nonzero mod p")
     E = EllCurve(K, 0, Bf.v)
+    R = reduce_mod_place(funfam.cm7_function(B), p)
     s = sqrt_mod((-3) % p, p)  # sqrt(-3); exists since p = 1 (mod 3)
     inv2 = pow(2, -1, p)
     omegas = [K.from_int((p - 1 + s) * inv2 % p),
               K.from_int((p - 1 - s) * inv2 % p)]
     rng = random.Random(0)
     pts = [random_point(E, rng) for _ in range(CM7_POINTS)]
-    for omega in omegas:
-        R = _cm7_ratfunc_mod_p(K, omega, Bf)
-        ok = True
-        for P in pts:
-            Q = point_add(E, point_mul(E, 3, P), (omega * P[0], P[1]))
-            d = R.den.eval(P[1])
-            if Q is None or not d:
-                # infinite value on either side; require both infinite
-                if not (Q is None and not d):
-                    ok = False
-                    break
-                continue
-            if R.num.eval(P[1]) / d != Q[1]:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+
+    def holds(omega, P):
+        Q = point_add(E, point_mul(E, 3, P), (omega * P[0], P[1]))
+        d = R.den.eval(P[1])
+        if Q is None or not d:
+            # infinite value on either side; require both infinite
+            return Q is None and not d
+        return R.num.eval(P[1]) / d == Q[1]
+
+    return any(all(holds(omega, P) for P in pts) for omega in omegas)
 
 
 def fiber_profiles(f):

@@ -118,11 +118,9 @@ def a4s4_branch_identity(p, q):
     """Check f(X) - l == (X^2 - 2lX - 2l^2 - p)^2 / (4(X^3+pX+q)) symbolically
     for l a root of X^3 + pX + q, working in Q[l] modulo that cubic.
     Returns True when the identity holds."""
+    f = a4s4_function(p, q)
     p, q = Fraction(p), Fraction(q)
     cubic = [q, p, Fraction(0), Fraction(1)]  # l^3 + p l + q
-    x = poly_x(QQ)
-    raw_num = x ** 4 - 2 * p * x ** 2 - 8 * q * x + poly_const(QQ, p * p)
-    raw_den = 4 * (x ** 3 + p * x + poly_const(QQ, q))
     # bivariate polynomials: list over X-degree of Poly(QQ) in l
     lam = Poly(QQ, [0, 1])
     one = Poly(QQ, [1])
@@ -146,8 +144,9 @@ def a4s4_branch_identity(p, q):
 
     # s = X^2 - 2lX - (2l^2 + p)
     s = [-(2 * lam * lam + p * one), -2 * lam, one]
-    lhs = [Poly(QQ, [c]) for c in raw_num.coeffs]
-    den = [Poly(QQ, [c]) for c in raw_den.coeffs]
+    # f's denominator is monic: put back the factor 4 it took out
+    lhs = [Poly(QQ, [4 * c]) for c in f.num.coeffs]
+    den = [Poly(QQ, [4 * c]) for c in f.den.coeffs]
     lhs = biv_sub(lhs, biv_mul([lam], den))  # num - l*den
     rhs = biv_mul(s, s)
     return all(c.is_zero() for c in biv_sub(lhs, rhs))

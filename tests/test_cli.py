@@ -176,6 +176,9 @@ def test_bad_input_exits_2(capsys, tmp_path):
         assert time.perf_counter() - start < 1
         assert "exceeds cap" in capsys.readouterr().err
     assert main(["genus", "--type", "2", "--order", "12"]) == 2
+    for beta in ("3", "6"):
+        assert main(["ell", "descend", "--a", "0", "--b", "2", "--m", "-1",
+                     "--beta", beta]) == 2
     missing = str(tmp_path / "missing.json")
     assert main(["exceptional", "--group", missing, "--normal", missing]) == 2
     for i, doc in enumerate(([1], {"degree": "3", "generators": []},

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from schurscope.exactalg import QQ, FqField, reduce_mod_place
+from schurscope import funfam
+from schurscope.exactalg import QQ, FqField, poly_const, poly_x, reduce_mod_place
 from schurscope.ellipt import (
+    DescentError,
     EllCurve,
     OffCurve,
     division_polynomials,
@@ -18,10 +20,10 @@ from schurscope.ellipt import (
     quotient_descent,
     random_point,
     verify_cm7,
+    _in_powers,
     xmul_map,
 )
 from schurscope.claims import pointwise_offenders
-from schurscope.funfam import a4s4_function
 
 
 def small_curve(p=101, a=-18, b=1):
@@ -95,9 +97,9 @@ def test_division_polynomial_roots_are_torsion():
 
 def test_xmul_degree_and_equality_with_closed_formula():
     EQ = EllCurve(QQ, Fraction(0), Fraction(2))
-    assert xmul_map(EQ, 2) == a4s4_function(0, 2)
+    assert xmul_map(EQ, 2) == funfam.a4s4_function(0, 2)
     EQ2 = EllCurve(QQ, Fraction(-1), Fraction(3))
-    assert xmul_map(EQ2, 2) == a4s4_function(-1, 3)
+    assert xmul_map(EQ2, 2) == funfam.a4s4_function(-1, 3)
     for m in (2, 3, 4, 5):
         assert xmul_map(EQ, m).degree == m * m
 
@@ -157,6 +159,12 @@ def test_descent_validation():
         quotient_descent(EQ, 2, 5)
     with pytest.raises(ValueError):
         quotient_descent(EQ, 2, 4)  # needs b = 0
+    # a negative m is refused before any polynomial work
+    with pytest.raises(ValueError):
+        division_polynomials(EQ, -1)
+    for beta in (3, 6):
+        with pytest.raises(ValueError):
+            quotient_descent(EQ, -1, beta)
     EA = EllCurve(QQ, Fraction(3), Fraction(0))
     with pytest.raises(ValueError):
         quotient_descent(EA, 2, 3)  # needs a = 0
@@ -217,16 +225,28 @@ def test_fiber_profiles_orders_4_and_6():
 
 
 def test_division_polynomial_constant_shape():
-    # for y^2 = x^3 + B, the constant term of psi_5 restricted to the order-3
-    # quotient variable t (x^3 = t - B) is 3^6 B^4 / 5 after dividing by 5
-    from schurscope.ellipt import _reduce_mod_cubic
-    from schurscope.exactalg import poly_x, poly_const
+    # for y^2 = x^3 + B, psi_5 is a polynomial in x^3, and in the order-3
+    # quotient variable t (x^3 = t - B) its constant term is 3^6 B^4
     for B in (1, 2, 3):
         E = EllCurve(QQ, Fraction(0), Fraction(B))
-        dp = division_polynomials(E, 5)
+        q = _in_powers(division_polynomials(E, 5)[5], 3)
         t = poly_x(QQ)
-        c = t - poly_const(QQ, Fraction(B))
-        red = _reduce_mod_cubic(dp[5], c)
-        assert red[1].is_zero() and red[2].is_zero()
-        const = red[0].eval(Fraction(0)) / 5
-        assert const == Fraction(3 ** 6 * B ** 4, 5)
+        assert q.compose(t - poly_const(QQ, Fraction(B))).eval(0) == 3 ** 6 * B ** 4
+
+
+def test_in_powers():
+    x = poly_x(QQ)
+    assert _in_powers(x ** 6 + 2 * x ** 3 + 5, 3) == x ** 2 + 2 * x + 5
+    assert _in_powers(x ** 4 - x ** 2, 2) == x ** 2 - x
+    with pytest.raises(DescentError):
+        _in_powers(x ** 6 + x, 3)
+    with pytest.raises(DescentError):
+        _in_powers(x ** 4 + x ** 3, 2)
+
+
+def test_verify_cm7_reads_cm7_function(monkeypatch):
+    # the identity is checked on funfam.cm7_function itself: a function
+    # built for another B fails it
+    cm7 = funfam.cm7_function
+    monkeypatch.setattr(funfam, "cm7_function", lambda B: cm7(B + 1))
+    assert not verify_cm7(13)

@@ -117,6 +117,13 @@ def test_a4s4_function_and_branch_identity():
         a4s4_function(-3, 2)  # 4*27 = 108 = -disc, cubic not separable
 
 
+def test_a4s4_branch_identity_reads_a4s4_function(monkeypatch):
+    # the identity is checked on a4s4_function itself: a shifted copy fails
+    monkeypatch.setattr("schurscope.funfam.a4s4_function",
+                        lambda p, q: a4s4_function(p, q) + 1)
+    assert not a4s4_branch_identity(0, 2)
+
+
 def test_sporadic_degree5():
     f = sporadic_degree5()
     assert f.degree == 5
