@@ -26,11 +26,12 @@ from .permcore import (
     NotASubgroup,
     Perm,
     PermGroup,
+    _class_labels,
     _effective_gens,
     _element_blocks,
+    _rank_space,
     check_enum_cap,
     check_pair_cap,
-    conjugacy_class,
     orbits_on_pairs,  # noqa: F401  perfbench/tracer.py patches exceptio.orbits_on_pairs
     prime_divisors,
     right_coset_key,
@@ -185,23 +186,35 @@ def chi_fixed_points(G, H, g):
     Direct count, and the class formula: sum of [C_G(g_i) : C_H(g_i)] over
     representatives g_i of the H-classes inside g^G intersect H.  Both must
     agree; the common value is returned.
+
+    g^G is a mask on the ranks of G's chain, found breadth first from g's
+    rank under conjugation by the generators; H's elements are tested by
+    their ranks in G's chain, and the H-classes are H's class labels. g and
+    H must lie in G (else NotASubgroup), and |G| must be at most ENUM_CAP
+    (else CapExceeded).
     """
     if _is_point_stabilizer(G, H) is None:
         raise ValueError("H is not a point stabilizer of G")
     direct = len(g.fixed_points())
 
-    cls = conjugacy_class(G, g)
-    cls_keys = {c.images for c in cls}
-    cg_order = G.order // len(cls)  # |C_G(g)| = |G| / |g^G|
-    in_h = [h for h in H.elements() if h.images in cls_keys]
-    remaining = {h.images for h in in_h}
+    _, conjugates, rank = _rank_space(G)
+    if not all(G.contains(x) for x in [g, *H.gens]):
+        raise NotASubgroup("g or H is not in G")
+    in_cls = np.zeros(G.order, dtype=bool)
+    frontier = rank(np.array([g.images], dtype=np.uint16))
+    in_cls[frontier] = True
+    while len(frontier):
+        reached = np.unique(np.concatenate([frontier[:0], *conjugates(frontier)]))
+        frontier = reached[~in_cls[reached]]
+        in_cls[frontier] = True
+    cg_order = G.order // np.count_nonzero(in_cls)  # |C_G(g)| = |G| / |g^G|
+
+    h_images, h_conjugates, _ = _rank_space(H)
+    labels, _, sizes = _class_labels(H, h_conjugates)
+    h_rows = h_images(np.arange(H.order), np.arange(H.degree))
     formula = 0
-    for h in in_h:
-        if h.images not in remaining:
-            continue
-        h_cls = conjugacy_class(H, h)
-        remaining.difference_update(c.images for c in h_cls)
-        ch_order = H.order // len(h_cls)
+    for c in np.unique(labels[in_cls[rank(h_rows)]]).tolist():
+        ch_order = H.order // int(sizes[c])  # |C_H(h)| = |H| / |h^H|
         formula += cg_order // ch_order
     if formula != direct:
         raise AssertionError(

@@ -7,6 +7,7 @@ the actions on 2-sets and on torus normalizer cosets)."""
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import product
 from math import gcd
 from operator import itemgetter
 
@@ -544,17 +545,21 @@ def orbits_on_pairs(gens, n):
         maps.append((arr[:, None] * np.asarray(n, dtype) + arr[None, :]).ravel())
         inv = np.array(g.inverse().images, dtype=dtype)
         maps.append((inv[:, None] * np.asarray(n, dtype) + inv[None, :]).ravel())
-    labels = np.arange(n * n, dtype=dtype)
-    changed = True
-    while changed:
-        changed = False
-        for P in maps:
-            new = np.minimum(labels, labels[P])
-            if not np.array_equal(new, labels):
-                labels = new
-                changed = True
-    # canonicalize: orbit label = min pair index actually in the orbit
-    return PairOrbits(n, labels)
+    return PairOrbits(n, _least_labels(np.arange(n * n, dtype=dtype), maps))
+
+
+def _least_labels(labels, maps):
+    """The least index in each entry's orbit under the group that the index
+    permutations `maps` generate, from labels = the indices: each entry
+    takes the least label among its own, its images' and its label's until
+    no label changes."""
+    old = None
+    while old is None or not np.array_equal(labels, old):
+        old = labels
+        for m in maps:
+            labels = np.minimum(labels, labels[m])
+        labels = labels[labels]
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -577,58 +582,46 @@ def _rank(chain, base_images):
     return rank
 
 
-def _closure(G, start, post, pre=None):
-    """The elements of G other than start reached from it by the moves
-    h -> post[j][h[pre[j]]], as uint16 row blocks, yielded in discovery
-    order: breadth first, frontier by frontier, each element's moves in order
-    j = 0, 1, ...  Right multiplication by s is post = s with no pre;
-    conjugation by s is pre = s^-1, post = s.
+def _element_blocks(G):
+    """The elements of G other than the identity as uint16 row blocks, in
+    the order of G.elements(): breadth first from the identity, frontier by
+    frontier, each element's right multiples by the generators in order.
+    Raises CapExceeded, at the first block, when |G| > ENUM_CAP.
 
-    Each frontier slice is moved by one fancy index per step. A product is
-    new when its rank in G's chain, computed from its base images alone, is
-    unseen; full rows are computed only for new elements, a chunk at a time.
-    Rows are kept as uint16 (every degree is below DEGREE_CAP), and every
-    temporary array is bounded by the slice and chunk sizes.
-    """
-    if not len(post):
+    A product is new when its rank in G's chain, computed from its base
+    images alone, is unseen; full rows (uint16: every degree is below
+    DEGREE_CAP) are made only for new elements, a chunk at a time, so every
+    temporary is bounded by _SLICE and _CHUNK."""
+    check_enum_cap(G)
+    if not G.gens:
         return
     n = G.degree
     base = [lvl.base_point for lvl in G._chain]
-    post = post.astype(np.uint16)
-    pre_base = np.array([base] * len(post)) if pre is None else pre[:, base]
+    post = np.array([g.images for g in G.gens], dtype=np.uint16)
     seen = np.zeros(G.order, dtype=bool)
-    seen[_rank(G._chain, np.array([start.images])[:, base])] = True
+    seen[0] = True  # the identity: position 0 at every level
     moves = np.arange(len(post))[:, None]
     step, chunk = max(1, _SLICE // len(post)), max(1, _CHUNK // n)
-    frontier = [np.array([start.images], dtype=np.uint16)]
+    frontier = [np.array([_ident(n)], dtype=np.uint16)]
     while frontier:
         layer = []
         for piece in frontier:
             for lo in range(0, len(piece), step):
                 rows = piece[lo:lo + step]
                 # base images of every product, ordered (row, move)
-                images = post[moves, rows[:, pre_base]]
-                ranks = _rank(G._chain, images.reshape(-1, len(base)))
-                uniq, first = np.unique(ranks, return_index=True)
+                images = post[moves, rows[:, None, base]].reshape(-1, len(base))
+                uniq, first = np.unique(_rank(G._chain, images),
+                                        return_index=True)
                 fresh = ~seen[uniq]
                 if not fresh.any():
                     continue
                 seen[uniq[fresh]] = True
                 r, j = np.divmod(np.sort(first[fresh]), len(post))
                 for c in range(0, len(r), chunk):
-                    rc, jc = r[c:c + chunk], j[c:c + chunk]
-                    src = rows[rc] if pre is None else rows[rc[:, None], pre[jc]]
-                    layer.append(_gather(post, jc, src))
+                    layer.append(_gather(post, j[c:c + chunk],
+                                         rows[r[c:c + chunk]]))
                     yield layer[-1]
         frontier = layer
-
-
-def _element_blocks(G):
-    """The elements of G other than the identity as uint16 row blocks, in
-    the order of G.elements(). Raises CapExceeded when |G| > ENUM_CAP."""
-    check_enum_cap(G)
-    return _closure(G, Perm.identity(G.degree),
-                    np.array([g.images for g in G.gens]))
 
 
 def _perms(blocks, n, out):
@@ -644,33 +637,70 @@ def _perms(blocks, n, out):
     return out
 
 
-def conjugacy_class(G, g):
-    """The conjugacy class g^G as a list of Perm, g first, then its orbit
-    under conjugation by the generators in breadth-first order.
-
-    The closure ranks elements in G's chain, so g must lie in G (else
-    NotASubgroup) and |G| must be at most ENUM_CAP (else CapExceeded)."""
-    if not G.contains(g):
-        raise NotASubgroup("g is not in G")
+def _rank_space(G):
+    """(images, conjugates, rank) on the ranks [0, |G|) of G's elements. The
+    element of rank r is u_0 o ... o u_k, u_i the forward coset
+    representative (the inverse of a table row, made here by one scatter per
+    level) at r's mixed-radix digit of level i. images(ranks, points): the
+    images of points (a row, or a row per rank) under each rank's element.
+    conjugates(ranks): per generator s, the ranks of s^-1 g s, from its base
+    images s(g(s^-1(b))) alone. rank(rows, pre): the ranks of pre * c for the
+    uint16 rows c (pre, a Perm of G, defaults to the identity). Raises
+    CapExceeded when |G| > ENUM_CAP."""
     check_enum_cap(G)
-    post = np.array([s.images for s in G.gens])
-    pre = np.array([s.inverse().images for s in G.gens])
-    return _perms(list(_closure(G, g, post, pre)), G.degree, [g])
+    chain, n = G._chain, G.degree
+    base = [lvl.base_point for lvl in chain]
+    forward = []
+    for lvl in chain:
+        forward.append(np.empty_like(lvl.table))
+        forward[-1][np.arange(len(lvl.orbit))[:, None], lvl.table] = _ident(n)
+    gens = [(np.array(s.images), np.array(s.inverse().images)[base])
+            for s in G.gens]
+
+    def images(ranks, points):
+        x = np.broadcast_to(points, (len(ranks), np.shape(points)[-1]))
+        for lvl, table in zip(chain[::-1], forward[::-1]):
+            ranks, digit = np.divmod(ranks, len(lvl.orbit))
+            x = _gather(table, digit, x)
+        return x
+
+    def conjugates(ranks):
+        return [_rank(chain, s[images(ranks, pre)]) for s, pre in gens]
+
+    def rank(rows, pre=None):
+        return _rank(chain, rows[:, base if pre is None else
+                                 [pre.images[b] for b in base]])
+
+    return images, conjugates, rank
+
+
+def _class_labels(G, conjugates):
+    """(labels, first, sizes): the class of each rank, and each class's
+    least rank and size, the classes numbered by least rank (the identity's,
+    rank 0, is 0). The classes are the components of the graph on the ranks
+    whose edges are the conjugations by the generators (`conjugates` of
+    `_rank_space(G)`)."""
+    ranks = np.arange(G.order)
+    moves = [np.concatenate(m) for m in zip(*(
+        conjugates(ranks[lo:lo + _SLICE]) for lo in range(0, G.order, _SLICE)))]
+    first, labels, sizes = np.unique(_least_labels(ranks, moves),
+                                     return_inverse=True, return_counts=True)
+    return labels, first, sizes
 
 
 def conjugacy_classes(G):
-    """All conjugacy classes, each as a list of Perm. Needs full enumeration."""
-    els = G.elements()
-    remaining = {e.images for e in els}
+    """All conjugacy classes as lists of Perm, in the order of their least
+    ranks in G's chain (the identity's first), each in rank order. Each Perm
+    is made once, from its rank. Raises CapExceeded when |G| > ENUM_CAP."""
+    images, conjugates, _ = _rank_space(G)
+    labels, _, sizes = _class_labels(G, conjugates)
+    ranks = np.argsort(labels, kind="stable")
+    points, step = np.arange(G.degree), max(1, _CHUNK // max(1, G.degree))
     out = []
-    for e in els:
-        if e.images not in remaining:
-            continue
-        cls = conjugacy_class(G, e)
-        for c in cls:
-            remaining.discard(c.images)
-        out.append(cls)
-    return out
+    for lo in range(0, len(ranks), step):
+        _perms([images(ranks[lo:lo + step], points)], G.degree, out)
+    ends = np.cumsum(sizes).tolist()
+    return [out[e - size:e] for size, e in zip(sizes.tolist(), ends)]
 
 
 def normalizer_of_cyclic(G, g):
@@ -700,11 +730,8 @@ def normalizer_of_cyclic(G, g):
     base = [lvl.base_point for lvl in G._chain]
     if not base:  # G is trivial
         return PermGroup(n, [Perm.identity(n)])
-    powers = [Perm.identity(n)]
-    for _ in range(g.order() - 1):
-        powers.append(powers[-1] * g)
-    order = len(powers)
-    powers = np.array([p.images for p in powers], dtype=np.uint16)
+    order = g.order()
+    powers = np.array([(g ** k).images for k in range(order)], dtype=np.uint16)
     lengths = np.zeros(n, dtype=np.intp)
     # point -> (the number of its g-cycle, its place j: it is g^j(cycle[0]))
     where = {}
@@ -886,14 +913,8 @@ class SmallGF:
         self.one = (1,) + (0,) * (k - 1)
 
     def elements(self):
-        out = []
-        for n in range(self.q):
-            cs = []
-            for _ in range(self.k):
-                cs.append(n % self.p)
-                n //= self.p
-            out.append(tuple(cs))
-        return out
+        """The q elements, the coefficients of n = 0, 1, ... in base p."""
+        return [v[::-1] for v in product(range(self.p), repeat=self.k)]
 
     def add(self, x, y):
         return tuple((a + b) % self.p for a, b in zip(x, y))
@@ -939,15 +960,9 @@ class SmallGF:
         return self.power(x, self.p)
 
     def multiplicative_generator(self):
-        for x in self.elements():
-            if x == self.zero:
-                continue
-            ok = True
-            for d in prime_divisors(self.q - 1):
-                if self.power(x, (self.q - 1) // d) == self.one:
-                    ok = False
-                    break
-            if ok:
+        for x in self.elements()[1:]:  # all but zero
+            if all(self.power(x, (self.q - 1) // d) != self.one
+                   for d in prime_divisors(self.q - 1)):
                 return x
         raise RuntimeError("no generator found")
 
@@ -990,20 +1005,15 @@ class ProjectiveLine:
         det = gf.add(gf.mul(a, d), gf.neg(gf.mul(b, c)))
         if det == gf.zero:
             raise ValueError("singular matrix")
-        images = []
-        for z in self.points:
-            den = gf.add(gf.mul(c, z), d)
+
+        def point(num, den):  # num/den on the line, infinity when den = 0
             if den == gf.zero:
-                images.append(self.inf)
-            else:
-                num = gf.add(gf.mul(a, z), b)
-                images.append(self.index[gf.mul(num, gf.inv(den))])
-        # image of infinity: a/c
-        if c == gf.zero:
-            images.append(self.inf)
-        else:
-            images.append(self.index[gf.mul(a, gf.inv(c))])
-        return Perm(images)
+                return self.inf
+            return self.index[gf.mul(num, gf.inv(den))]
+
+        # z, then infinity, whose image is a/c
+        return Perm([point(gf.add(gf.mul(a, z), b), gf.add(gf.mul(c, z), d))
+                     for z in self.points] + [point(a, c)])
 
     def frobenius_perm(self):
         images = [self.index[self.gf.frobenius(z)] for z in self.points]
@@ -1070,14 +1080,10 @@ def m10():
 
 def _factor_prime_power(q):
     for p in (2, 3, 5, 7, 11, 13):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                break
+        k = 0
+        while q % p ** (k + 1) == 0:
+            k += 1
+        if k and p ** k == q:
             return p, k
     raise ValueError(f"{q} is not a supported prime power")
 
@@ -1087,10 +1093,10 @@ def element_of_order(G, n):
     block by block as the closure discovers them: the closure stops at the
     block that holds it, and G's element cache is left as it is. Raises
     CapExceeded when |G| > ENUM_CAP."""
-    blocks = _element_blocks(G)
+    check_enum_cap(G)
     if n == 1:
         return Perm.identity(G.degree)
-    for block in blocks:
+    for block in _element_blocks(G):
         for h in _perms([block], G.degree, []):
             if h.order() == n:
                 return h
@@ -1155,14 +1161,8 @@ class AffineSpace:
         self.p = p
         self.e = e
         self.n = p ** e
-        self.vectors = []
-        for idx in range(self.n):
-            v = []
-            m = idx
-            for _ in range(e):
-                v.append(m % p)
-                m //= p
-            self.vectors.append(tuple(v))
+        # the coefficients of idx = 0, 1, ... in base p
+        self.vectors = [v[::-1] for v in product(range(p), repeat=e)]
         self.index = {v: i for i, v in enumerate(self.vectors)}
 
     def translation(self, v):

@@ -6,7 +6,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .permcore import CapExceeded, Perm, PermGroup, conjugacy_classes
+import numpy as np
+
+from .permcore import (
+    CapExceeded,
+    Perm,
+    PermGroup,
+    _class_labels,
+    _perms,
+    _rank_space,
+    conjugacy_classes,  # noqa: F401  perfbench/tracer.py patches ramgenus.conjugacy_classes
+)
 
 GROUP_ORDER_CAP = 40_000
 DEGREE_CAP_SEARCH = 1300
@@ -104,40 +114,44 @@ def _class_multisets(class_data, budget, r_max):
     return out
 
 
-def _has_product_one_generating_tuple(G, classes, multiset):
+def _has_product_one_generating_tuple(G, multiset, sizes, members, closers):
     """Backtracking search over one ordering of the class multiset.
 
-    The first element is pinned to a class representative (conjugation
-    symmetry), the last is forced as the inverse of the partial product and
-    checked against its class; orderings are interchangeable by braid moves.
+    The first element is pinned to a class representative, the least of its
+    class in lexicographic order (conjugation symmetry); the last is forced
+    as the inverse of the partial product and checked against its class;
+    orderings are interchangeable by braid moves. members(i) gives the
+    elements of class i as uint16 rows and as Perms, both in lexicographic
+    order, and closers(i, pre, rows) the mask of the rows c with
+    (pre * c)^-1 in class i.
     """
     # place the largest class last (forced position), second largest first
-    ms = sorted(multiset, key=lambda i: len(classes[i]))
+    ms = sorted(multiset, key=sizes.__getitem__)
     last = ms.pop()
-    first = ms.pop()
+    rows, perms = members(ms.pop())
     n = G.degree
     target = G.order
-    last_keys = {c.images for c in classes[last]}
 
-    rep = min(classes[first], key=lambda c: c.images)
+    def close(prefix, partial, rows, perms):
+        """Try each c of perms whose closer (partial * c)^-1 lies in the last
+        class as the last free entry, in order."""
+        for k in np.flatnonzero(closers(last, partial, rows)).tolist():
+            c = perms[k]
+            if PermGroup(n, prefix + [c, (partial * c).inverse()]).order == target:
+                return True
+        return False
 
     if not ms:
         # r == 2: the tuple is (rep, rep^-1)
-        inv = rep.inverse()
-        return inv.images in last_keys and PermGroup(n, [rep, inv]).order == target
-    middles = [sorted(classes[i], key=lambda c: c.images) for i in ms]
+        return close([], Perm.identity(n), rows[:1], perms[:1])
+    rep = perms[0]
+    middles = [members(i) for i in ms]
 
     def rec(pos, prefix, partial):
-        if pos == len(middles):
-            closer = partial.inverse()
-            if closer.images not in last_keys:
-                return False
-            sys_ = prefix + [closer]
-            return PermGroup(n, sys_).order == target
-        for c in middles[pos]:
-            if rec(pos + 1, prefix + [c], partial * c):
-                return True
-        return False
+        rows, perms = middles[pos]
+        if pos + 1 == len(middles):
+            return close(prefix, partial, rows, perms)
+        return any(rec(pos + 1, prefix + [c], partial * c) for c in perms)
 
     return rec(0, [rep], rep)
 
@@ -146,9 +160,12 @@ def genus0_search(G, r_max=5):
     """All ramification types (e_1..e_r), r <= r_max, admitting a product-one
     generating tuple of permutation genus 0 in the transitive group G.
 
-    Candidate class multisets are cut by the exact index budget
-    sum ind = 2(n-1); each is then searched by backtracking over class
-    elements with the last entry forced.
+    The conjugacy classes are labelled on the ranks of G's chain, and each
+    is read from one representative, its least-rank element. Candidate
+    class multisets are cut by the exact index budget sum ind = 2(n-1); each
+    is then searched by backtracking over class elements with the last entry
+    forced, which is tested by the class label of its inverse's rank. The
+    Perms of a class are made only when a multiset searched uses it.
     """
     if G.degree > DEGREE_CAP_SEARCH:
         raise CapExceeded(f"degree {G.degree} exceeds {DEGREE_CAP_SEARCH}")
@@ -158,14 +175,37 @@ def genus0_search(G, r_max=5):
         raise ValueError("G must be transitive")
     n = G.degree
     budget = 2 * (n - 1)
-    classes = [cls for cls in conjugacy_classes(G)
-               if not cls[0].is_identity()]
-    class_data = [(i, ind(cls[0])) for i, cls in enumerate(classes)]
+    images, conjugates, rank = _rank_space(G)
+    labels, first, sizes = _class_labels(G, conjugates)
+    points = np.arange(n)
+    # the non-identity classes, numbered from 0: class i has label i + 1
+    rep_rows = images(first[1:], points)
+    reps = _perms([rep_rows], n, [])
+    # the label of the class of each representative's inverse
+    inverse = np.empty_like(rep_rows)
+    inverse[np.arange(len(reps))[:, None], rep_rows] = points
+    inverse = labels[rank(inverse)]
+    found_members = {}
+
+    def members(i):
+        if i not in found_members:
+            rows = images(np.flatnonzero(labels == i + 1), points)
+            perms = _perms([rows], n, [])
+            order = sorted(range(len(perms)), key=lambda k: perms[k].images)
+            found_members[i] = rows[order], [perms[k] for k in order]
+        return found_members[i]
+
+    def closers(i, pre, rows):
+        # (pre * c)^-1 lies in class i exactly when pre * c lies in the class
+        # of rep_i^-1
+        return labels[rank(rows, pre)] == inverse[i]
+
+    class_data = [(i, ind(rep)) for i, rep in enumerate(reps)]
     found = set()
     for ms in _class_multisets(class_data, budget, r_max):
-        ram_type = tuple(sorted(classes[i][0].order() for i in ms))
+        ram_type = tuple(sorted(reps[i].order() for i in ms))
         if ram_type in found:
             continue
-        if _has_product_one_generating_tuple(G, classes, ms):
+        if _has_product_one_generating_tuple(G, ms, sizes[1:], members, closers):
             found.add(ram_type)
     return sorted(found)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from schurscope import permcore
+from schurscope import exceptio, permcore
 from schurscope.exceptio import (
     NotNormal,
     NotTransitive,
@@ -25,6 +25,7 @@ from schurscope.permcore import (
     CapExceeded,
     CosetAction,
     DegreeMismatch,
+    NotASubgroup,
     Perm,
     PermGroup,
     orbits_on_pairs,
@@ -150,6 +151,42 @@ def test_chi_fixed_points_matches_direct_count():
     H = PermGroup(G.degree, G.stabilizer_gens(0))
     for g in (G.gens[0], G.gens[0] * G.gens[-1]):
         assert chi_fixed_points(G, H, g) == len(g.fixed_points())
+
+
+def test_chi_fixed_points_needs_g_in_g():
+    act, _ = psl2_torus_coset_action(8, "psl")
+    G = act.group
+    H = PermGroup(G.degree, G.stabilizer_gens(0))
+    # PSL2(8) is simple, so it lies in the alternating group: no transposition
+    x = Perm([1, 0] + list(range(2, G.degree)))
+    with pytest.raises(NotASubgroup):
+        chi_fixed_points(G, H, x)
+    # H conjugated by x is the stabilizer of x(0) in a conjugate of G, not in G
+    H_x = PermGroup(G.degree, [x * h * x for h in H.gens])
+    with pytest.raises(NotASubgroup):
+        chi_fixed_points(G, H_x, G.gens[0])
+
+
+@pytest.mark.parametrize("order, off", [(2, 1), (3, -1)])
+def test_chi_fixed_points_rejects_wrong_h_class_sizes(monkeypatch, order, off):
+    # the H-class sizes, off by one, must change the class formula: with
+    # |C_G(g)| = 8, |H| = 18 and an H-class of 9 involutions, 8 // (18 // 10)
+    # is not 4; with |C_G(g)| = 9 and an H-class of 2 elements of order 3,
+    # 9 // (18 // 1) is not 1 (9 // (18 // 3) still is)
+    act, _ = psl2_torus_coset_action(8, "psl")
+    G = act.group
+    H = PermGroup(G.degree, G.stabilizer_gens(0))
+    g = {2: G.gens[0], 3: G.gens[0] * G.gens[-1]}[order]
+    assert g.order() == order
+    labels_of = exceptio._class_labels
+
+    def off_by_one(group, conjugates):
+        labels, first, sizes = labels_of(group, conjugates)
+        return labels, first, sizes + off
+
+    monkeypatch.setattr(exceptio, "_class_labels", off_by_one)
+    with pytest.raises(AssertionError):
+        chi_fixed_points(G, H, g)
 
 
 def test_wreath_example_small():

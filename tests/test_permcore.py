@@ -22,7 +22,6 @@ from schurscope.permcore import (
     Perm,
     PermGroup,
     SmallGF,
-    conjugacy_class,
     conjugacy_classes,
     element_of_order,
     format_cycles,
@@ -151,7 +150,7 @@ def test_centralizer_and_class_sizes():
                                    (Perm([1, 2, 0, 3]), 3),
                                    (Perm([1, 2, 3, 0]), 4)):
         commuting = [h for h in S4.elements() if h * rep == rep * h]
-        cls = conjugacy_class(S4, rep)
+        cls = next(c for c in conjugacy_classes(S4) if rep in c)
         assert len(commuting) == centralizer_order
         assert len(commuting) * len(cls) == S4.order
 
@@ -554,21 +553,99 @@ def test_elements_match_python_bfs(G):
     _assert_ints_shared(G.elements(), G.degree)
 
 
+@given(_groups())
+@example(PermGroup(0, [Perm([])]))
+@example(PermGroup(5, [Perm.identity(5)]))
+@settings(max_examples=100, deadline=None)
+def test_rank_space_matches_perm_arithmetic(G):
+    images, conjugates, rank = permcore._rank_space(G)
+    ranks = np.arange(G.order)
+    rows = np.asarray(images(ranks, np.arange(G.degree)), dtype=np.uint16)
+    perms = [Perm(r) for r in rows.tolist()]
+    # each rank is one element of G, and its rank is read back
+    assert sorted(p.images for p in perms) == sorted(old_elements(G, ENUM_CAP))
+    assert rank(rows).tolist() == ranks.tolist()
+    assert perms[0].is_identity()
+    for s, got in zip(G.gens, conjugates(ranks)):
+        conj = [s.inverse() * g * s for g in perms]
+        assert got.tolist() == rank(np.array(
+            [c.images for c in conj], dtype=np.uint16).reshape(rows.shape)).tolist()
+    pre = perms[-1]
+    assert rank(rows, pre).tolist() == rank(np.array(
+        [(pre * g).images for g in perms], dtype=np.uint16).reshape(rows.shape)).tolist()
+
+
+def old_partition(G):
+    """The conjugacy classes of G by the Python closures, as a set of
+    frozensets of image tuples."""
+    remaining = set(old_elements(G, ENUM_CAP))
+    out = set()
+    for e in old_elements(G, ENUM_CAP):
+        if e in remaining:
+            cls = old_conjugacy_class(G, Perm(e))
+            remaining -= cls
+            out.add(frozenset(cls))
+    return out
+
+
+def _assert_class_order(G, classes):
+    """The classes in the order of their least ranks in G's chain, the
+    identity's first, and each in rank order."""
+    _, _, rank = permcore._rank_space(G)
+    assert classes[0] == [Perm.identity(G.degree)]
+    ranks = [rank(np.array([c.images for c in cls],
+                           dtype=np.uint16).reshape(len(cls), G.degree)).tolist()
+             for cls in classes]
+    assert all(r == sorted(r) for r in ranks)
+    assert [r[0] for r in ranks] == sorted(r[0] for r in ranks)
+
+
+def assert_classes_match_python(G):
+    classes = conjugacy_classes(G)
+    assert all(len(cls) == len({c.images for c in cls}) for cls in classes)
+    assert sum(map(len, classes)) == G.order
+    assert {frozenset(c.images for c in cls) for cls in classes} == \
+        old_partition(G)
+    _assert_class_order(G, classes)
+    return classes
+
+
 @given(_groups(), st.data())
+@example(PermGroup(0, [Perm([])]), None)
+@example(PermGroup(1, [Perm([0])]), None)
+@example(PermGroup(5, [Perm.identity(5)]), None)
 @settings(max_examples=150, deadline=None)
-def test_conjugacy_class_matches_python_closure(G, data):
-    g = data.draw(st.sampled_from(G.elements()))
-    cls = conjugacy_class(G, g)
-    assert cls[0] is g
-    assert len(cls) == len({c.images for c in cls})
-    assert {c.images for c in cls} == old_conjugacy_class(G, g)
+def test_conjugacy_classes_match_python_closure(G, data):
+    classes = assert_classes_match_python(G)
+    if data is not None:
+        g = data.draw(st.sampled_from(G.elements()))
+        cls = next(c for c in classes if g in c)
+        assert {c.images for c in cls} == old_conjugacy_class(G, g)
 
 
 def test_elements_and_classes_match_python_on_psl2_8():
     G, _ = psl2(8)
     assert [e.images for e in G.elements()] == old_elements(G, ENUM_CAP)
-    for cls in conjugacy_classes(G):
+    assert_classes_match_python(G)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pgammal2(8)[0], lambda: psl2(16)[0],
+    lambda: psl2_torus_coset_action(8)[0].group,
+    lambda: psl2_sylow2_coset_action(9)[0].group,
+], ids=["pgammal2(8)", "psl2(16)", "psl2(8)-on-28", "psl2(9)-on-45"])
+def test_conjugacy_classes_match_python(make):
+    assert_classes_match_python(make())
+
+
+def test_conjugacy_classes_of_orders_2_and_3_on_496_points():
+    G = psl2_torus_coset_action(32)[0].group
+    classes = conjugacy_classes(G)
+    assert sum(map(len, classes)) == G.order
+    for order in (2, 3):
+        [cls] = [c for c in classes if c[0].order() == order]
         assert {c.images for c in cls} == old_conjugacy_class(G, cls[0])
+        assert len(cls) == len({c.images for c in cls})
 
 
 def test_elements_cap_exactly_at_the_order(monkeypatch):
@@ -593,18 +670,19 @@ def test_closures_share_the_identity_ints_above_256():
     assert len(els) == 600
     assert [e.images for e in els] == old_elements(D, ENUM_CAP)
     _assert_ints_shared(els, n)
-    cls = conjugacy_class(D, flip)
+    classes = conjugacy_classes(D)
+    cls = next(c for c in classes if flip in c)
     assert {c.images for c in cls} == old_conjugacy_class(D, flip)
-    _assert_ints_shared(cls[1:], n)  # cls[0] is flip itself
+    _assert_ints_shared([c for cls in classes for c in cls], n)
 
 
-def test_conjugacy_class_needs_g_in_g(monkeypatch):
+def test_conjugacy_classes_cap_exactly_at_the_order(monkeypatch):
     A4 = PermGroup(4, [Perm([1, 2, 0, 3]), Perm([1, 0, 3, 2])])
-    with pytest.raises(NotASubgroup):
-        conjugacy_class(A4, Perm([1, 0, 2, 3]))
+    monkeypatch.setattr(permcore, "ENUM_CAP", 12)
+    assert sorted(map(len, conjugacy_classes(A4))) == [1, 3, 4, 4]
     monkeypatch.setattr(permcore, "ENUM_CAP", 11)
     with pytest.raises(CapExceeded):
-        conjugacy_class(A4, Perm([1, 2, 0, 3]))
+        conjugacy_classes(A4)
 
 
 @pytest.mark.parametrize("slice_, chunk", [(1, 1), (4, 10_000), (64, 100)])
@@ -614,8 +692,7 @@ def test_closures_keep_their_order_across_slices_and_chunks(
     monkeypatch.setattr(permcore, "_CHUNK", chunk)
     G, _ = psl2(8)
     assert [e.images for e in G.elements()] == old_elements(G, ENUM_CAP)
-    for cls in conjugacy_classes(G):
-        assert {c.images for c in cls} == old_conjugacy_class(G, cls[0])
+    assert_classes_match_python(G)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ and ``peak_rss_mb`` per workload (``statistics``' inclusive quartiles), the
 seeds, the full revision, the revisions it alternated with, and the host:
 cores, Python and numpy versions. The files are written to the root of the
 current checkout.
+
+After the workloads, each claim of ``schurscope.claims`` runs
+``CLAIM_RUNS`` times per revision, each time as ``claims.run(name)`` in a
+fresh interpreter from the revision's checkout, the revisions alternating
+as for the workloads; a record holds every run's seconds and their median
+per claim.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep", "exceptional", "genus0")
 METRICS = ("setup_s", "wall_s", "peak_rss_mb")
 SEEDS = tuple(range(9201, 9211))  # none of them used while tuning the code
+CLAIM_RUNS = 3
 
 
 def _args(argv):
@@ -66,6 +73,20 @@ def _run(checkout, workload, seed, seconds):
     return out
 
 
+def _python(checkout, code):
+    """The last line that code prints, run with the checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env,
+                          check=True, capture_output=True, text=True)
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def _claim_seconds(checkout, name):
+    """The seconds of one claims.run(name), in a fresh interpreter."""
+    return float(_python(checkout, "from schurscope import claims; "
+                                   f"print(claims.run({name!r})[2])"))
+
+
 def _quartiles(values):
     if len(values) == 1:
         return dict.fromkeys(("q1", "median", "q3"), values[0])
@@ -92,6 +113,19 @@ def main(argv=None):
                     runs[rev][workload].append({"seed": seed, **out})
                     print(f"{full[rev][:12]} {workload} seed {seed}: "
                           f"{json.dumps(out['metrics'])}", file=sys.stderr)
+        names = {rev: _python(checkouts[rev], "from schurscope import claims; "
+                                              "print(' '.join(claims.CLAIMS))"
+                              ).split() for rev in args.revs}
+        claims = {rev: {name: [] for name in names[rev]} for rev in args.revs}
+        for n in range(CLAIM_RUNS):
+            for name in dict.fromkeys(x for rev in args.revs for x in names[rev]):
+                for rev in args.revs[::-1] if n % 2 else args.revs:
+                    if name not in claims[rev]:
+                        continue
+                    seconds = _claim_seconds(checkouts[rev], name)
+                    claims[rev][name].append(seconds)
+                    print(f"{full[rev][:12]} claim {name}: {seconds:.3f} s",
+                          file=sys.stderr)
     host = {"cores": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__, "machine": platform.machine()}
     for rev in args.revs:
@@ -106,6 +140,8 @@ def main(argv=None):
                     "summary": {m: _quartiles([r["metrics"][m] for r in rs])
                                 for m in METRICS}}
                 for w, rs in runs[rev].items()},
+            "claims": {name: {"seconds": s, "median": statistics.median(s)}
+                       for name, s in claims[rev].items()},
         }
         path = ROOT / f"BENCH_{full[rev][:7]}.json"
         path.write_text(json.dumps(record, indent=1) + "\n")
