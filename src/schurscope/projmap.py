@@ -1,17 +1,28 @@
 """Evaluation of rational functions on P^1(F_q), bijectivity testing, and
 prime sweeps measuring how often a function permutes the projective line.
 
-`is_bijective` evaluates num and den over all of F_q at once, as int64
-arrays: F_p elements are ints 0..p-1, and an element u + v*sqrt(r) of F_p^2,
-a QuadElem over F_p, is the pair (u, v), enumerated as the int u*p + v in
-the order of `FqField.elements()`. Division uses a table of inverses in F_p,
-and collisions are found by counting images. Only a verdict of "not
-bijective" decodes a witness: the first collision in evaluation order (the
+One segmented evaluator serves a single function and a whole sweep. It
+takes functions of one place degree, each over its own F_p or F_p^2, and
+lays the points of their projective lines end to end as int arrays, one
+segment per function and one lane per point: F_p elements are ints 0..p-1,
+and an element u + v*sqrt(r) of F_p^2, a QuadElem over F_p, is the pair
+(u, v), enumerated as the int u*p + v in the order of `FqField.elements()`;
+the index q is INF. Each lane carries its segment's modulus and gathers its
+coefficients; Horner runs in place, in int32 when every intermediate fits
+(else int64), and 1/d is the per-lane Fermat power d^(p-2). The images,
+shifted to their segment's offset, fill one bincount, and a function is
+bijective when no bin of its segment counts other than 1. The lanes are
+evaluated in chunks of `_CHUNK`, which bounds the temporaries.
+
+`is_bijective` is the batch of one, and only it decodes a witness of a
+"not bijective" verdict: the first collision in evaluation order (the
 elements in order, then INF).
 
 A sweep classifies each odd prime as bijective, not-bijective,
 bad-reduction, ramified or point-cap; point-cap means P^1(F_q) has more
-points than the cap allows, so the prime was not evaluated.
+points than the cap allows, so the prime was not evaluated. The good
+places are evaluated in batches of one place degree and at most
+DEFAULT_POINT_CAP points.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ class Infinity:
 INF = Infinity()
 
 DEFAULT_POINT_CAP = 1 << 20
+_CHUNK = 1 << 14  # lanes evaluated at once, which bounds the temporaries
 
 
 class PointCapExceeded(ValueError):
@@ -76,75 +88,169 @@ def eval_proj(f, x):
 
 
 # ---------------------------------------------------------------------------
-# the int64 evaluator
+# the segmented evaluator
 
-def _int64_exact(field):
-    """Whether every intermediate of the evaluator fits in int64.
+def _exact_dtype(fields):
+    """The narrowest integer dtype in which every intermediate of the
+    evaluator over all of fields is exact: int32 when each is below 2^31,
+    else int64 when each is below 2^62 (over F_p that is p < 2^31, a bit of
+    headroom kept), else None. numpy is not touched before a dtype fits.
 
     All values are reduced mod p, so every factor is at most p - 1. Over F_p
-    the largest intermediate is a Horner step n*x + c <= (p-1)^2 + (p-1); we
-    ask p < 2^31, which keeps it below 2^62. Over F_p^2 it is the first
-    coordinate of a Horner step or product, u*x + r*v*y + c with the cross
-    term scaled by the non-residue r: at most (1 + r)(p-1)^2 + (p-1).
+    the largest intermediate is a Horner step n*x + c <= (p-1)^2 + (p-1).
+    Over F_p^2 it is the first coordinate of a Horner step or product,
+    u*x + r*v*y + c with the cross term scaled by the non-residue r: at most
+    (1 + r)(p-1)^2 + (p-1).
     """
-    p = field.p
-    if field.ext == 1:
-        return p < 1 << 31
-    return (1 + field.r) * (p - 1) ** 2 + (p - 1) < 1 << 63
+    top = max((1 if F.ext == 1 else 1 + F.r) * (F.p - 1) ** 2 + F.p - 1
+              for F in fields)
+    if top < 1 << 31:
+        return np.int32
+    if top < 1 << 62:
+        return np.int64
+    return None
 
 
-def _inverse_table(p):
-    """inv[x] = x^(p-2) mod p for x in 0..p-1, so inv[0] = 0."""
-    base = np.arange(p, dtype=np.int64)
-    out = np.ones(p, dtype=np.int64)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
+def _check_cap(field):
+    """Raise PointCapExceeded when P^1(F_q) has more than DEFAULT_POINT_CAP
+    points or the field is too large for int64; allocates nothing."""
+    q = field.order
+    if q + 1 > DEFAULT_POINT_CAP:
+        raise PointCapExceeded(f"q + 1 = {q + 1} exceeds cap {DEFAULT_POINT_CAP}",
+                               field.ext)
+    if _exact_dtype([field]) is None:
+        raise PointCapExceeded(f"{field} is too large for int64 evaluation",
+                               field.ext)
 
 
-def _images(f):
-    """Images of F_q under f as ints (F_p^2 pairs as u*p + v), q meaning INF,
-    in the order of field.elements()."""
-    field = f.field
-    p, q = field.p, field.order
-    inv = _inverse_table(p)
-    if field.ext == 1:
-        x = np.arange(p, dtype=np.int64)
+def _images(fs, j, seg=None):
+    """Images under fs[seg[i]] of the points j[i], one lane each.
 
+    fs are functions of one place degree, each over its own field; a point
+    is its index in field.elements(), q meaning INF, and an image is an int
+    in the same numbering (F_p^2 pairs as u*p + v). seg=None means that
+    every lane belongs to fs[0]: the per-segment values are then scalars,
+    else they are gathered onto the lanes. Works in place, in the dtype of
+    `_exact_dtype`; 1/d is the per-lane Fermat power d^(p-2).
+    """
+    fields = [f.field for f in fs]
+    ext = fields[0].ext
+    dtype = _exact_dtype(fields)
+    n = len(j)
+    buf = np.empty(n, dtype) if seg is not None else None
+
+    def lane(values, out=None):
+        """A per-segment value on every lane: a scalar for one segment."""
+        if seg is None:
+            return int(values[0])
+        return np.take(np.asarray(values, dtype=out.dtype if out is not None
+                                  else dtype), seg, out=out)
+
+    def table(polys, part):
+        """The coefficients of polys as rows, lowest first, zero padded."""
+        width = max(1, max(len(g.coeffs) for g in polys))
+        rows = [[part(c) for c in g.coeffs] + [0] * (width - len(g.coeffs))
+                for g in polys]
+        return np.array(rows, dtype=dtype)
+
+    def start(column):
+        acc = np.empty(n, dtype)
+        acc[...] = lane(column)
+        return acc
+
+    def inverse(d, out):
+        """d^(p-2) mod p, so 0 for 0, by square and multiply over the bits
+        of each lane's exponent; a bit set on some lanes only is applied
+        through a mask. d is overwritten."""
+        exps = [F.p - 2 for F in fields]
+        out[...] = 1
+        for b in range(max(exps).bit_length()):
+            if b:
+                d *= d
+                d %= p
+            bits = [(e >> b) & 1 for e in exps]
+            if all(bits):
+                out *= d
+                out %= p
+            elif any(bits):
+                np.remainder(np.multiply(out, d, out=buf), p, out=buf)
+                np.copyto(out, buf, where=lane(bits, np.empty(n, bool)))
+        return out
+
+    p = lane([F.p for F in fields])
+    q = lane([F.order for F in fields])
+    at_inf = np.flatnonzero(j == q)
+    x = j.astype(dtype)
+    x %= q  # INF lanes evaluate at 0 and are overwritten below
+    if ext == 1:
         def horner(poly):
-            *rest, lead = poly.coeffs
-            acc = np.full(p, lead.v, dtype=np.int64)
-            for c in reversed(rest):
-                acc = (acc * x + c.v) % p
+            cs = table(poly, lambda c: c.v)
+            acc = start(cs[:, -1])
+            for k in range(cs.shape[1] - 2, -1, -1):
+                acc *= x
+                acc += lane(cs[:, k], buf)
+                acc %= p
             return acc
 
-        n, d = horner(f.num), horner(f.den)
-        img = n * inv[d] % p
+        img = horner([f.num for f in fs])
+        d = horner([f.den for f in fs])
+        pole = d == 0
+        inv = inverse(d, np.empty(n, dtype))
+        img *= inv
+        img %= p
     else:
-        r = field.r
-        xu = np.repeat(np.arange(p, dtype=np.int64), p)
-        xv = np.tile(np.arange(p, dtype=np.int64), p)
+        r = lane([F.r for F in fields])
+        xu, xv = np.divmod(x, p)
+        del x
+        t, s = np.empty(n, dtype), np.empty(n, dtype)
 
         def horner(poly):
-            *rest, lead = poly.coeffs
-            au = np.full(q, lead.a.v, dtype=np.int64)
-            av = np.full(q, lead.b.v, dtype=np.int64)
-            for c in reversed(rest):
-                au, av = ((au * xu + r * av * xv + c.a.v) % p,
-                          (au * xv + av * xu + c.b.v) % p)
+            cu = table(poly, lambda c: c.a.v)
+            cv = table(poly, lambda c: c.b.v)
+            au, av = start(cu[:, -1]), start(cv[:, -1])
+            for k in range(cu.shape[1] - 2, -1, -1):
+                np.multiply(au, xv, out=t)
+                np.multiply(np.multiply(av, xv, out=s), r, out=s)
+                au *= xu
+                au += s
+                au += lane(cu[:, k], buf)
+                au %= p
+                av *= xu
+                av += t
+                av += lane(cv[:, k], buf)
+                av %= p
             return au, av
 
-        (nu, nv), (du, dv) = horner(f.num), horner(f.den)
+        nu, nv = horner([f.num for f in fs])
+        du, dv = horner([f.den for f in fs])
         # 1/d = conj(d)/N(d), with the norm N(d) = du^2 - r*dv^2 in F_p
-        ninv = inv[(du * du - r * dv * dv) % p]
-        iu, iv = du * ninv % p, -dv * ninv % p
-        img = ((nu * iu + r * nv * iv) % p) * p + (nu * iv + nv * iu) % p
-        d = du | dv
-    img[d == 0] = q
+        norm = np.multiply(du, du, out=xu)
+        np.multiply(dv, dv, out=xv)
+        xv *= r
+        norm -= xv
+        norm %= p
+        pole = norm == 0
+        inv = inverse(norm, xv)
+        du *= inv
+        du %= p
+        dv *= inv
+        np.negative(dv, out=dv)
+        dv %= p
+        img = np.multiply(nu, du, out=t)
+        np.multiply(nv, dv, out=s)
+        s *= r
+        img += s
+        img %= p
+        img *= p
+        nu *= dv
+        nv *= du
+        nu += nv
+        nu %= p
+        img += nu
+    np.copyto(img, q, where=pole)
+    if len(at_inf):
+        inf = [_image_at_inf(f) for f in fs]
+        img[at_inf] = inf[0] if seg is None else np.take(inf, seg[at_inf])
     return img
 
 
@@ -159,30 +265,45 @@ def _image_at_inf(f):
     return c.v if field.ext == 1 else c.a.v * field.p + c.b.v
 
 
+def _bijective(fs):
+    """(verdicts, bins) for functions fs of one place degree: whether each
+    permutes P^1 of its field, from one pass over the fields' points laid
+    end to end. f's points and its images take the bins from the offset of
+    its segment on, so one bincount serves them all; a function is
+    bijective when no bin of its segment counts other than 1."""
+    sizes = [f.field.order + 1 for f in fs]
+    starts = np.cumsum([0] + sizes)
+    bins = np.empty(starts[-1], dtype=np.intp)
+    for a in range(0, len(bins), _CHUNK):
+        lanes = np.arange(a, min(a + _CHUNK, len(bins)))
+        seg = None if len(fs) == 1 else starts.searchsorted(lanes, "right") - 1
+        offset = 0 if seg is None else starts[seg]
+        np.add(_images(fs, lanes - offset, seg), offset,
+               out=bins[a:a + len(lanes)])
+    counts = np.bincount(bins, minlength=starts[-1])
+    bad = np.logical_or.reduceat(counts != 1, starts[:-1])
+    return ~bad, bins
+
+
 def is_bijective(f):
     """Whether f permutes P^1(F_q). Returns (verdict, witness).
 
-    witness is a colliding pair of points when the verdict is False: the
-    first collision in evaluation order (field elements in enumeration
-    order, then INF), else None. Raises PointCapExceeded, before any
-    allocation, when q + 1 > DEFAULT_POINT_CAP or the field is too large
-    for int64.
+    The batch of one of the segmented evaluator. witness is a colliding
+    pair of points when the verdict is False: the first collision in
+    evaluation order (field elements in enumeration order, then INF), else
+    None. Raises PointCapExceeded, before any allocation, when
+    q + 1 > DEFAULT_POINT_CAP or the field is too large for int64.
     """
     field = f.field
     if not isinstance(field, FqField):
         raise TypeError("is_bijective needs a function over a finite field")
-    q = field.order
-    if q + 1 > DEFAULT_POINT_CAP:
-        raise PointCapExceeded(f"q + 1 = {q + 1} exceeds cap {DEFAULT_POINT_CAP}",
-                               field.ext)
-    if not _int64_exact(field):
-        raise PointCapExceeded(f"{field} is too large for int64 evaluation",
-                               field.ext)
+    _check_cap(field)
     if f.is_constant():
         return False, (_decode(field, 0), _decode(field, 1))
-    images = np.append(_images(f), _image_at_inf(f))
-    if np.bincount(images, minlength=q + 1).max() == 1:
+    (ok,), images = _bijective([f])
+    if ok:
         return True, None
+    q = field.order
     values, first = np.unique(images, return_index=True)
     is_first = np.zeros(q + 1, dtype=bool)
     is_first[first] = True
@@ -270,13 +391,47 @@ def sweep_prime(f, p):
 
 def sweep_primes(f, primes):
     """One record per prime, in the given order; a cap overrun is the
-    prime's point-cap verdict."""
-    records = []
-    for p in primes:
+    prime's point-cap verdict.
+
+    Each prime is reduced and its ramified, bad-reduction and point-cap
+    verdicts decided on its own; the good places are then evaluated
+    together, in batches of one place degree and at most DEFAULT_POINT_CAP
+    points, each batch one pass of `_bijective`.
+    """
+    records = [None] * len(primes)
+    pending = {1: [], 2: []}  # place degree -> [(index, reduced f)]
+    points = {1: 0, 2: 0}
+
+    def flush(ext):
+        batch = pending[ext]
+        verdicts, _ = _bijective([fp for _, fp in batch])
+        for (i, _), ok in zip(batch, verdicts):
+            records[i] = SweepRecord(primes[i], ext,
+                                     "bijective" if ok else "not-bijective")
+        batch.clear()
+        points[ext] = 0
+
+    for i, p in enumerate(primes):
         try:
-            records.append(sweep_prime(f, p))
+            fp = reduce_mod_place(f, p)
+            _check_cap(fp.field)
+        except RamifiedPlace:
+            records[i] = SweepRecord(p, 0, "ramified")
+            continue
+        except BadReduction:
+            records[i] = SweepRecord(p, 0, "bad-reduction")
+            continue
         except PointCapExceeded as e:
-            records.append(SweepRecord(p, e.place_degree, "point-cap"))
+            records[i] = SweepRecord(p, e.place_degree, "point-cap")
+            continue
+        ext, size = fp.field.ext, fp.field.order + 1
+        if points[ext] + size > DEFAULT_POINT_CAP:
+            flush(ext)
+        pending[ext].append((i, fp))
+        points[ext] += size
+    for ext in pending:
+        if pending[ext]:
+            flush(ext)
     return records
 
 

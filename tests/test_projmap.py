@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -145,11 +146,14 @@ def _agree_with_oracle(f, bound):
     return checked
 
 
-@pytest.mark.parametrize("name", [
+_BUILTINS = [
     "builtin:isogeny5", "builtin:a4s4:0:2", "builtin:dickson:3:1",
     "builtin:dickson:5:1", "builtin:redei:3:-1", "builtin:redei:5:2",
     "builtin:redei3comp",
-])
+]
+
+
+@pytest.mark.parametrize("name", _BUILTINS)
 def test_is_bijective_matches_oracle_over_fp(name):
     assert len(_agree_with_oracle(builtin_function(name), 199)) > 30
 
@@ -183,6 +187,102 @@ def test_is_bijective_matches_oracle_on_random_functions(case):
     els = F.elements()
     f = RatFunc(Poly(F, [els[i] for i in num]), Poly(F, [els[i] for i in den]))
     assert is_bijective(f) == _slow_is_bijective(f)
+
+
+def _functions(cases):
+    """(field, num, den) cases as functions, coefficients given by their
+    indexes in field.elements()."""
+    return [RatFunc(Poly(F, [projmap._decode(F, i) for i in num]),
+                    Poly(F, [projmap._decode(F, i) for i in den]))
+            for F, num, den in cases]
+
+
+@given(st.lists(_ratfunc_cases(), min_size=1, max_size=6))
+@example([(FqField(5), [3], [0, 2]), (FqField(7), [4], [1]),  # constants
+          (FqField(3), [], [1])])  # the zero function
+@example([(FqField(7), [0, 0, 0, 1], [1, 2]),  # dn > dd: INF -> INF
+          (FqField(3, 2), [1, 4], [2, 0, 5]),  # dn < dd: INF -> 0
+          (FqField(11, 2), [1, 7], [2, 1]),  # dn == dd: ratio of leads
+          (FqField(5), [1], [0, 0, 1]),  # a double pole at 0
+          (FqField(11), [0, 0, 0, 1], [1])])  # x^3, bijective mod 11
+@settings(max_examples=150, deadline=None)
+def test_segmented_verdicts_match_oracle(cases):
+    """The functions of each place degree in one segmented pass, each over
+    its own field, against the point-by-point oracle."""
+    fs = _functions(cases)
+    for ext in (1, 2):
+        batch = [f for f in fs if f.field.ext == ext]
+        if batch:
+            verdicts, _ = projmap._bijective(batch)
+            assert list(verdicts) == [_slow_is_bijective(f)[0] for f in batch]
+
+
+def _int32_boundary(ext):
+    """The last prime whose field of place degree ext the evaluator takes in
+    int32, and the first prime past it."""
+    ps = [p for p in primes_up_to(50_000)[1:]
+          if projmap._exact_dtype([FqField(p, ext)]) is np.int32]
+    last = ps[-1]
+    return last, next(p for p in primes_up_to(50_000) if p > last)
+
+
+@pytest.mark.parametrize("ext", [1, 2])
+def test_images_are_exact_on_both_sides_of_the_int32_boundary(ext):
+    last, past = _int32_boundary(ext)
+    rng = np.random.default_rng(20)
+    for p, dtype in ((last, np.int32), (past, np.int64)):
+        F = FqField(p, ext)
+        assert projmap._exact_dtype([F]) is dtype
+        # large coefficients, so that the products come near p^2
+        cs = [F.order - 1 - int(c) for c in rng.integers(0, 50, 9)]
+        f = _functions([(F, cs[:5], cs[5:])])[0]
+        j = np.append(rng.integers(0, F.order, 200), F.order)
+        want = []
+        for i in j:
+            y = eval_proj(f, projmap._decode(F, int(i)))
+            want.append(F.order if y is INF
+                        else y.v if ext == 1 else y.a.v * p + y.b.v)
+        assert projmap._images([f], j).tolist() == want, (p, dtype)
+
+
+def test_sweep_primes_equals_sweep_prime_per_prime():
+    primes = primes_up_to(199)[1:]
+    for name in _BUILTINS + ["builtin:cm7"]:
+        f = builtin_function(name)
+        records = projmap.sweep_primes(f, primes)
+        assert records == [sweep_prime(f, p) for p in primes], name
+    # cm7 has both split and inert places below 199
+    assert {r.place_degree for r in records} == {0, 1, 2}
+
+
+def test_sweep_primes_of_no_primes():
+    assert projmap.sweep_primes(cm7_function(1), []) == []
+
+
+@pytest.mark.parametrize("name", ["builtin:cm7", "builtin:redei:3:-1",
+                                  "builtin:dickson:5:1"])
+def test_sweep_in_many_batches_and_chunks_gives_the_same_records(
+        monkeypatch, name):
+    f = builtin_function(name)
+    primes = primes_up_to(199)[1:]
+    unbatched = projmap.sweep_primes(f, primes)
+    batches = []
+    bijective = projmap._bijective
+
+    def counted(fs):
+        batches.append(sum(g.field.order + 1 for g in fs))
+        return bijective(fs)
+
+    monkeypatch.setattr(projmap, "_bijective", counted)
+    monkeypatch.setattr(projmap, "DEFAULT_POINT_CAP", 500)
+    monkeypatch.setattr(projmap, "_CHUNK", 97)  # chunks split the segments
+    records = projmap.sweep_primes(f, primes)
+    assert len(batches) > 5 and max(batches) <= 500
+    for r, u in zip(records, unbatched):
+        if r.verdict == "point-cap":  # inert places with p^2 + 1 > 500
+            assert u.place_degree == 2 and r.p ** 2 + 1 > 500
+        else:
+            assert r == u
 
 
 def test_sweep_prime_verdicts():
