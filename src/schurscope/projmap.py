@@ -181,7 +181,7 @@ def _images(fs, j, seg=None):
     q = lane([F.order for F in fields])
     at_inf = np.flatnonzero(j == q)
     x = j.astype(dtype)
-    x %= q  # INF lanes evaluate at 0 and are overwritten below
+    x[at_inf] = 0  # INF lanes are overwritten below
     if ext == 1:
         def horner(poly):
             cs = table(poly, lambda c: c.v)
@@ -276,10 +276,12 @@ def _bijective(fs):
     bins = np.empty(starts[-1], dtype=np.intp)
     for a in range(0, len(bins), _CHUNK):
         lanes = np.arange(a, min(a + _CHUNK, len(bins)))
-        seg = None if len(fs) == 1 else starts.searchsorted(lanes, "right") - 1
-        offset = 0 if seg is None else starts[seg]
-        np.add(_images(fs, lanes - offset, seg), offset,
-               out=bins[a:a + len(lanes)])
+        seg = starts.searchsorted(lanes, "right") - 1
+        j = lanes - starts[seg]
+        # only the functions whose segments meet the chunk
+        lo, hi = seg[0], seg[-1] + 1
+        img = _images(fs[lo:hi], j, seg - lo if hi - lo > 1 else None)
+        np.add(img, lanes - j, out=bins[a:a + len(lanes)])
     counts = np.bincount(bins, minlength=starts[-1])
     bad = np.logical_or.reduceat(counts != 1, starts[:-1])
     return ~bad, bins
