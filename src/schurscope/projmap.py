@@ -123,28 +123,25 @@ def _check_cap(field):
                                field.ext)
 
 
-def _images(fs, j, seg=None):
+def _images(fs, j, seg):
     """Images under fs[seg[i]] of the points j[i], one lane each.
 
     fs are functions of one place degree, each over its own field; a point
     is its index in field.elements(), q meaning INF, and an image is an int
-    in the same numbering (F_p^2 pairs as u*p + v). seg=None means that
-    every lane belongs to fs[0]: the per-segment values are then scalars,
-    else they are gathered onto the lanes. Works in place, in the dtype of
+    in the same numbering (F_p^2 pairs as u*p + v). Each per-segment value
+    is gathered onto the lanes. Works in place, in the dtype of
     `_exact_dtype`; 1/d is the per-lane Fermat power d^(p-2).
     """
     fields = [f.field for f in fs]
     ext = fields[0].ext
     dtype = _exact_dtype(fields)
     n = len(j)
-    buf = np.empty(n, dtype) if seg is not None else None
+    buf = np.empty(n, dtype)
 
     def lane(values, out=None):
-        """A per-segment value on every lane: a scalar for one segment."""
-        if seg is None:
-            return int(values[0])
-        return np.take(np.asarray(values, dtype=out.dtype if out is not None
-                                  else dtype), seg, out=out)
+        """A per-segment value on every lane, into out or a new array."""
+        return np.take(np.asarray(values, dtype=dtype if out is None
+                                  else out.dtype), seg, out=out)
 
     def table(polys, part):
         """The coefficients of polys as rows, lowest first, zero padded."""
@@ -152,11 +149,6 @@ def _images(fs, j, seg=None):
         rows = [[part(c) for c in g.coeffs] + [0] * (width - len(g.coeffs))
                 for g in polys]
         return np.array(rows, dtype=dtype)
-
-    def start(column):
-        acc = np.empty(n, dtype)
-        acc[...] = lane(column)
-        return acc
 
     def inverse(d, out):
         """d^(p-2) mod p, so 0 for 0, by square and multiply over the bits
@@ -185,7 +177,7 @@ def _images(fs, j, seg=None):
     if ext == 1:
         def horner(poly):
             cs = table(poly, lambda c: c.v)
-            acc = start(cs[:, -1])
+            acc = lane(cs[:, -1])
             for k in range(cs.shape[1] - 2, -1, -1):
                 acc *= x
                 acc += lane(cs[:, k], buf)
@@ -207,7 +199,7 @@ def _images(fs, j, seg=None):
         def horner(poly):
             cu = table(poly, lambda c: c.a.v)
             cv = table(poly, lambda c: c.b.v)
-            au, av = start(cu[:, -1]), start(cv[:, -1])
+            au, av = lane(cu[:, -1]), lane(cv[:, -1])
             for k in range(cu.shape[1] - 2, -1, -1):
                 np.multiply(au, xv, out=t)
                 np.multiply(np.multiply(av, xv, out=s), r, out=s)
@@ -249,8 +241,7 @@ def _images(fs, j, seg=None):
         img += nu
     np.copyto(img, q, where=pole)
     if len(at_inf):
-        inf = [_image_at_inf(f) for f in fs]
-        img[at_inf] = inf[0] if seg is None else np.take(inf, seg[at_inf])
+        img[at_inf] = np.take([_image_at_inf(f) for f in fs], seg[at_inf])
     return img
 
 
@@ -280,7 +271,7 @@ def _bijective(fs):
         j = lanes - starts[seg]
         # only the functions whose segments meet the chunk
         lo, hi = seg[0], seg[-1] + 1
-        img = _images(fs[lo:hi], j, seg - lo if hi - lo > 1 else None)
+        img = _images(fs[lo:hi], j, seg - lo)
         np.add(img, lanes - j, out=bins[a:a + len(lanes)])
     counts = np.bincount(bins, minlength=starts[-1])
     bad = np.logical_or.reduceat(counts != 1, starts[:-1])
@@ -378,15 +369,23 @@ class SweepReport:
         }
 
 
+def _reduce(f, p):
+    """(f reduced at the place over p, None), or (None, the record of p)
+    when the place is ramified or f has bad reduction there."""
+    try:
+        return reduce_mod_place(f, p), None
+    except RamifiedPlace:
+        return None, SweepRecord(p, 0, "ramified")
+    except BadReduction:
+        return None, SweepRecord(p, 0, "bad-reduction")
+
+
 def sweep_prime(f, p):
     """The sweep verdict for one odd prime. Raises PointCapExceeded when
     P^1 over the residue field has more than DEFAULT_POINT_CAP points."""
-    try:
-        fp = reduce_mod_place(f, p)
-    except RamifiedPlace:
-        return SweepRecord(p, 0, "ramified")
-    except BadReduction:
-        return SweepRecord(p, 0, "bad-reduction")
+    fp, skipped = _reduce(f, p)
+    if skipped:
+        return skipped
     ok, _ = is_bijective(fp)
     return SweepRecord(p, fp.field.ext, "bijective" if ok else "not-bijective")
 
@@ -414,15 +413,11 @@ def sweep_primes(f, primes):
         points[ext] = 0
 
     for i, p in enumerate(primes):
+        fp, records[i] = _reduce(f, p)
+        if records[i]:
+            continue
         try:
-            fp = reduce_mod_place(f, p)
             _check_cap(fp.field)
-        except RamifiedPlace:
-            records[i] = SweepRecord(p, 0, "ramified")
-            continue
-        except BadReduction:
-            records[i] = SweepRecord(p, 0, "bad-reduction")
-            continue
         except PointCapExceeded as e:
             records[i] = SweepRecord(p, e.place_degree, "point-cap")
             continue

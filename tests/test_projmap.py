@@ -242,7 +242,8 @@ def test_images_are_exact_on_both_sides_of_the_int32_boundary(ext):
             y = eval_proj(f, projmap._decode(F, int(i)))
             want.append(F.order if y is INF
                         else y.v if ext == 1 else y.a.v * p + y.b.v)
-        assert projmap._images([f], j).tolist() == want, (p, dtype)
+        seg = np.zeros(len(j), np.intp)
+        assert projmap._images([f], j, seg).tolist() == want, (p, dtype)
 
 
 def test_sweep_primes_equals_sweep_prime_per_prime():
