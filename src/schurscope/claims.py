@@ -58,21 +58,6 @@ def genus0():
         yield f"genus-0 types, PSL2({q}) on {G.degree}", ramgenus.genus0_search(G), want
 
 
-def _elements_of_orders(G, orders):
-    """One element of each requested order, found by powering random words
-    (a fixed seed)."""
-    rng = random.Random(0)
-    els = {}
-    cur = G.gens[0]
-    while set(orders) - set(els):
-        o = cur.order()
-        for d in orders:
-            if d not in els and o % d == 0:
-                els[d] = cur ** (o // d)
-        cur = cur * rng.choice(G.gens)
-    return els
-
-
 def fixed_points():
     """chi and ind of elements of order 2, 3 and 5 of PGammaL2(32) on 496
     points, and the fixed points of PSL2(8) on 28 points."""
@@ -81,7 +66,8 @@ def fixed_points():
     A = permcore.psl2_torus_coset_action(32, "pgammal")[0].group
     H = PermGroup(A.degree, A.stabilizer_gens(0))
     want = {2: (16, 240), 3: (1, 330), 5: (1, 396)}
-    for o, g in sorted(_elements_of_orders(A, want).items()):
+    for o in sorted(want):
+        g = permcore.element_of_order(A, o)
         got = (exceptio.chi_fixed_points(A, H, g), ramgenus.ind(g))
         yield f"(chi, ind) of order {o}, PGammaL2(32) on 496", got, want[o]
     G = permcore.psl2_torus_coset_action(8, "psl")[0].group

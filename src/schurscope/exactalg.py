@@ -376,21 +376,15 @@ class FpElem:
 
 
 class FqField:
-    """F_p (ext=1) or F_p^2 (ext=2, as F_p[sqrt(r)] with r a non-residue)."""
+    """F_p (ext=1) or F_p^2 (ext=2, as F_p[sqrt(r)] with r the smallest
+    non-residue mod p)."""
 
-    def __init__(self, p, ext=1, r=None):
+    def __init__(self, p, ext=1):
         if ext not in (1, 2):
             raise ValueError("ext must be 1 or 2")
         self.p = p
         self.ext = ext
-        if ext == 2:
-            if r is None:
-                r = smallest_nonresidue(p)
-            if kronecker(r, p) != -1:
-                raise ValueError(f"{r} is a residue mod {p}")
-            self.r = r
-        else:
-            self.r = None
+        self.r = smallest_nonresidue(p) if ext == 2 else None
 
     @property
     def order(self):
@@ -1024,13 +1018,12 @@ def _find_disc(s):
     return d
 
 
-def parse_ratfunc(s, field=None):
+def parse_ratfunc(s):
     """Parse `num / den`. The / separating num and den is the one at depth 0
     that is not part of a rational a/b (i.e. followed by a term, not a bare
     integer glued to the numerator); we split on the last top-level ' / '.
     """
-    if field is None:
-        field = QuadField(_find_disc(s)) if "sqrt" in s else QQ
+    field = QuadField(_find_disc(s)) if "sqrt" in s else QQ
     depth = 0
     split = None
     for i, ch in enumerate(s):

@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .permcore import (
+    CapExceeded,
     CosetAction,
     DegreeMismatch,
     NotASubgroup,
@@ -145,10 +146,13 @@ def is_exceptional(A, G):
 def coset_verdicts(A, G):
     """(x, verdict of (<G, x>, G)) for x in `CosetAction(A, G).reps`, the
     right-coset representatives breadth first, identity first. The degrees
-    and the pair cap are checked before any chain is built."""
+    and the pair cap are checked before any chain is built, and the index
+    cap before any coset is."""
     _check_normal(A, G)
+    if A.order // G.order > INDEX_CAP:
+        raise CapExceeded(f"index {A.order // G.order} exceeds cap {INDEX_CAP}")
     common = _suborbit_test(G)
-    for x in CosetAction(A, G, INDEX_CAP).reps:
+    for x in CosetAction(A, G).reps:
         yield x, _verdict(common([x]))
 
 

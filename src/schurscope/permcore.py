@@ -637,23 +637,29 @@ def _perms(blocks, n, out):
     return out
 
 
+def _forward(lvl):
+    """The forward coset representatives of a chain level: the inverses of
+    its table's rows, in the same order, made by one scatter."""
+    forward = np.empty_like(lvl.table)
+    forward[np.arange(len(lvl.orbit))[:, None], lvl.table] = _ident(
+        lvl.table.shape[1])
+    return forward
+
+
 def _rank_space(G):
     """(images, conjugates, rank) on the ranks [0, |G|) of G's elements. The
     element of rank r is u_0 o ... o u_k, u_i the forward coset
-    representative (the inverse of a table row, made here by one scatter per
-    level) at r's mixed-radix digit of level i. images(ranks, points): the
-    images of points (a row, or a row per rank) under each rank's element.
+    representative (`_forward`) at r's mixed-radix digit of level i.
+    images(ranks, points): the images of points (a row, or a row per rank)
+    under each rank's element.
     conjugates(ranks): per generator s, the ranks of s^-1 g s, from its base
     images s(g(s^-1(b))) alone. rank(rows, pre): the ranks of pre * c for the
     uint16 rows c (pre, a Perm of G, defaults to the identity). Raises
     CapExceeded when |G| > ENUM_CAP."""
     check_enum_cap(G)
-    chain, n = G._chain, G.degree
+    chain = G._chain
     base = [lvl.base_point for lvl in chain]
-    forward = []
-    for lvl in chain:
-        forward.append(np.empty_like(lvl.table))
-        forward[-1][np.arange(len(lvl.orbit))[:, None], lvl.table] = _ident(n)
+    forward = [_forward(lvl) for lvl in chain]
     gens = [(np.array(s.images), np.array(s.inverse().images)[base])
             for s in G.gens]
 
@@ -818,17 +824,19 @@ def right_coset_key(M):
     per level; M is never enumerated.
     """
     M._build_chain()
-    # per level: the orbit, the base point and the forward representatives
-    # made so far, by orbit point
-    levels = [(lvl.orbit, lvl.base_point, {}) for lvl in M._chain]
+    # per level: the orbit, the base point, each point's position in the
+    # orbit, the forward representatives as rows, and the Perms made from
+    # them so far, by orbit point
+    levels = [(lvl.orbit, lvl.base_point, lvl.position, _forward(lvl), {})
+              for lvl in M._chain]
 
     def key(r):
-        for i, (orbit, base_point, forward) in enumerate(levels):
+        for orbit, base_point, position, forward, made in levels:
             o = min(orbit, key=r.images.__getitem__)
             if o != base_point:
-                u = forward.get(o)
+                u = made.get(o)
                 if u is None:
-                    u = forward[o] = M._inverse_rep(i, o).inverse()
+                    u = made[o] = _perm(forward[position[o]])
                 r = u * r
         return r.images
 
@@ -841,12 +849,12 @@ class CosetAction:
     by `right_coset_key(M)`, so reps[i] is the first element of A reached in
     coset i. Provides the induced permutation for any element of A."""
 
-    def __init__(self, A, M, index_cap=DEGREE_CAP):
+    def __init__(self, A, M):
         for g in M.gens:
             if g not in A:
                 raise NotASubgroup("M is not contained in A")
-        if A.order % M.order != 0 or A.order // M.order > index_cap:
-            raise CapExceeded(f"index {A.order // M.order} exceeds cap {index_cap}")
+        if A.order // M.order > DEGREE_CAP:
+            raise CapExceeded(f"index {A.order // M.order} exceeds cap {DEGREE_CAP}")
         self.A = A
         self.M = M
         self._key = key = right_coset_key(M)
@@ -1037,45 +1045,38 @@ def _psl2_gens(line):
     return gens
 
 
+def _projective_group(q, ambient):
+    """(A, G, line): an almost simple group A on P^1(F_q) and G = PSL2(q),
+    given by its generators inside A. The ambient is 'psl' (A is G, so the
+    two share one chain and one enumeration), 'pgammal' (PGammaL2(q): PGL2(q)
+    extended by the Frobenius) or 'm10' (M10 = PSL2(9).<delta*frob>, q = 9
+    only); delta is the scaling by a multiplicative generator."""
+    if ambient not in ("psl", "pgammal", "m10") or (ambient == "m10" and q != 9):
+        raise ValueError(f"no ambient {ambient!r} of PSL2({q})")
+    p, k = _factor_prime_power(q)
+    line = ProjectiveLine(p, k)
+    A = G = PermGroup(line.degree, _psl2_gens(line))
+    d, index = gcd(2, q - 1), 1  # index: [A : G]
+    if ambient != "psl":
+        gf = line.gf
+        delta = line.moebius_perm(gf.multiplicative_generator(), gf.zero,
+                                  gf.zero, gf.one)
+        frob = line.frobenius_perm()
+        if ambient == "m10":
+            extra, index = [delta * frob], 2
+        else:  # PGL2(q) has index d over PSL2(q), and the Frobenius k
+            extra, index = ([delta, frob] if d == 2 else [frob]), d * k
+        A = PermGroup(line.degree, G.gens + extra)
+    expected = q * (q * q - 1) // d * index
+    if A.order != expected:
+        raise RuntimeError(f"{ambient} of PSL2({q}) has order {A.order}, "
+                           f"expected {expected}")
+    return A, G, line
+
+
 def psl2(q):
-    """PSL_2(q) in its natural action on P^1(F_q), degree q+1."""
-    p, k = _factor_prime_power(q)
-    line = ProjectiveLine(p, k)
-    G = PermGroup(line.degree, _psl2_gens(line))
-    expected = q * (q * q - 1) // gcd(2, q - 1)
-    if G.order != expected:
-        raise RuntimeError(f"PSL2({q}) construction has order {G.order}, expected {expected}")
-    return G, line
-
-
-def pgammal2(q):
-    """PGammaL_2(q) on P^1(F_q): PGL_2(q) extended by the Frobenius."""
-    p, k = _factor_prime_power(q)
-    line = ProjectiveLine(p, k)
-    gens = _psl2_gens(line)
-    g = line.gf.multiplicative_generator()
-    if p != 2:
-        gens.append(line.moebius_perm(g, line.gf.zero, line.gf.zero, line.gf.one))
-    gens.append(line.frobenius_perm())
-    G = PermGroup(line.degree, gens)
-    expected = q * (q * q - 1) // gcd(2, q - 1) * gcd(2, q - 1) * k
-    if G.order != expected:
-        raise RuntimeError(f"PGammaL2({q}) construction has order {G.order}")
-    return G, line
-
-
-def m10():
-    """M10 = PSL2(9).<delta*frob> of order 720, acting on P^1(F_9)."""
-    line = ProjectiveLine(3, 2)
-    gens = _psl2_gens(line)
-    g = line.gf.multiplicative_generator()
-    delta = line.moebius_perm(g, line.gf.zero, line.gf.zero, line.gf.one)
-    frob = line.frobenius_perm()
-    gens.append(delta * frob)
-    G = PermGroup(line.degree, gens)
-    if G.order != 720:
-        raise RuntimeError(f"M10 construction has order {G.order}")
-    return G, line
+    """PSL_2(q) in its natural action on P^1(F_q), degree q+1: (G, line)."""
+    return _projective_group(q, "psl")[1:]
 
 
 def _factor_prime_power(q):
@@ -1103,22 +1104,6 @@ def element_of_order(G, n):
     raise ValueError(f"no element of order {n}")
 
 
-def _psl2_in_ambient(q, ambient):
-    """(A, G): the ambient group on P^1(F_q) ('psl', 'pgammal', or 'm10' for
-    q = 9) and PSL2(q) given by its generators inside it; G is A itself when
-    the ambient is PSL2(q), so the two share one chain and one enumeration."""
-    if ambient == "psl":
-        A, _ = psl2(q)
-        return A, A
-    if ambient == "pgammal":
-        A, line = pgammal2(q)
-    elif ambient == "m10":
-        A, line = m10()
-    else:
-        raise ValueError(ambient)
-    return A, PermGroup(A.degree, _psl2_gens(line))
-
-
 def psl2_torus_coset_action(q, ambient="psl"):
     """The degree q(q-1)/2 action of PSL2(q) (or an overgroup) on cosets of the
     normalizer of the nonsplit torus of order (q+1)/gcd(2,q-1).
@@ -1127,7 +1112,7 @@ def psl2_torus_coset_action(q, ambient="psl"):
     Returns (coset_action, G_in_ambient) where G_in_ambient is PSL2(q) given
     by its generators inside the ambient group.
     """
-    A, G = _psl2_in_ambient(q, ambient)
+    A, G, _ = _projective_group(q, ambient)
     torus_order = (q + 1) // gcd(2, q - 1)
     t = element_of_order(G, torus_order)
     M = normalizer_of_cyclic(A, t)
@@ -1144,7 +1129,7 @@ def psl2_sylow2_coset_action(q, ambient="psl"):
     ambient: 'psl', 'pgammal', or 'm10' (q=9 only). Returns (coset_action,
     G_in_ambient) as psl2_torus_coset_action does.
     """
-    A, G = _psl2_in_ambient(q, ambient)
+    A, G, _ = _projective_group(q, ambient)
     pair = {0, q}  # the points 0 and INF of ProjectiveLine
     M = PermGroup(A.degree, [h for h in A.gens
                              if {h.images[0], h.images[q]} == pair])

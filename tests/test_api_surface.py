@@ -1,8 +1,10 @@
 """The package's public surface: every public top-level name in
 `src/schurscope`, and every public method of a public class, is used by the
 package or the benchmark, or is a kept oracle named below; no public
-function takes a cap as a parameter; and no module of the package or its
-tests imports a name it never reads."""
+function takes a cap as a parameter; every defaulted parameter of a public
+function is passed by some call in the package or the benchmark, or is
+named below; and no module of the package or its tests imports a name it
+never reads."""
 
 import ast
 from pathlib import Path
@@ -40,9 +42,14 @@ ALLOWED_UNUSED_IMPORTS = {
         "wrappers; the genus-0 search labels the classes on ranks instead",
 }
 
-# the index cap of a coset action takes two values: exceptio.INDEX_CAP for
-# the cosets of an arithmetic-exceptionality search, DEGREE_CAP otherwise
-ALLOWED_CAP_PARAMETERS = {("permcore", "CosetAction.__init__", "index_cap")}
+ALLOWED_CAP_PARAMETERS = set()
+
+# defaulted parameters that no call in src/ or perfbench/ passes, kept on
+# purpose
+ALLOWED_UNPASSED_DEFAULTS = {
+    "cli.main.argv": "the tests drive the CLI in-process",
+    "ellipt.verify_cm7.B": "the tests check that B != 1 is refused",
+}
 
 
 def _parse(path):
@@ -131,6 +138,46 @@ def test_no_public_function_takes_a_cap():
                 if arg.arg == "cap" or arg.arg.endswith("_cap"):
                     found.add((path.stem, name, arg.arg))
     assert found == ALLOWED_CAP_PARAMETERS
+
+
+def _calls():
+    """Per called name, the (positional argument count, keyword names) of
+    every call in src/ and perfbench/. A call with *args passes every
+    positional parameter, and one with **kwargs (keyword None) every
+    parameter."""
+    out = {}
+    for path in SRC + BENCH:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(
+                    node.func, "attr", None)
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                out.setdefault(name, []).append(
+                    (float("inf") if star else len(node.args),
+                     {k.arg for k in node.keywords}))
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    calls = _calls()
+    unpassed = set()
+    for path in SRC:
+        for name, fn in _functions(path):
+            cls, _, method = name.rpartition(".")
+            # a call names a class for its __init__, and passes no self
+            called = calls.get(cls if method == "__init__" else method, [])
+            skip = int(bool(cls) and "staticmethod" not in {
+                getattr(d, "id", None) for d in fn.decorator_list})
+            a = fn.args
+            params = list(enumerate(a.posonlyargs + a.args, -skip))
+            defaulted = params[len(params) - len(a.defaults):] + [
+                (float("inf"), arg) for arg, default
+                in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+            for i, arg in defaulted:
+                if not any(n > i or arg.arg in kw or None in kw
+                           for n, kw in called):
+                    unpassed.add(f"{path.stem}.{name}.{arg.arg}")
+    assert unpassed == set(ALLOWED_UNPASSED_DEFAULTS)
 
 
 def _unused_imports(path):

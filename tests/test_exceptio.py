@@ -145,6 +145,21 @@ def test_arithmetic_exceptionality_psl28():
     assert v.witness.order() % 3 == 0
 
 
+def test_arithmetic_search_keeps_the_index_cap(monkeypatch):
+    act, G8 = psl2_torus_coset_action(8, "pgammal")
+    A, G = act.group, act.image_group(G8)  # [A : G] = 3
+    coset_action, built = exceptio.CosetAction, []
+    monkeypatch.setattr(exceptio, "CosetAction",
+                        lambda A, M: built.append(M) or coset_action(A, M))
+    monkeypatch.setattr(exceptio, "INDEX_CAP", 2)
+    with pytest.raises(CapExceeded, match="index 3 exceeds cap 2"):
+        is_arithmetically_exceptional(A, G)
+    assert built == []  # refused before any coset is built
+    monkeypatch.setattr(exceptio, "INDEX_CAP", 3)
+    v = is_arithmetically_exceptional(A, G)
+    assert v.arithmetically_exceptional and v.witness not in G
+
+
 def test_chi_fixed_points_matches_direct_count():
     act, _ = psl2_torus_coset_action(8, "psl")
     G = act.group

@@ -25,10 +25,8 @@ from schurscope.permcore import (
     conjugacy_classes,
     element_of_order,
     format_cycles,
-    m10,
     normalizer_of_cyclic,
     orbits_on_pairs,
-    pgammal2,
     psl2,
     psl2_sylow2_coset_action,
     psl2_torus_coset_action,
@@ -177,6 +175,14 @@ def test_two_set_action_has_degree_q_q_plus_1_over_2():
         assert (act.M.order, act.A.order) == (two_part, 45 * two_part), ambient
 
 
+@pytest.mark.parametrize("q, ambient", [(8, "m10"), (9, "pgl")])
+def test_coset_actions_refuse_an_ambient_that_is_not_an_overgroup(q, ambient):
+    # M10 exists only over F_9
+    for action in (psl2_sylow2_coset_action, psl2_torus_coset_action):
+        with pytest.raises(ValueError, match=f"no ambient '{ambient}'"):
+            action(q, ambient)
+
+
 def test_element_of_order():
     S4 = PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])
     for n in (2, 3, 4):
@@ -190,7 +196,7 @@ def test_element_of_order():
     (lambda: psl2(8)[0], (2, 3, 7, 9)),
     (lambda: psl2(9)[0], (2, 3, 4, 5)),
     (lambda: psl2(16)[0], (2, 3, 5, 15, 17)),
-    (lambda: pgammal2(8)[0], (2, 3, 6, 7, 9)),
+    (lambda: permcore._projective_group(8, "pgammal")[0], (2, 3, 6, 7, 9)),
 ], ids=["s4", "psl2(8)", "psl2(9)", "psl2(16)", "pgammal2(8)"])
 def test_element_of_order_is_the_first_in_enumeration_order(make, orders):
     G = make()
@@ -222,13 +228,13 @@ def test_small_gf():
 def test_projective_group_orders():
     A, _ = psl2(8)
     assert A.degree == 9 and A.order == 504
-    A, _ = pgammal2(8)
+    A = permcore._projective_group(8, "pgammal")[0]
     assert A.order == 1512
     A, _ = psl2(9)
     assert A.degree == 10 and A.order == 360
-    A, _ = m10()
+    A = permcore._projective_group(9, "m10")[0]
     assert A.order == 720
-    A, _ = pgammal2(32)
+    A = permcore._projective_group(32, "pgammal")[0]
     assert A.degree == 33 and A.order == 163680
 
 
@@ -486,7 +492,7 @@ def test_coset_action_never_enumerates_m():
 
 
 def test_right_coset_key_is_constant_on_cosets():
-    A, _ = pgammal2(8)
+    A = permcore._projective_group(8, "pgammal")[0]
     M = normalizer_of_cyclic(A, element_of_order(A, 9))
     key = right_coset_key(M)
     rng = random.Random(3)
@@ -630,7 +636,7 @@ def test_elements_and_classes_match_python_on_psl2_8():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: pgammal2(8)[0], lambda: psl2(16)[0],
+    lambda: permcore._projective_group(8, "pgammal")[0], lambda: psl2(16)[0],
     lambda: psl2_torus_coset_action(8)[0].group,
     lambda: psl2_sylow2_coset_action(9)[0].group,
 ], ids=["pgammal2(8)", "psl2(16)", "psl2(8)-on-28", "psl2(9)-on-45"])
@@ -945,9 +951,9 @@ _NAMED = {
     "s4": _s4,
     "psl2(7)": lambda: psl2(7)[0],
     "psl2(16)": lambda: psl2(16)[0],
-    "pgammal2(8)": lambda: pgammal2(8)[0],
-    "pgammal2(32)": lambda: pgammal2(32)[0],
-    "m10": lambda: m10()[0],
+    "pgammal2(8)": lambda: permcore._projective_group(8, "pgammal")[0],
+    "pgammal2(32)": lambda: permcore._projective_group(32, "pgammal")[0],
+    "m10": lambda: permcore._projective_group(9, "m10")[0],
     "psl2(8)-torus": _TRANSITIVE["psl2(8)-torus"],
     "pgammal2(8)-torus": _TRANSITIVE["pgammal2(8)-torus"],
     "psl2(9)-sylow2": _TRANSITIVE["psl2(9)-sylow2"],
@@ -1007,7 +1013,7 @@ def _normalizer_cases():
     for q in (8, 9, 16):
         G, _ = psl2(q)
         yield f"psl2({q})", G, element_of_order(G, (q + 1) // (1 + q % 2))
-    A, _ = pgammal2(8)
+    A = permcore._projective_group(8, "pgammal")[0]
     yield "pgammal2(8)", A, element_of_order(psl2(8)[0], 9)
     S4 = _s4()
     for g in S4.elements():
