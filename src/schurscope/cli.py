@@ -11,7 +11,7 @@ import sys
 from functools import partial
 
 from .exactalg import QQ, format_ratfunc, parse_fraction, parse_ratfunc
-from .projmap import SweepReport, odd_primes, schur_sweep, sweep_primes
+from .projmap import SweepReport, odd_primes, sweep_primes
 from .funfam import builtin_function
 from .permcore import DEGREE_CAP, Perm, PermGroup
 from . import claims, exceptio, ramgenus, ellipt
@@ -55,13 +55,16 @@ def dump_group(G, path):
 # worker support for sweeps
 
 def parallel_sweep(f, bound, workers):
-    """schur_sweep, optionally splitting the prime range over processes;
-    each worker is sent f itself, pickled, and a share of the primes."""
+    """schur_sweep, optionally splitting the prime range over processes: at
+    most `workers`, the number of cores and the number of primes, as a
+    process pool starts all its workers at its first task. Each worker is
+    sent f itself, pickled, and a share of the primes."""
+    primes = odd_primes(bound)
+    workers = min(workers, os.cpu_count() or 1, len(primes))
     if workers <= 1:
-        return schur_sweep(f, bound)
+        return SweepReport.from_records(sweep_primes(f, primes))
     from concurrent.futures import ProcessPoolExecutor
 
-    primes = odd_primes(bound)
     chunks = [primes[i::workers] for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(partial(sweep_primes, f), chunks))

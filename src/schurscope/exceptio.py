@@ -27,6 +27,7 @@ from .permcore import (
     NotASubgroup,
     Perm,
     PermGroup,
+    _ChainLevel,
     _class_labels,
     _effective_gens,
     _element_blocks,
@@ -102,19 +103,17 @@ def _suborbit_test(G):
     element that takes bp to 0."""
     G._build_chain()
     # the trivial group is transitive on one point only
-    bp = G._chain[0].base_point if G._chain else 0
-
-    def rep(pt):
-        """The stored inverse representative at pt, mapping it to bp."""
-        return G._inverse_rep(0, pt) if G._chain else Perm.identity(G.degree)
-
-    to0 = rep(0).inverse().images
+    lvl = G._chain[0] if G._chain else _ChainLevel(0, G.degree)
+    bp, position = lvl.base_point, lvl.position
+    to0 = lvl.forward[position[0]].tolist()
     G0 = PermGroup(G.degree, _effective_gens(G._chain, 1))
     named = [(min(to0[p] for p in orb), orb[0], set(orb)) for orb in G0.orbits()]
 
     def common(xs):
-        # y_x normalizes G_0, so one point of a G_0-orbit shows where it goes
-        ys = [(x * rep(x.images[bp])).images for x in xs]
+        # y_x = x t, t the stored inverse representative at x(bp), normalizes
+        # G_0, so one point of a G_0-orbit shows where it goes
+        ys = [lvl.table[position[x.images[bp]]].take(x.images).tolist()
+              for x in xs]
         return sorted((0, v) for v, p, orb in named if all(y[p] in orb for y in ys))
 
     return common
@@ -336,7 +335,8 @@ def excomp_decompose(A, G, M, U):
             raise NotASubgroup("U is not contained in A")
     # A = GM: the cosets of G met by M must be all of them
     key = right_coset_key(G)
-    gm_count = len({key(m) for m in M.elements()})
+    rows = np.array([m.images for m in M.elements()], dtype=np.uint16)
+    gm_count = len({key(m) for m in rows})
     if gm_count != A.order // G.order:
         raise ValueError("A = GM fails")
 

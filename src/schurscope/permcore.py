@@ -168,12 +168,14 @@ _EDGE, _SIFTED = 1, 2  # how a Schreier generator was verified
 class _ChainLevel:
     """A level of a stabilizer chain: the strong generators first seen there
     and the transversal of the base point's orbit, as the orbit in discovery
-    order, the position of every point in it (-1 off the orbit) and a uint16
-    table whose row k is the inverse coset representative of orbit[k]: a
+    order, the position of every point in it (-1 off the orbit) and two
+    uint16 tables, replaced as the orbit grows, never written in place. Row
+    k of `table` is the inverse coset representative of orbit[k]: a
     permutation mapping it to the base point, the factor a sift composes
-    with. Row 0 is the identity, at the base point."""
+    with. Row k of `forward` is its inverse, the coset representative. Row 0
+    of both is the identity, at the base point."""
 
-    __slots__ = ("base_point", "gens", "orbit", "position", "table")
+    __slots__ = ("base_point", "gens", "orbit", "position", "table", "forward")
 
     def __init__(self, base_point, n):
         self.base_point = base_point
@@ -181,7 +183,7 @@ class _ChainLevel:
         self.orbit = [base_point]
         self.position = np.full(n, -1, dtype=np.intp)
         self.position[base_point] = 0
-        self.table = np.array([_ident(n)], dtype=np.uint16)
+        self.table = self.forward = np.array([_ident(n)], dtype=np.uint16)
 
 
 def _perm(row):
@@ -245,15 +247,12 @@ class _SchreierSims:
     level i was verified: not yet (0), as an edge of the orbit tree
     (`_EDGE`, never sifted) or by a sift (`_SIFTED`). A level is skipped
     while its `_signature` is the one it was last extended with (`closed`)
-    or fully verified with (`clean`). forward[i] holds the coset
-    representatives of level i, the inverses of its table's rows in the
-    same order: scratch for the Schreier generators, dropped with the
-    build.
+    or fully verified with (`clean`).
     """
 
     def __init__(self, n, gens):
         self.n = n
-        self.chain, self.gens, self.states, self.forward = [], [], [], []
+        self.chain, self.gens, self.states = [], [], []
         self.serial = {}  # id of a strong generator -> its index in gens
         self.closed, self.clean = [], []
         self._sift_each(0, np.array([g.images for g in gens],
@@ -272,7 +271,6 @@ class _SchreierSims:
         if j == len(self.chain):
             moved = row != np.arange(self.n, dtype=np.uint16)
             self.chain.append(_ChainLevel(int(moved.argmax()), self.n))
-            self.forward.append(self.chain[-1].table)
             self.states.append(np.zeros((0, self.n), dtype=np.int8))
             self.closed.append(None)
             self.clean.append(None)
@@ -345,7 +343,7 @@ class _SchreierSims:
             # each new row from the row of its edge's start, made before it
             table = np.empty((len(orbit), self.n), dtype=np.uint16)
             forward = np.empty_like(table)
-            table[:old], forward[:old] = lvl.table, self.forward[i]
+            table[:old], forward[:old] = lvl.table, lvl.forward
             arrays = {}  # id of a generator -> it and its inverse as rows
             for row, (k, g) in enumerate(edges, old):
                 g_arr = arrays.get(id(g))
@@ -354,7 +352,7 @@ class _SchreierSims:
                         [g.images, g.inverse().images], dtype=np.uint16)
                 table[row] = table[k][g_arr[1]]
                 forward[row] = g_arr[0][forward[k]]
-            lvl.table, self.forward[i] = table, forward
+            lvl.table, lvl.forward = table, forward
         self.closed[i] = self._signature(i)
 
     def _verify_level(self, i):
@@ -379,7 +377,7 @@ class _SchreierSims:
             gens[kk]): u the coset representative of the point and t the
             inverse one of its image under s."""
             t = lvl.position[gens[kk, orbit[p]]]
-            return _gather(lvl.table, t, _gather(gens, kk, self.forward[i][p]))
+            return _gather(lvl.table, t, _gather(gens, kk, lvl.forward[p]))
 
         step = max(1, _SIFT // self.n)
         for lo in range(0, len(pos), step):
@@ -426,11 +424,6 @@ class PermGroup:
         for lvl in self._chain:
             order *= len(lvl.orbit)
         self._order = order
-
-    def _inverse_rep(self, i, pt):
-        """The inverse coset representative at pt of level i, as a Perm."""
-        lvl = self._chain[i]
-        return _perm(lvl.table[lvl.position[pt]])
 
     @property
     def order(self):
@@ -492,7 +485,8 @@ class PermGroup:
 
         The strong generators of levels >= 1 generate the stabilizer of the
         first base point bp; the stored inverse representative t at `point`
-        maps it to bp, so their conjugates t * s * t^-1 fix `point`."""
+        maps it to bp, and t^-1 is the stored forward one, so the conjugates
+        t * s * t^-1 fix `point`."""
         self._build_chain()
         # the trivial group is transitive on one point only
         orbit = self._chain[0].orbit if self._chain else [0]
@@ -500,8 +494,9 @@ class PermGroup:
             raise ValueError("G must be transitive")
         if not self._chain:
             return []
-        t = self._inverse_rep(0, point)
-        t_inv = t.inverse()
+        lvl = self._chain[0]
+        t, t_inv = (_perm(rows[lvl.position[point]])
+                    for rows in (lvl.table, lvl.forward))
         return [t * s * t_inv for s in _effective_gens(self._chain, 1)]
 
     def __repr__(self):
@@ -637,19 +632,11 @@ def _perms(blocks, n, out):
     return out
 
 
-def _forward(lvl):
-    """The forward coset representatives of a chain level: the inverses of
-    its table's rows, in the same order, made by one scatter."""
-    forward = np.empty_like(lvl.table)
-    forward[np.arange(len(lvl.orbit))[:, None], lvl.table] = _ident(
-        lvl.table.shape[1])
-    return forward
-
-
 def _rank_space(G):
     """(images, conjugates, rank) on the ranks [0, |G|) of G's elements. The
     element of rank r is u_0 o ... o u_k, u_i the forward coset
-    representative (`_forward`) at r's mixed-radix digit of level i.
+    representative (the level's `forward` row) at r's mixed-radix digit of
+    level i.
     images(ranks, points): the images of points (a row, or a row per rank)
     under each rank's element.
     conjugates(ranks): per generator s, the ranks of s^-1 g s, from its base
@@ -659,15 +646,14 @@ def _rank_space(G):
     check_enum_cap(G)
     chain = G._chain
     base = [lvl.base_point for lvl in chain]
-    forward = [_forward(lvl) for lvl in chain]
     gens = [(np.array(s.images), np.array(s.inverse().images)[base])
             for s in G.gens]
 
     def images(ranks, points):
         x = np.broadcast_to(points, (len(ranks), np.shape(points)[-1]))
-        for lvl, table in zip(chain[::-1], forward[::-1]):
+        for lvl in chain[::-1]:
             ranks, digit = np.divmod(ranks, len(lvl.orbit))
-            x = _gather(table, digit, x)
+            x = _gather(lvl.forward, digit, x)
         return x
 
     def conjugates(ranks):
@@ -814,31 +800,26 @@ def normalizer_of_cyclic(G, g):
 # coset actions
 
 def right_coset_key(M):
-    """A function r -> canonical key of the right coset M*r.
+    """A function r -> canonical key of the right coset M*r, for r a uint16
+    row.
 
-    The key is the images of the one element of M*r whose images of M's base
-    points are lexicographically least. It is found by descending M's chain:
-    at each level, move the orbit point whose image under r is least onto
-    the base point, by r -> u*r with u the forward coset representative
-    (base point -> orbit point). One orbit scan and at most one composition
-    per level; M is never enumerated.
+    The key is the bytes of the row of the one element of M*r whose images
+    of M's base points are lexicographically least. It is found by
+    descending M's chain: at each level, move the orbit point whose image
+    under r is least onto the base point, by r -> u*r with u the level's
+    forward coset representative (base point -> orbit point). One argmin
+    over the orbit and at most one gather per level; M is never enumerated.
     """
     M._build_chain()
-    # per level: the orbit, the base point, each point's position in the
-    # orbit, the forward representatives as rows, and the Perms made from
-    # them so far, by orbit point
-    levels = [(lvl.orbit, lvl.base_point, lvl.position, _forward(lvl), {})
-              for lvl in M._chain]
+    # per level: the orbit (orbit[0] is the base point) and the forward rows
+    levels = [(np.array(lvl.orbit), lvl.forward) for lvl in M._chain]
 
     def key(r):
-        for orbit, base_point, position, forward, made in levels:
-            o = min(orbit, key=r.images.__getitem__)
-            if o != base_point:
-                u = made.get(o)
-                if u is None:
-                    u = made[o] = _perm(forward[position[o]])
-                r = u * r
-        return r.images
+        for orbit, forward in levels:
+            k = r[orbit].argmin()
+            if k:
+                r = r[forward[k]]
+        return r.tobytes()
 
     return key
 
@@ -847,7 +828,9 @@ class CosetAction:
     """Action of A on the right cosets of M, found breadth first from M
     itself under right multiplication by A's generators. A coset is labelled
     by `right_coset_key(M)`, so reps[i] is the first element of A reached in
-    coset i. Provides the induced permutation for any element of A."""
+    coset i. Provides the induced permutation for any element of A. The
+    search runs on uint16 rows (r * g is g's row gathered at r's); Perms are
+    made only for `reps`, `image` and `group`."""
 
     def __init__(self, A, M):
         for g in M.gens:
@@ -858,15 +841,15 @@ class CosetAction:
         self.A = A
         self.M = M
         self._key = key = right_coset_key(M)
-        ident = Perm.identity(A.degree)
-        reps = [ident]
-        self._canon_to_idx = index_of = {key(ident): 0}
-        rows = [[] for _ in A.gens]  # rows[k][i]: the coset of reps[i] * gens[k]
+        gens = np.array([g.images for g in A.gens], dtype=np.uint16)
+        reps = [np.array(_ident(A.degree), dtype=np.uint16)]
+        self._canon_to_idx = index_of = {key(reps[0]): 0}
+        images = [[] for _ in A.gens]  # images[k][i]: the coset of reps[i] * gens[k]
         i = 0
         while i < len(reps):
             r = reps[i]
-            for g, row in zip(A.gens, rows):
-                w = r * g
+            for g, row in zip(gens, images):
+                w = g[r]
                 c = key(w)
                 j = index_of.get(c)
                 if j is None:
@@ -874,16 +857,22 @@ class CosetAction:
                     reps.append(w)
                 row.append(j)
             i += 1
-        self.reps = reps
+        self._rows = np.array(reps)
         self.index = len(reps)
         if self.index != A.order // M.order:
             raise NotASubgroup("coset count does not match the index")
-        self.group = PermGroup(self.index, [Perm._raw(tuple(row)) for row in rows])
+        self.group = PermGroup(self.index, [Perm._raw(tuple(row)) for row in images])
+
+    @property
+    def reps(self):
+        """The coset representatives as Perms, made afresh on each read."""
+        return _perms([self._rows], self.A.degree, [])
 
     def image(self, g):
         """The permutation induced by g in A on the cosets."""
         key, index_of = self._key, self._canon_to_idx
-        return Perm._raw(tuple(index_of[key(r * g)] for r in self.reps))
+        ws = np.array(g.images, dtype=np.uint16)[self._rows]
+        return Perm._raw(tuple(index_of[key(w)] for w in ws))
 
     def image_group(self, H):
         """The image of a subgroup H of A, acting on the cosets."""

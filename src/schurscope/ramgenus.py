@@ -166,7 +166,10 @@ def genus0_search(G, r_max=5):
     is then searched by backtracking over class elements with the last entry
     forced, which is tested by the class label of its inverse's rank. The
     Perms of a class are made only when a multiset searched uses it.
+    Raises ValueError when r_max < 2: a type has at least two entries.
     """
+    if r_max < 2:
+        raise ValueError(f"r_max must be >= 2, not {r_max}")
     if G.degree > DEGREE_CAP_SEARCH:
         raise CapExceeded(f"degree {G.degree} exceeds {DEGREE_CAP_SEARCH}")
     if G.order > GROUP_ORDER_CAP:

@@ -3,8 +3,9 @@
 package or the benchmark, or is a kept oracle named below; no public
 function takes a cap as a parameter; every defaulted parameter of a public
 function is passed by some call in the package or the benchmark, or is
-named below; and no module of the package or its tests imports a name it
-never reads."""
+named below; every private top-level function or class of the package is
+read by the package; and no module of the package or its tests imports a
+name it never reads."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,10 @@ ALLOWED_UNUSED_IMPORTS = {
 }
 
 ALLOWED_CAP_PARAMETERS = set()
+
+# private top-level functions and classes that no code in src/ reads, kept on
+# purpose
+ALLOWED_UNREAD_PRIVATE = set()
 
 # defaulted parameters that no call in src/ or perfbench/ passes, kept on
 # purpose
@@ -110,6 +115,15 @@ def test_allowlist_names_exist_and_are_otherwise_unreferenced():
     for qualified in ALLOWED_UNREFERENCED:
         assert qualified in defined, qualified
         assert qualified.rsplit(".", 1)[1] not in used, qualified
+
+
+def test_every_private_helper_is_read_in_src():
+    read = set().union(*(_names_read(_parse(path)) for path in SRC))
+    unread = {f"{path.stem}.{node.name}" for path in SRC
+              for node in _parse(path).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and node.name not in read}
+    assert unread == ALLOWED_UNREAD_PRIVATE
 
 
 def _functions(path):

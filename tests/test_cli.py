@@ -1,7 +1,9 @@
 """Command-line interface: argument handling, exit codes, JSON output
 shapes, and the builtin function registry."""
 
+import concurrent.futures
 import json
+import os
 import time
 
 import pytest
@@ -89,6 +91,40 @@ def test_sweep_worker_records_point_cap_verdicts():
         SweepRecord(19, 1, "not-bijective")]
 
 
+class _InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records its max_workers and
+    maps in this process, so no process is started."""
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_parallel_sweep_workers_are_bounded_by_cores_and_primes(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
+    f = dickson(3, 1)
+    # (requested workers, cores, bound, pool size or None for no pool); the
+    # bound 10 has three odd primes and 3 one
+    for workers, cores, bound, pool in ((64, 2, 100, 2), (64, 8, 10, 3),
+                                        (3, 8, 100, 3), (64, None, 100, None),
+                                        (64, 8, 3, None), (1, 8, 100, None)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        _InProcessPool.made.clear()
+        rep = parallel_sweep(f, bound, workers)
+        assert _InProcessPool.made == ([] if pool is None else [pool])
+        assert rep.records == schur_sweep(f, bound).records
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("SCHURSCOPE_WORKERS", raising=False)
     assert worker_count() == 1
@@ -135,6 +171,9 @@ def test_genus0_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["degree"] == 4 and doc["order"] == 24
     assert [2, 3, 4] in doc["types"]
+    for rmax in ("-3", "1"):
+        assert main(["genus0", "--group", str(path), "--rmax", rmax]) == 2
+        assert "r_max must be >= 2" in capsys.readouterr().err
 
 
 def test_family_command(capsys):

@@ -376,13 +376,17 @@ def _random_group(rng, deg):
 def _assert_transversals_map_to_base(G):
     G._build_chain()
     for lvl in G._chain:
-        assert len(lvl.table) == len(lvl.orbit) == len(set(lvl.orbit))
+        assert len(lvl.table) == len(lvl.forward) == len(lvl.orbit) \
+            == len(set(lvl.orbit))
         off = sorted(set(range(G.degree)) - set(lvl.orbit))
         assert list(lvl.position[off]) == [-1] * len(off)
         for k, pt in enumerate(lvl.orbit):
             assert lvl.position[pt] == k
             assert sorted(lvl.table[k].tolist()) == list(range(G.degree))
             assert lvl.table[k][pt] == lvl.base_point
+            assert lvl.forward[k][lvl.base_point] == pt
+            # the row of forward[k] * table[k] is table[k] gathered at forward[k]
+            assert lvl.table[k][lvl.forward[k]].tolist() == list(range(G.degree))
 
 
 def test_contains_matches_closure_on_all_of_sn():
@@ -497,10 +501,14 @@ def test_right_coset_key_is_constant_on_cosets():
     key = right_coset_key(M)
     rng = random.Random(3)
     els = A.elements()
+
+    def row(g):
+        return np.array(g.images, dtype=np.uint16)
+
     for r in rng.sample(els, 20):
-        k = key(r)
-        assert k in {(m * r).images for m in M.elements()}
-        assert all(key(m * r) == k for m in M.elements())
+        k = key(row(r))
+        assert k in {row(m * r).tobytes() for m in M.elements()}
+        assert all(key(row(m * r)) == k for m in M.elements())
 
 
 def old_elements(G, cap):

@@ -122,6 +122,15 @@ def test_genus0_search_oracle_d5():
     assert genus0_search(D5, r_max=4) == brute_force_genus0_types(D5, 4)
 
 
+def test_genus0_search_refuses_r_max_below_2():
+    S4 = s_n(4)
+    for r_max in (-3, 0, 1):
+        with pytest.raises(ValueError, match="r_max must be >= 2"):
+            genus0_search(S4, r_max=r_max)
+    assert genus0_search(S4, r_max=2) == []
+    assert (2, 3, 4) in genus0_search(S4, r_max=3)
+
+
 def test_genus0_search_psl28_degree28():
     act, _ = psl2_torus_coset_action(8, "psl")
     got = genus0_search(act.group)
