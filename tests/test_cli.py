@@ -114,7 +114,7 @@ def test_parallel_sweep_workers_are_bounded_by_cores_and_primes(monkeypatch):
                         _InProcessPool)
     f = dickson(3, 1)
     # (requested workers, cores, bound, pool size or None for no pool); the
-    # bound 10 has three odd primes and 3 one
+    # bound 10 has three odd primes, and bound 3 has one
     for workers, cores, bound, pool in ((64, 2, 100, 2), (64, 8, 10, 3),
                                         (3, 8, 100, 3), (64, None, 100, None),
                                         (64, 8, 3, None), (1, 8, 100, None)):
