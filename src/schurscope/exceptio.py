@@ -336,7 +336,7 @@ def excomp_decompose(A, G, M, U):
     # A = GM: the cosets of G met by M must be all of them
     key = right_coset_key(G)
     rows = np.array([m.images for m in M.elements()], dtype=np.uint16)
-    gm_count = len({key(m) for m in rows})
+    gm_count = len({key(r) for r in rows})
     if gm_count != A.order // G.order:
         raise ValueError("A = GM fails")
 
