@@ -1,14 +1,18 @@
 """Exact arithmetic kernel: rationals, prime fields F_p, quadratic extensions
 a + b*sqrt(d) of either (QQ(sqrt(d)), and F_p^2 = F_p(sqrt(r))), dense
-univariate polynomials and rational functions.
+univariate polynomials and rational functions, and the reduction of a
+rational function over QQ or QQ(sqrt(d)) at the places over odd primes.
 
 All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
 _new = object.__new__
 
@@ -742,113 +746,207 @@ class RatFunc:
 # ---------------------------------------------------------------------------
 # reduction at a place
 
-def _frac_mod(c, p):
-    """A rational as an int mod p."""
-    if c.denominator == 1:
-        return c.numerator % p
-    if c.denominator % p == 0:
-        raise BadReduction(f"denominator of {c} vanishes mod {p}")
-    return c.numerator * pow(c.denominator, -1, p) % p
-
-
-def _int_field_ops(p, r=None):
-    """(zero, mul, inv, sub_mul) on ints mod p, or, when r is given, on pairs
-    (u, v) meaning u + v*sqrt(r) in F_p^2; sub_mul(a, c, b) is a - c*b."""
-    if r is None:
-        return (0, lambda x, y: x * y % p, lambda x: pow(x, -1, p),
-                lambda a, c, b: (a - c * b) % p)
+def _ring(d):
+    """(zero, one, mul, sub, div) on Z, or with d on Z[sqrt(d)] as pairs
+    (a, b) meaning a + b*sqrt(d); div(x, y) is exact: y divides x."""
+    if d is None:
+        return 0, 1, operator.mul, operator.sub, operator.floordiv
 
     def mul(x, y):
-        return ((x[0] * y[0] + r * x[1] * y[1]) % p,
-                (x[0] * y[1] + x[1] * y[0]) % p)
+        return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
-    def inv(x):
-        n = pow((x[0] * x[0] - r * x[1] * x[1]) % p, -1, p)
-        return x[0] * n % p, -x[1] * n % p
+    def sub(x, y):
+        return x[0] - y[0], x[1] - y[1]
 
-    def sub_mul(a, c, b):
-        t = mul(c, b)
-        return (a[0] - t[0]) % p, (a[1] - t[1]) % p
+    def div(x, y):
+        n = y[0] * y[0] - d * y[1] * y[1]
+        a, b = mul(x, (y[0], -y[1]))
+        return a // n, b // n
 
-    return (0, 0), mul, inv, sub_mul
+    return (0, 0), (1, 0), mul, sub, div
 
 
-def _gcd_degree(a, b, ops):
-    """Degree of gcd(a, b) for nonzero coefficient lists (lowest degree
-    first, leading coefficient nonzero), by one Euclid pass."""
-    zero, mul, inv, sub_mul = ops
-    a, b = list(a), list(b)
-    while len(b) > 1:
-        lead_inv = inv(b[-1])
-        n = len(b) - 1
-        while len(a) > n:
-            c = mul(a.pop(), lead_inv)  # the leading terms cancel exactly
-            a[-n:] = [sub_mul(x, c, y) for x, y in zip(a[-n:], b)]
-            while a and a[-1] == zero:
-                a.pop()
-        if not a:
-            return n
+def _power(x, k, ring):
+    _, one, mul, _, _ = ring
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return out
+
+
+def _prem(a, b, ring):
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b of rows a, b
+    (lowest degree first, leading entries nonzero, deg a >= deg b >= 1).
+
+    a is scaled first, so that every quotient coefficient is an exact
+    division; each step then touches only the nonzero entries of b."""
+    zero, _, mul, sub, div = ring
+    lead = b[-1]
+    scale = _power(lead, len(a) - len(b) + 1, ring)
+    r = [mul(scale, c) for c in a]
+    low = [(j, c) for j, c in enumerate(b[:-1]) if c != zero]
+    for k in range(len(a) - len(b), -1, -1):
+        top = r.pop()
+        if top != zero:
+            q = div(top, lead)
+            for j, c in low:
+                r[k + j] = sub(r[k + j], mul(q, c))
+    while r and r[-1] == zero:
+        r.pop()
+    return r
+
+
+def _resultant(a, b, d=None):
+    """Res(a, b) of rows over Z, or over Z[sqrt(d)] as pairs (see `_ring`):
+    lowest degree first, leading entries nonzero, both of degree >= 1.
+
+    The subresultant PRS of Cohen, *A Course in Computational Algebraic
+    Number Theory*, Alg. 3.3.7, without its content step: every division
+    is exact in the ring, and the entries grow polynomially in the degrees.
+    """
+    ring = _ring(d)
+    zero, one, mul, sub, div = ring
+    sign = 1
+    if len(a) < len(b):
         a, b = b, a
-    return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+    g = h = one
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = _prem(a, b, ring)
+        if not r:
+            return zero
+        t = mul(g, _power(h, delta, ring))
+        a, b = b, [div(c, t) for c in r]
+        g = a[-1]
+        if delta:
+            h = div(_power(g, delta, ring), _power(h, delta - 1, ring))
+    n = len(a) - 1
+    res = div(_power(b[0], n, ring), _power(h, n - 1, ring))
+    return res if sign > 0 else sub(zero, res)
 
 
-def reduce_mod_place(f, p):
-    """Reduce f over QQ or QQ(sqrt(d)) at the odd prime p.
+class Reduced(NamedTuple):
+    """A function at a good place: its residue field F_q and the rows of
+    num and den, lowest degree first with nonzero leading entries; ints
+    mod p over F_p, pairs (u, v) meaning u + v*sqrt(r) over F_p^2. den
+    need not be monic."""
+
+    field: FqField
+    num: list
+    den: list
+
+
+class Reducer:
+    """f over QQ or QQ(sqrt(d)), made ready to reduce at many odd primes.
+
+    The coefficients of num and den are cleared once of their denominators,
+    with L the lcm of all of them, into integer rows N = L*num and D = L*den
+    over Z or Z[sqrt(d)]; f = N/D. Res(N, D) is computed once, by the
+    subresultant PRS (`_resultant`). `at(p)` then decides the place over p
+    with O(1) work per coefficient:
+
+    - p = 2, or p | 2d: RamifiedPlace;
+    - p | L, or a leading coefficient of N or D vanishes at the place:
+      BadReduction;
+    - Res(N, D) vanishes at the place: BadReduction. With both leading
+      coefficients units at the place, the Sylvester matrix of the reduced
+      rows is the reduced Sylvester matrix, so the resultant commutes with
+      reduction, and over the residue field it vanishes exactly when the
+      reduced num and den share a factor.
 
     Split places substitute the smallest square root of d in {1..p-1};
     inert places land in F_p^2, with sqrt(d) = s*sqrt(r) for s^2 = d/r.
-    Raises BadReduction if the degree drops or num/den become non-coprime,
-    RamifiedPlace if p | 2d.
-
-    The coefficients are reduced to ints mod p (pairs of ints at inert
-    places) and tested for coprimality there, so the result is built
-    without the gcd of RatFunc's constructor.
     """
-    if p == 2:
-        raise RamifiedPlace("p = 2 is always skipped")
-    field = f.field
-    target = FqField(p)
-    if isinstance(field, RationalField):
-        def scalar(c):
-            return _frac_mod(c, p)
-    elif isinstance(field, QuadField):
-        d = field.d
-        if (2 * d) % p == 0:
+
+    def __init__(self, f):
+        field, coeffs = f.field, f.num.coeffs + f.den.coeffs
+        if isinstance(field, RationalField):
+            self.d, parts = None, coeffs
+        elif isinstance(field, QuadField):
+            self.d, parts = field.d, [x for c in coeffs for x in (c.a, c.b)]
+        else:
+            raise FieldMismatch("reduction only from QQ or QQ(sqrt(d))")
+        self.lcm = lcm(*(x.denominator for x in parts))
+        ints = [int(x * self.lcm) for x in parts]
+        rows = ints if self.d is None else list(zip(ints[::2], ints[1::2]))
+        k = len(f.num.coeffs)
+        self.num, self.den = rows[:k], rows[k:]
+        self.res = (_resultant(self.num, self.den, self.d)
+                    if len(self.num) > 1 and len(self.den) > 1 else None)
+
+    def at(self, p):
+        """f at the place over the odd prime p, as a `Reduced`; raises
+        RamifiedPlace or BadReduction as the class docstring says."""
+        d = self.d
+        if p == 2:
+            raise RamifiedPlace("p = 2 is always skipped")
+        if d is not None and (2 * d) % p == 0:
             raise RamifiedPlace(f"p = {p} divides 2d")
-        if kronecker(d, p) == 1:
+        if self.lcm % p == 0:
+            raise BadReduction(f"a denominator vanishes mod {p}")
+        if d is None:
+            target, zero = FqField(p), 0
+
+            def scalar(c):
+                return c % p
+        elif kronecker(d, p) == 1:
+            target, zero = FqField(p), 0
             r0 = sqrt_mod(d, p)
             root = min(r0, p - r0)
 
             def scalar(c):
-                return (_frac_mod(c.a, p) + _frac_mod(c.b, p) * root) % p
+                return (c[0] + c[1] * root) % p
         else:
-            target = FqField(p, ext=2)
+            target, zero = FqField(p, ext=2), (0, 0)
             # d and r are both non-residues, so d/r has a root
             s = sqrt_mod(d * pow(target.r, -1, p), p)
 
             def scalar(c):
-                return _frac_mod(c.a, p), _frac_mod(c.b, p) * s % p
+                return c[0] % p, c[1] * s % p
+        num = [scalar(c) for c in self.num]
+        den = [scalar(c) for c in self.den]
+        if (num and num[-1] == zero) or den[-1] == zero:
+            raise BadReduction(f"degree drops mod {p}")
+        if self.res is not None and scalar(self.res) == zero:
+            raise BadReduction(f"num and den share a factor mod {p}")
+        return Reduced(target, num, den)
+
+
+def reduce_mod_place(f, p):
+    """Reduce f over QQ or QQ(sqrt(d)) at the odd prime p: the batch of one
+    of `Reducer`, as a RatFunc with monic denominator.
+
+    Raises RamifiedPlace if p | 2d, and BadReduction if a denominator or a
+    leading coefficient vanishes mod p, or if Res(num, den), computed once
+    over Z or Z[sqrt(d)] by the subresultant PRS (Cohen, Alg. 3.3.7),
+    vanishes at the place: num and den are then no longer coprime.
+    """
+    red = Reducer(f).at(p)
+    F = red.field
+    if F.ext == 1:
+        k = pow(red.den[-1], -1, p)
+
+        def elem(c):
+            return FpElem(c * k, p)
     else:
-        raise FieldMismatch("reduction only from QQ or QQ(sqrt(d))")
+        r, (u, v) = F.r, red.den[-1]
+        n = pow(u * u - r * v * v, -1, p)
+        ku, kv = u * n, -v * n
 
-    ops = _int_field_ops(p, target.r)
-    zero, mul, inv, _ = ops
-    num = [scalar(c) for c in f.num.coeffs]
-    den = [scalar(c) for c in f.den.coeffs]
-    if (num and num[-1] == zero) or den[-1] == zero:
-        raise BadReduction(f"degree drops mod {p}")
-    if len(num) > 1 and len(den) > 1 and _gcd_degree(num, den, ops) > 0:
-        raise BadReduction(f"num and den share a factor mod {p}")
-    lead_inv = inv(den[-1])
+        def elem(c):
+            return QuadElem(FpElem(c[0] * ku + r * c[1] * kv, p),
+                            FpElem(c[0] * kv + c[1] * ku, p), r)
 
-    def poly(cs):
-        cs = [mul(c, lead_inv) for c in cs]
-        if target.ext == 1:
-            return Poly._raw(target, [FpElem(c, p) for c in cs])
-        return Poly._raw(target, [QuadElem(FpElem(u, p), FpElem(v, p), target.r)
-                                  for u, v in cs])
-
-    return RatFunc._raw(poly(num), poly(den))
+    return RatFunc._raw(Poly._raw(F, map(elem, red.num)),
+                        Poly._raw(F, map(elem, red.den)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,36 @@
 """Evaluation of rational functions on P^1(F_q), bijectivity testing, and
 prime sweeps measuring how often a function permutes the projective line.
 
-One segmented evaluator serves a single function and a whole sweep. It
-takes functions of one place degree, each over its own F_p or F_p^2, and
-lays the points of their projective lines end to end as int arrays, one
-segment per function and one lane per point: F_p elements are ints 0..p-1,
-and an element u + v*sqrt(r) of F_p^2, a QuadElem over F_p, is the pair
-(u, v), enumerated as the int u*p + v in the order of `FqField.elements()`;
-the index q is INF. Each lane carries its segment's modulus and gathers its
-coefficients; Horner runs in place, in int32 when every intermediate fits
-(else int64), and 1/d is the per-lane Fermat power d^(p-2). The images,
-shifted to their segment's offset, fill one bincount, and a function is
-bijective when no bin of its segment counts other than 1. The lanes are
-evaluated in chunks of `_CHUNK`, which bounds the temporaries.
+One segmented evaluator serves a single function and a whole sweep. Its
+input is int rows (`exactalg.Reduced`): functions of one place degree,
+each over its own F_p or F_p^2, with the coefficients of num and den as
+ints mod p, or as pairs (u, v) for u + v*sqrt(r) in F_p^2. It lays the
+points of their projective lines end to end as int arrays, one segment per
+function and one lane per point: F_p elements are ints 0..p-1, and an
+element u + v*sqrt(r) of F_p^2 is enumerated as the int u*p + v in the order
+of `FqField.elements()`; the index q is INF. Each lane carries its
+segment's modulus and gathers its coefficients; Horner runs in place, in
+int32 when every intermediate fits (else int64), and 1/d is the per-lane
+Fermat power d^(p-2). The images, shifted to their segment's offset, fill
+one bincount, and a function is bijective when no bin of its segment counts
+other than 1. The lanes are evaluated in chunks of `_CHUNK`, which bounds
+the temporaries.
 
-`is_bijective` is the batch of one, and only it decodes a witness of a
-"not bijective" verdict: the first collision in evaluation order (the
-elements in order, then INF).
+`is_bijective` is the batch of one, on the rows of its RatFunc, and only it
+decodes a witness of a "not bijective" verdict: the first collision in
+evaluation order (the elements in order, then INF).
 
 A sweep classifies each odd prime as bijective, not-bijective,
 bad-reduction, ramified or point-cap; point-cap means P^1(F_q) has more
-points than the cap allows, so the prime was not evaluated. The good
-places are evaluated in batches of one place degree and at most
+points than the cap allows, so the prime was not evaluated. One
+`exactalg.Reducer` per function and sweep call clears the denominators of
+num and den once into integer rows N, D and computes Res(N, D) once, by the
+subresultant PRS (Cohen, *A Course in Computational Algebraic Number
+Theory*, Alg. 3.3.7). At each prime it decides with O(1) work per
+coefficient: p | 2d is ramified; a vanishing denominator, leading
+coefficient or resultant at the place is bad reduction, since with unit
+leading coefficients the resultant commutes with reduction. The good places
+go to the evaluator as int rows, in batches of one place degree and at most
 DEFAULT_POINT_CAP points.
 """
 
@@ -38,6 +47,8 @@ from .exactalg import (
     FqField,
     QuadElem,
     RamifiedPlace,
+    Reduced,
+    Reducer,
     primes_up_to,
     reduce_mod_place,
 )
@@ -126,10 +137,10 @@ def _check_cap(field):
 def _images(fs, j, seg):
     """Images under fs[seg[i]] of the points j[i], one lane each.
 
-    fs are functions of one place degree, each over its own field; a point
-    is its index in field.elements(), q meaning INF, and an image is an int
-    in the same numbering (F_p^2 pairs as u*p + v). Each per-segment value
-    is gathered onto the lanes. Works in place, in the dtype of
+    fs are `Reduced` rows of one place degree, each over its own field; a
+    point is its index in field.elements(), q meaning INF, and an image is
+    an int in the same numbering (F_p^2 pairs as u*p + v). Each per-segment
+    value is gathered onto the lanes. Works in place, in the dtype of
     `_exact_dtype`; 1/d is the per-lane Fermat power d^(p-2).
     """
     fields = [f.field for f in fs]
@@ -143,12 +154,13 @@ def _images(fs, j, seg):
         return np.take(np.asarray(values, dtype=dtype if out is None
                                   else out.dtype), seg, out=out)
 
-    def table(polys, part):
-        """The coefficients of polys as rows, lowest first, zero padded."""
-        width = max(1, max(len(g.coeffs) for g in polys))
-        rows = [[part(c) for c in g.coeffs] + [0] * (width - len(g.coeffs))
-                for g in polys]
-        return np.array(rows, dtype=dtype)
+    def table(rows):
+        """rows as one array, lowest degree first, zero padded; over F_p^2
+        the last axis holds u and v."""
+        width = max(1, max(map(len, rows)))
+        pad = [0] if ext == 1 else [(0, 0)]
+        return np.array([g + pad * (width - len(g)) for g in rows],
+                        dtype=dtype)
 
     def inverse(d, out):
         """d^(p-2) mod p, so 0 for 0, by square and multiply over the bits
@@ -175,8 +187,8 @@ def _images(fs, j, seg):
     x = j.astype(dtype)
     x[at_inf] = 0  # INF lanes are overwritten below
     if ext == 1:
-        def horner(poly):
-            cs = table(poly, lambda c: c.v)
+        def horner(rows):
+            cs = table(rows)
             acc = lane(cs[:, -1])
             for k in range(cs.shape[1] - 2, -1, -1):
                 acc *= x
@@ -196,9 +208,9 @@ def _images(fs, j, seg):
         del x
         t, s = np.empty(n, dtype), np.empty(n, dtype)
 
-        def horner(poly):
-            cu = table(poly, lambda c: c.a.v)
-            cv = table(poly, lambda c: c.b.v)
+        def horner(rows):
+            cs = table(rows)
+            cu, cv = cs[..., 0], cs[..., 1]
             au, av = lane(cu[:, -1]), lane(cv[:, -1])
             for k in range(cu.shape[1] - 2, -1, -1):
                 np.multiply(au, xv, out=t)
@@ -246,22 +258,37 @@ def _images(fs, j, seg):
 
 
 def _image_at_inf(f):
-    field = f.field
-    dn, dd = f.num.degree, f.den.degree
+    """The image of INF under the rows f, as an int in the lanes' numbering."""
+    F, p = f.field, f.field.p
+    dn, dd = len(f.num), len(f.den)
     if dn > dd:
-        return field.order
+        return F.order
     if dn < dd:
         return 0
-    c = f.num.coeffs[-1] / f.den.coeffs[-1]
-    return c.v if field.ext == 1 else c.a.v * field.p + c.b.v
+    if F.ext == 1:
+        return f.num[-1] * pow(f.den[-1], -1, p) % p
+    (a, b), (u, v) = f.num[-1], f.den[-1]
+    # (a + b*sqrt(r)) / (u + v*sqrt(r)), by the conjugate over the norm
+    n = pow(u * u - F.r * v * v, -1, p)
+    return (a * u - F.r * b * v) * n % p * p + (b * u - a * v) * n % p
+
+
+def _rows(f):
+    """A RatFunc over F_q as the evaluator's `Reduced` rows."""
+    F = f.field
+    if F.ext == 1:
+        return Reduced(F, [c.v for c in f.num.coeffs],
+                       [c.v for c in f.den.coeffs])
+    return Reduced(F, [(c.a.v, c.b.v) for c in f.num.coeffs],
+                   [(c.a.v, c.b.v) for c in f.den.coeffs])
 
 
 def _bijective(fs):
-    """(verdicts, bins) for functions fs of one place degree: whether each
-    permutes P^1 of its field, from one pass over the fields' points laid
-    end to end. f's points and its images take the bins from the offset of
-    its segment on, so one bincount serves them all; a function is
-    bijective when no bin of its segment counts other than 1."""
+    """(verdicts, bins) for `Reduced` rows fs of one place degree: whether
+    each permutes P^1 of its field, from one pass over the fields' points
+    laid end to end. f's points and its images take the bins from the
+    offset of its segment on, so one bincount serves them all; a function
+    is bijective when no bin of its segment counts other than 1."""
     sizes = [f.field.order + 1 for f in fs]
     starts = np.cumsum([0] + sizes)
     bins = np.empty(starts[-1], dtype=np.intp)
@@ -293,7 +320,7 @@ def is_bijective(f):
     _check_cap(field)
     if f.is_constant():
         return False, (_decode(field, 0), _decode(field, 1))
-    (ok,), images = _bijective([f])
+    (ok,), images = _bijective([_rows(f)])
     if ok:
         return True, None
     q = field.order
@@ -369,11 +396,11 @@ class SweepReport:
         }
 
 
-def _reduce(f, p):
-    """(f reduced at the place over p, None), or (None, the record of p)
-    when the place is ramified or f has bad reduction there."""
+def _reduce(reduce, p):
+    """(reduce(p), None), or (None, the record of p) when the place over p
+    is ramified or the function has bad reduction there."""
     try:
-        return reduce_mod_place(f, p), None
+        return reduce(p), None
     except RamifiedPlace:
         return None, SweepRecord(p, 0, "ramified")
     except BadReduction:
@@ -381,9 +408,10 @@ def _reduce(f, p):
 
 
 def sweep_prime(f, p):
-    """The sweep verdict for one odd prime. Raises PointCapExceeded when
-    P^1 over the residue field has more than DEFAULT_POINT_CAP points."""
-    fp, skipped = _reduce(f, p)
+    """The sweep verdict for one odd prime, through `reduce_mod_place` and
+    `is_bijective`. Raises PointCapExceeded when P^1 over the residue field
+    has more than DEFAULT_POINT_CAP points."""
+    fp, skipped = _reduce(lambda q: reduce_mod_place(f, q), p)
     if skipped:
         return skipped
     ok, _ = is_bijective(fp)
@@ -394,13 +422,14 @@ def sweep_primes(f, primes):
     """One record per prime, in the given order; a cap overrun is the
     prime's point-cap verdict.
 
-    Each prime is reduced and its ramified, bad-reduction and point-cap
-    verdicts decided on its own; the good places are then evaluated
-    together, in batches of one place degree and at most DEFAULT_POINT_CAP
-    points, each batch one pass of `_bijective`.
+    One `Reducer` of f decides each prime's ramified and bad-reduction
+    verdicts, and the point-cap ones are decided on their own; the good
+    places are then evaluated together as int rows, in batches of one place
+    degree and at most DEFAULT_POINT_CAP points, each batch one pass of
+    `_bijective`.
     """
     records = [None] * len(primes)
-    pending = {1: [], 2: []}  # place degree -> [(index, reduced f)]
+    pending = {1: [], 2: []}  # place degree -> [(index, Reduced rows)]
     points = {1: 0, 2: 0}
 
     def flush(ext):
@@ -412,8 +441,9 @@ def sweep_primes(f, primes):
         batch.clear()
         points[ext] = 0
 
+    reduce = Reducer(f).at
     for i, p in enumerate(primes):
-        fp, records[i] = _reduce(f, p)
+        fp, records[i] = _reduce(reduce, p)
         if records[i]:
             continue
         try:

@@ -7,9 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from schurscope import projmap
+from schurscope.cli import builtin_function
 from schurscope.exactalg import (
     QQ,
     BadReduction,
@@ -21,6 +23,7 @@ from schurscope.exactalg import (
     QuadField,
     RamifiedPlace,
     RatFunc,
+    _resultant,
     format_ratfunc,
     kronecker,
     parse_poly,
@@ -335,8 +338,8 @@ def ratfuncs_to_reduce(draw):
         K = QuadField(d)
         scalar = st.builds(lambda a, b: QuadElem(a, b, d), _SMALL_SCALARS,
                            _SMALL_SCALARS)
-    num = Poly(K, draw(st.lists(scalar, min_size=1, max_size=5)))
-    den = Poly(K, draw(st.lists(scalar, min_size=1, max_size=5)))
+    num = Poly(K, draw(st.lists(scalar, min_size=1, max_size=9)))
+    den = Poly(K, draw(st.lists(scalar, min_size=1, max_size=9)))
     if den.is_zero():
         den = Poly(K, [1])
     return RatFunc(num, den)
@@ -349,18 +352,112 @@ def test_reduce_mod_place_matches_object_reduction(f, p):
         _reduction_outcome(_slow_reduce, f, p)
 
 
-def test_reduce_mod_place_matches_object_reduction_over_q_sqrt_minus_3():
-    from schurscope.funfam import cm7_function
+def _inert_h():
+    """A function over Q(sqrt(-3)) whose num and den are coprime over K but
+    both vanish at sqrt(-3) mod 5, an inert place."""
     K = QuadField(-3)
     x, s = poly_x(K), poly_const(K, _SQRT_M3)
-    # coprime over K, but both vanish at sqrt(-3) mod 5, an inert place
-    h = RatFunc((x - s) * (x + poly_const(K, K.one)),
-                x - s + poly_const(K, K.from_int(5)))
+    return RatFunc((x - s) * (x + poly_const(K, K.one)),
+                   x - s + poly_const(K, K.from_int(5)))
+
+
+def test_reduce_mod_place_matches_object_reduction_over_q_sqrt_minus_3():
+    from schurscope.funfam import cm7_function
+    h = _inert_h()
     assert _reduction_outcome(reduce_mod_place, h, 5) is BadReduction
     for f in (cm7_function(1), h):
         for p in primes_up_to(200)[1:]:
             assert _reduction_outcome(reduce_mod_place, f, p) == \
                 _reduction_outcome(_slow_reduce, f, p)
+
+
+_ALL_BUILTINS = [
+    "builtin:isogeny5", "builtin:cm7", "builtin:a4s4:0:2",
+    "builtin:dickson:3:1", "builtin:dickson:5:1", "builtin:redei:3:-1",
+    "builtin:redei:5:2", "builtin:redei3comp",
+]
+
+
+@pytest.mark.parametrize("name", _ALL_BUILTINS + ["h"])
+def test_sweep_skips_exactly_the_primes_object_reduction_skips(
+        monkeypatch, name):
+    """The sweep's ramified and bad-reduction primes below 1000, decided by
+    one resultant, against Poly.gcd over each residue field. With a point
+    cap of 1, every good place is recorded as point-cap, unevaluated."""
+    f = _inert_h() if name == "h" else builtin_function(name)
+    primes = primes_up_to(1000)[1:]
+    monkeypatch.setattr(projmap, "DEFAULT_POINT_CAP", 1)
+    records = projmap.sweep_primes(f, primes)
+    for r in records:
+        want = _reduction_outcome(_slow_reduce, f, r.p)
+        if r.verdict == "point-cap":
+            assert isinstance(want, RatFunc), (name, r)
+        else:
+            skipped = {"ramified": RamifiedPlace,
+                       "bad-reduction": BadReduction}
+            assert skipped[r.verdict] is want, (name, r)
+
+
+def _sylvester_determinant(a, b, d):
+    """Res(a, b) as the determinant of the Sylvester matrix, by Fraction
+    elimination over Q, or over Q(sqrt(d)) through QuadElem."""
+    def elem(c):
+        return (Fraction(c) if d is None
+                else QuadElem(Fraction(c[0]), Fraction(c[1]), d))
+
+    m, n = len(a) - 1, len(b) - 1
+    zero = elem(0 if d is None else (0, 0))
+    rows = [[zero] * i + [elem(c) for c in reversed(g)] + [zero] * (k - 1 - i)
+            for g, k in ((a, n), (b, m)) for i in range(k)]
+    det = elem(1 if d is None else (1, 0))
+    for c in range(m + n):
+        pivot = next((r for r in range(c, m + n) if rows[r][c]), None)
+        if pivot is None:
+            return zero
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det = det * rows[c][c]
+        for r in range(c + 1, m + n):
+            t = rows[r][c] / rows[c][c]
+            rows[r] = [x - t * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+@st.composite
+def _resultant_cases(draw):
+    """(a, b, d): rows of degree >= 1 over Z, or over Z[sqrt(d)] as pairs,
+    with many zero entries, so that the PRS meets degree gaps."""
+    d = draw(st.sampled_from([None, -3, -1, 2, 5]))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+    if d is not None:
+        entry = st.tuples(entry, entry)
+    zero = 0 if d is None else (0, 0)
+    lead = entry.filter(lambda c: c != zero)
+    a = draw(st.lists(entry, min_size=1, max_size=7)) + [draw(lead)]
+    b = draw(st.lists(entry, min_size=1, max_size=7)) + [draw(lead)]
+    return a, b, d
+
+
+@given(_resultant_cases())
+# degree gaps: deg a - deg b = 4, then remainders that drop by 2 and by 3
+@example(([1, 0, 0, 0, 0, 0, 1], [0, 1, 1], None))
+@example(([1, 0, 0, 0, 0, 0, 0, 0, 1], [2, 0, 0, 0, 0, 1], None))
+@example(([(1, 1), (0, 0), (0, 0), (0, 0), (2, -1)], [(0, 1), (3, 0)], -3))
+@example(([(0, 1), (0, 0), (0, 0), (1, 0), (0, 0), (0, 0), (1, 1)],
+          [(1, 0), (0, 0), (0, 0), (2, 0)], 5))
+@example(([1, 2, 1], [1, 1], None))  # a shared factor: Res = 0
+@example(([(1, 1), (1, 0)], [(2, 0), (0, 0), (1, 0)], -1))
+@example(([(5, 2), (0, 0), (0, 1)], [(1, 3), (0, 2), (4, 0), (1, 1)], 2))
+@settings(max_examples=120, deadline=None)
+def test_resultant_matches_sylvester_determinant(case):
+    a, b, d = case
+    got = _resultant(a, b, d)
+    want = _sylvester_determinant(a, b, d)
+    if d is None:
+        assert got == want
+    else:
+        assert QuadElem(Fraction(got[0]), Fraction(got[1]), d) == want
 
 
 def test_parse_format_roundtrip():

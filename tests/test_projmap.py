@@ -16,6 +16,7 @@ from schurscope.exactalg import (
     Poly,
     RamifiedPlace,
     RatFunc,
+    Reduced,
     poly_const,
     poly_x,
     primes_up_to,
@@ -189,32 +190,52 @@ def test_is_bijective_matches_oracle_on_random_functions(case):
     assert is_bijective(f) == _slow_is_bijective(f)
 
 
-def _functions(cases):
-    """(field, num, den) cases as functions, coefficients given by their
-    indexes in field.elements()."""
-    return [RatFunc(Poly(F, [projmap._decode(F, i) for i in num]),
-                    Poly(F, [projmap._decode(F, i) for i in den]))
-            for F, num, den in cases]
+def _function(F, num, den):
+    """The function with coefficients given by their indexes in
+    F.elements()."""
+    return RatFunc(Poly(F, [projmap._decode(F, i) for i in num]),
+                   Poly(F, [projmap._decode(F, i) for i in den]))
 
 
-@given(st.lists(_ratfunc_cases(), min_size=1, max_size=6))
+def _row(F, indexes):
+    """Coefficients given by their indexes in F.elements() as an evaluator
+    row: ints over F_p, pairs (u, v) for u + v*sqrt(r) over F_p^2."""
+    return [i if F.ext == 1 else divmod(i, F.p) for i in indexes]
+
+
+def _index(F, c):
+    """The index of c in F.elements()."""
+    return c.v if F.ext == 1 else c.a.v * F.p + c.b.v
+
+
+@given(st.lists(_ratfunc_cases(), min_size=1, max_size=6),
+       st.integers(0, 1 << 16))
 @example([(FqField(5), [3], [0, 2]), (FqField(7), [4], [1]),  # constants
-          (FqField(3), [], [1])])  # the zero function
+          (FqField(3), [], [1])], 0)  # the zero function
 @example([(FqField(7), [0, 0, 0, 1], [1, 2]),  # dn > dd: INF -> INF
           (FqField(3, 2), [1, 4], [2, 0, 5]),  # dn < dd: INF -> 0
           (FqField(11, 2), [1, 7], [2, 1]),  # dn == dd: ratio of leads
           (FqField(5), [1], [0, 0, 1]),  # a double pole at 0
-          (FqField(11), [0, 0, 0, 1], [1])])  # x^3, bijective mod 11
+          (FqField(11), [0, 0, 0, 1], [1])], 5)  # x^3, bijective mod 11
 @settings(max_examples=150, deadline=None)
-def test_segmented_verdicts_match_oracle(cases):
-    """The functions of each place degree in one segmented pass, each over
-    its own field, against the point-by-point oracle."""
-    fs = _functions(cases)
+def test_segmented_verdicts_match_oracle(cases, seed):
+    """The int rows of each place degree in one segmented pass, each over
+    its own field, against the point-by-point oracle. Each function's rows
+    are scaled by a unit, so that den is seldom monic."""
+    fs, rows = [], []
+    for k, (F, num, den) in enumerate(cases):
+        f = _function(F, num, den)  # num and den made coprime
+        unit = F.elements()[1 + (seed + k) % (F.order - 1)]
+        fs.append(f)
+        num, den = ([_index(F, c * unit) for c in g.coeffs]
+                    for g in (f.num, f.den))
+        rows.append(Reduced(F, _row(F, num), _row(F, den)))
     for ext in (1, 2):
-        batch = [f for f in fs if f.field.ext == ext]
+        batch = [i for i, f in enumerate(fs) if f.field.ext == ext]
         if batch:
-            verdicts, _ = projmap._bijective(batch)
-            assert list(verdicts) == [_slow_is_bijective(f)[0] for f in batch]
+            verdicts, _ = projmap._bijective([rows[i] for i in batch])
+            assert list(verdicts) == [_slow_is_bijective(fs[i])[0]
+                                      for i in batch]
 
 
 def _int32_boundary(ext):
@@ -235,15 +256,16 @@ def test_images_are_exact_on_both_sides_of_the_int32_boundary(ext):
         assert projmap._exact_dtype([F]) is dtype
         # large coefficients, so that the products come near p^2
         cs = [F.order - 1 - int(c) for c in rng.integers(0, 50, 9)]
-        f = _functions([(F, cs[:5], cs[5:])])[0]
+        f = _function(F, cs[:5], cs[5:])
+        assert (f.num.degree, f.den.degree) == (4, 3)  # the rows are coprime
+        rows = Reduced(F, _row(F, cs[:5]), _row(F, cs[5:]))
         j = np.append(rng.integers(0, F.order, 200), F.order)
         want = []
         for i in j:
             y = eval_proj(f, projmap._decode(F, int(i)))
-            want.append(F.order if y is INF
-                        else y.v if ext == 1 else y.a.v * p + y.b.v)
+            want.append(F.order if y is INF else _index(F, y))
         seg = np.zeros(len(j), np.intp)
-        assert projmap._images([f], j, seg).tolist() == want, (p, dtype)
+        assert projmap._images([rows], j, seg).tolist() == want, (p, dtype)
 
 
 def test_sweep_primes_equals_sweep_prime_per_prime():
@@ -271,6 +293,7 @@ def test_sweep_in_many_batches_and_chunks_gives_the_same_records(
     bijective = projmap._bijective
 
     def counted(fs):
+        assert all(isinstance(g, Reduced) for g in fs)
         batches.append(sum(g.field.order + 1 for g in fs))
         return bijective(fs)
 
