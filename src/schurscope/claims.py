@@ -162,9 +162,10 @@ DESCENTS = [
 ]
 
 
-def pointwise_offenders(R, a, b, m, psi, primes, samples, seed):
-    """(p, P) for sampled points P of y^2 = x^3 + ax + b mod each prime p
-    where R(psi(P)) != psi(mP); a pole of R must match mP = O."""
+def pointwise_offenders(R, a, b, endo, psi, primes, samples, seed):
+    """(p, P) for sampled points P of E_p: y^2 = x^3 + ax + b mod each prime p
+    where R(psi(P)) != psi(endo(E_p, P)); a pole of R must match
+    endo(E_p, P) = O."""
     out = []
     for p in primes:
         Rp = reduce_mod_place(R, p)
@@ -172,12 +173,28 @@ def pointwise_offenders(R, a, b, m, psi, primes, samples, seed):
         rng = random.Random(p + seed)
         for _ in range(samples):
             P = ellipt.random_point(Ep, rng)
-            Q = ellipt.point_mul(Ep, m, P)
+            Q = endo(Ep, P)
             d = Rp.den.eval(psi(P))
             got = Rp.num.eval(psi(P)) / d if d else None
             if got != (None if Q is None else psi(Q)):
                 out.append((p, P))
     return out
+
+
+def cm7_offenders(R, B, p):
+    """The pointwise offenders of R(y(P)) = y(3P + (wx, y)) on
+    y^2 = x^3 + B mod p, one list for each primitive cube root w of 1 mod p.
+    Reduced mod p, R = funfam.cm7_function(B) has one empty list; which w
+    that is depends on the square root of -3 the reduction takes. Raises
+    ValueError when F_p has no primitive cube root of 1."""
+    roots = [w for w in range(2, p) if pow(w, 3, p) == 1]
+    if not roots:
+        raise ValueError(f"F_{p} has no primitive cube root of 1")
+    return [pointwise_offenders(
+        R, 0, B,
+        lambda E, P: ellipt.point_add(E, ellipt.point_mul(E, 3, P),
+                                      (E.field.from_int(w) * P[0], P[1])),
+        lambda P: P[1], (p,), 50, 0) for w in roots]
 
 
 def elliptic():
@@ -189,7 +206,8 @@ def elliptic():
 
     F3 = ellipt.xmul_map(ellipt.EllCurve(QQ, Fraction(-18), Fraction(1)), 3)
     yield ("xmul_map(y^2 = x^3 - 18x + 1, 3): points (p, P) where F(x(P)) != x(3P)",
-           pointwise_offenders(F3, -18, 1, 3, lambda P: P[0], (101, 103, 107), 25, 0), [])
+           pointwise_offenders(F3, -18, 1, lambda E, P: ellipt.point_mul(E, 3, P),
+                               lambda P: P[0], (101, 103, 107), 25, 0), [])
 
     for a, b, m, beta, psi_name, psi, primes in DESCENTS:
         E = ellipt.EllCurve(QQ, Fraction(a), Fraction(b))
@@ -197,10 +215,13 @@ def elliptic():
         name = f"quotient_descent(y^2 = x^3 + {a}x + {b}, m = {m}, beta = {beta})"
         yield f"{name}: degree", R.degree, m * m
         yield (f"{name}: points (p, P) where R({psi_name}(P)) != {psi_name}({m}P)",
-               pointwise_offenders(R, a, b, m, psi, primes, 20, m), [])
+               pointwise_offenders(R, a, b, lambda E, P: ellipt.point_mul(E, m, P),
+                                   psi, primes, 20, m), [])
 
-    yield ("primes p in (13, 31, 61) where verify_cm7(p) fails",
-           [p for p in (13, 31, 61) if not ellipt.verify_cm7(p)], [])
+    cm7 = funfam.cm7_function(1)
+    yield ("cm7: primes p in (13, 31, 61) where R(y(P)) != y(3P + (wx, y)) "
+           "for every cube root w != 1 of 1",
+           [p for p in (13, 31, 61) if all(cm7_offenders(cm7, 1, p))], [])
     yield ("degree-5 isogeny identity q2(f) = q1 (f'/5)^2",
            funfam.sporadic_degree5_isogeny_identity(), True)
     rep = schur_sweep(F3, SWEEP_BOUND)

@@ -1,6 +1,6 @@
 """Command-line front end: prime sweeps, exceptionality verdicts, genus
-computations, genus-0 searches, family constructors, elliptic descents, and
-`verify-paper`, which prints the rows of the claims in `schurscope.claims`."""
+computations, genus-0 searches, the text of a function, and `verify-paper`,
+which prints the rows of the claims in `schurscope.claims`."""
 
 from __future__ import annotations
 
@@ -10,11 +10,11 @@ import os
 import sys
 from functools import partial
 
-from .exactalg import QQ, format_ratfunc, parse_fraction, parse_ratfunc
+from .exactalg import format_ratfunc, parse_ratfunc
 from .projmap import SweepReport, odd_primes, sweep_primes
 from .funfam import builtin_function
 from .permcore import DEGREE_CAP, Perm, PermGroup
-from . import claims, exceptio, ramgenus, ellipt
+from . import claims, exceptio, ramgenus
 
 
 def load_function(spec):
@@ -133,24 +133,8 @@ def cmd_genus0(args):
     return 0
 
 
-# the options of each family, in the order of its builtin:NAME:ARG... arguments
-FAMILY_OPTIONS = {"dickson": ("n", "a"), "redei": ("n", "d"), "a4s4": ("p", "q"),
-                  "isogeny5": (), "cm7": ("B",)}
-
-
 def cmd_family(args):
-    values = [getattr(args, k) for k in FAMILY_OPTIONS[args.family]]
-    if None in values:
-        raise ValueError(f"family {args.family} needs --n")
-    name = ":".join(["builtin", args.family, *map(str, values)])
-    print(format_ratfunc(builtin_function(name)))
-    return 0
-
-
-def cmd_ell(args):
-    E = ellipt.EllCurve(QQ, args.a, args.b)
-    R = ellipt.quotient_descent(E, args.m, args.beta)
-    _emit(format_ratfunc(R), args.out)
+    _emit(format_ratfunc(load_function(args.spec)), args.out)
     return 0
 
 
@@ -182,7 +166,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="test bijectivity mod every odd prime up to a bound")
     p.add_argument("--function", required=True,
-                   help="builtin:NAME, a file, or literal text")
+                   help="builtin:NAME:ARGS, a file, or literal text")
     p.add_argument("--bound", type=int, default=500)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sweep)
@@ -203,24 +187,10 @@ def build_parser():
     p.add_argument("--rmax", type=int, default=5)
     p.set_defaults(fn=cmd_genus0)
 
-    p = sub.add_parser("family", help="print a family member in text form")
-    p.add_argument("family", choices=list(FAMILY_OPTIONS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", default="1")
-    p.add_argument("--d", default="3")
-    p.add_argument("--p", default="0")
-    p.add_argument("--q", default="2")
-    p.add_argument("--B", default="1")
-    p.set_defaults(fn=cmd_family)
-
-    p = sub.add_parser("ell", help="elliptic quotient descents")
-    p.add_argument("action", choices=["descend"])
-    p.add_argument("--a", type=parse_fraction, required=True)
-    p.add_argument("--b", type=parse_fraction, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
+    p = sub.add_parser("family", help="print a function in text form")
+    p.add_argument("spec", help="builtin:NAME:ARGS, a file, or literal text")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_ell)
+    p.set_defaults(fn=cmd_family)
 
     p = sub.add_parser("verify-paper",
                        help="recompute the headline tables and verdicts")

@@ -5,23 +5,11 @@ rational functions on the projective line."""
 
 from __future__ import annotations
 
-import random
 from math import gcd
 
-from . import funfam
-from .exactalg import (
-    FqField,
-    Poly,
-    RatFunc,
-    kronecker,
-    poly_const,
-    poly_x,
-    reduce_mod_place,
-    sqrt_mod,
-)
+from .exactalg import Poly, RatFunc, kronecker, poly_const, poly_x, sqrt_mod
 
 DIVPOLY_CAP = 30
-CM7_POINTS = 50  # random points on which verify_cm7 checks the identity
 
 
 class OffCurve(ValueError):
@@ -258,40 +246,6 @@ def random_point(E, rng):
         if kronecker(r.v, p) == 1:
             y = K.from_int(sqrt_mod(r.v, p))
             return (x, y)
-
-
-def verify_cm7(p, B=1):
-    """Check y(([3] + beta) P) = R(y(P)) for R = funfam.cm7_function(B)
-    reduced mod p, on CM7_POINTS random points (a fixed seed) of
-    y^2 = x^3 + B over F_p, with beta(x, y) = (omega x, y).  Both cube roots
-    of unity omega are tried for beta; returns True when one works for
-    every sampled point."""
-    if p % 3 != 1:
-        raise ValueError("need p = 1 (mod 3) so that F_p has cube roots of 1")
-    if p % 7 == 0 or p == 3:
-        raise ValueError("bad prime")
-    K = FqField(p)
-    Bf = K.from_int(B % p)
-    if not Bf:
-        raise ValueError("need B nonzero mod p")
-    E = EllCurve(K, 0, Bf.v)
-    R = reduce_mod_place(funfam.cm7_function(B), p)
-    s = sqrt_mod((-3) % p, p)  # sqrt(-3); exists since p = 1 (mod 3)
-    inv2 = pow(2, -1, p)
-    omegas = [K.from_int((p - 1 + s) * inv2 % p),
-              K.from_int((p - 1 - s) * inv2 % p)]
-    rng = random.Random(0)
-    pts = [random_point(E, rng) for _ in range(CM7_POINTS)]
-
-    def holds(omega, P):
-        Q = point_add(E, point_mul(E, 3, P), (omega * P[0], P[1]))
-        d = R.den.eval(P[1])
-        if Q is None or not d:
-            # infinite value on either side; require both infinite
-            return Q is None and not d
-        return R.num.eval(P[1]) / d == Q[1]
-
-    return any(all(holds(omega, P) for P in pts) for omega in omegas)
 
 
 def fiber_profiles(f):

@@ -7,6 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
+from . import ellipt
 from .exactalg import (
     PARSE_DEGREE_CAP,
     QQ,
@@ -211,6 +212,11 @@ _BUILTINS = {
     "redei": ((2,), lambda n, d: redei(int(n), parse_fraction(d))),
     "a4s4": ((2,), lambda p, q: a4s4_function(parse_fraction(p),
                                               parse_fraction(q))),
+    # R(psi(P)) = psi(mP) on y^2 = x^3 + ax + b modulo an automorphism of
+    # order beta; beta = 2 is ellipt.xmul_map
+    "descent": ((4,), lambda a, b, m, beta: ellipt.quotient_descent(
+        ellipt.EllCurve(QQ, parse_fraction(a), parse_fraction(b)),
+        int(m), int(beta))),
     # the composition of the three degree-3 maps with constant fields
     # Q(sqrt(-1)), Q(sqrt(-2)), Q(sqrt(2)): d = 3, 6, -6
     "redei3comp": ((0,),

@@ -53,7 +53,6 @@ ALLOWED_UNREAD_PRIVATE = set()
 # purpose
 ALLOWED_UNPASSED_DEFAULTS = {
     "cli.main.argv": "the tests drive the CLI in-process",
-    "ellipt.verify_cm7.B": "the tests check that B != 1 is refused",
 }
 
 

@@ -1,7 +1,10 @@
 """Command-line interface: argument handling, exit codes, JSON output
 shapes, and the builtin function registry."""
 
+import argparse
+import ast
 import concurrent.futures
+import inspect
 import json
 import os
 import time
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from schurscope import claims
 from schurscope.cli import (
+    build_parser,
     builtin_function,
     dump_group,
     load_function,
@@ -20,6 +24,8 @@ from schurscope.cli import (
     parallel_sweep,
     worker_count,
 )
+from schurscope.ellipt import EllCurve, quotient_descent
+from schurscope.exactalg import QQ, parse_ratfunc
 from schurscope.funfam import dickson, sporadic_degree5
 from schurscope.permcore import Perm, PermGroup
 from schurscope.projmap import SweepRecord, schur_sweep, sweep_primes
@@ -176,23 +182,52 @@ def test_genus0_command(tmp_path, capsys):
         assert "r_max must be >= 2" in capsys.readouterr().err
 
 
-def test_family_command(capsys):
-    rc = main(["family", "dickson", "--n", "3", "--a", "2"])
+def test_genus0_over_a_cap_exits_2(tmp_path, capsys):
+    # S8 on 8 points, order 40320, and C_1301, degree 1301, are over the
+    # search's caps; a group file of degree 4097 is over DEGREE_CAP
+    groups = {"s8": {"degree": 8, "generators": [[1, 0, 2, 3, 4, 5, 6, 7],
+                                                 [1, 2, 3, 4, 5, 6, 7, 0]]},
+              "c1301": {"degree": 1301,
+                        "generators": [list(range(1, 1301)) + [0]]},
+              "big": {"degree": 4097, "generators": []}}
+    for name, doc in groups.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["genus0", "--group", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, name
+
+
+def test_family_command(capsys, tmp_path):
+    rc = main(["family", "builtin:dickson:3:2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "x^3" in out
-    rc = main(["family", "isogeny5"])
+    path = tmp_path / "f.txt"
+    assert main(["family", "builtin:dickson:3:2", "--out", str(path)]) == 0
+    assert path.read_text() == out and capsys.readouterr().out == ""
+    rc = main(["family", "builtin:isogeny5"])
     assert rc == 0
 
 
-def test_ell_command(tmp_path):
+def test_family_out_file_holds_a_descent(tmp_path):
     out = tmp_path / "r.txt"
-    rc = main(["ell", "descend", "--a", "0", "--b", "2", "--m", "2",
-               "--beta", "3", "--out", str(out)])
+    rc = main(["family", "builtin:descent:0:2:2:3", "--out", str(out)])
     assert rc == 0
-    from schurscope.exactalg import parse_ratfunc
     R = parse_ratfunc(out.read_text().strip())
     assert R.degree == 4
+    assert R == quotient_descent(EllCurve(QQ, 0, 2), 2, 3)
+
+
+@pytest.mark.parametrize("spec", ["builtin:cm7", "builtin:cm7:5", "builtin:isogeny5",
+                                  "builtin:redei3comp", "builtin:descent:3:0:3:4"])
+def test_family_text_parses_back_to_the_function(capsys, spec):
+    assert main(["family", spec]) == 0
+    text = capsys.readouterr().out.strip()
+    assert parse_ratfunc(text) == load_function(spec)
+    # the printed text writes a negative coefficient as "+ -c"; the same
+    # text with "- c" is the same function
+    assert parse_ratfunc(text.replace(" + -", " - ")) == load_function(spec)
 
 
 def test_bad_input_exits_2(capsys, tmp_path):
@@ -204,20 +239,21 @@ def test_bad_input_exits_2(capsys, tmp_path):
         assert main(["sweep", "--function", text]) == 2
     # argparse stores [] for a lone "--" value
     assert main(["sweep", "--function=--", "--bound", "30"]) == 2
-    assert main(["family", "dickson"]) == 2
-    assert main(["family", "redei"]) == 2
-    assert main(["family", "dickson", "--n", "3", "--a", "1/0"]) == 2
+    # a bad spec is refused by family as by sweep
+    for spec in ("builtin:dickson", "builtin:redei", "builtin:descent:0:2:5",
+                 "builtin:dickson:3:1/0", "builtin:descent:0:2:-1:3",
+                 "builtin:descent:0:2:-1:6", "builtin:descent:0:2:2:5"):
+        assert main(["family", spec]) == 2, spec
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, spec
     # builtin degrees are capped like the exponents of function text
-    for argv in (["family", "dickson", "--n", "20000"],
+    for argv in (["family", "builtin:dickson:20000:1"],
                  ["sweep", "--function", "builtin:redei:20001:3", "--bound", "5"]):
         start = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - start < 1
         assert "exceeds cap" in capsys.readouterr().err
     assert main(["genus", "--type", "2", "--order", "12"]) == 2
-    for beta in ("3", "6"):
-        assert main(["ell", "descend", "--a", "0", "--b", "2", "--m", "-1",
-                     "--beta", beta]) == 2
     missing = str(tmp_path / "missing.json")
     assert main(["exceptional", "--group", missing, "--normal", missing]) == 2
     for i, doc in enumerate(([1], {"degree": "3", "generators": []},
@@ -257,6 +293,27 @@ def test_sweep_bound_past_the_point_cap_exits_2_at_once(monkeypatch, capsys,
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert "exceeds the point cap" in err and "Traceback" not in err
+
+
+def test_sweep_command_sweeps_a_descent_by_name(capsys):
+    spec = "builtin:descent:0:2:5:6"
+    assert main(["sweep", "--function", spec, "--bound", "500"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    R = quotient_descent(EllCurve(QQ, 0, 2), 5, 6)
+    assert doc == schur_sweep(R, 500).to_dict(spec)
+
+
+def test_every_option_is_read_by_its_handler():
+    """Each option of each subcommand is read as args.<dest> in the handler
+    the subcommand sets, so no option is parsed and then ignored."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        handler = ast.parse(inspect.getsource(p.get_default("fn")))
+        read = {n.attr for n in ast.walk(handler) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        options = {a.dest for a in p._actions if a.dest != "help"}
+        assert options - read == set(), name
 
 
 def test_verify_paper_genus_table(capsys):

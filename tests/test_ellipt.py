@@ -19,11 +19,10 @@ from schurscope.ellipt import (
     point_neg,
     quotient_descent,
     random_point,
-    verify_cm7,
     _in_powers,
     xmul_map,
 )
-from schurscope.claims import pointwise_offenders
+from schurscope.claims import cm7_offenders, pointwise_offenders
 
 
 def small_curve(p=101, a=-18, b=1):
@@ -125,7 +124,8 @@ def _check_descent_pointwise(a, b, m, beta_order, psi, beta_apply, primes):
     EQ = EllCurve(QQ, Fraction(a), Fraction(b))
     R = quotient_descent(EQ, m, beta_order)
     assert R.degree == m * m
-    assert pointwise_offenders(R, a, b, m, psi, primes, 20, m) == []
+    assert pointwise_offenders(R, a, b, lambda E, P: point_mul(E, m, P), psi,
+                               primes, 20, m) == []
 
 
 def test_descent_order_2():
@@ -171,11 +171,10 @@ def test_descent_validation():
 
 
 def test_verify_cm7():
-    for p in (13, 31, 61):
-        assert verify_cm7(p)
-    assert verify_cm7(13, B=2)
+    # one primitive cube root w of 1 mod p makes R(y(P)) = y(3P + (wx, y))
+    assert not all(cm7_offenders(funfam.cm7_function(2), 2, 13))
     with pytest.raises(ValueError):
-        verify_cm7(11)  # 11 != 1 mod 3
+        cm7_offenders(funfam.cm7_function(1), 1, 11)  # 11 != 1 mod 3
 
 
 def test_fiber_profiles_xmul2():
@@ -244,9 +243,7 @@ def test_in_powers():
         _in_powers(x ** 4 + x ** 3, 2)
 
 
-def test_verify_cm7_reads_cm7_function(monkeypatch):
-    # the identity is checked on funfam.cm7_function itself: a function
-    # built for another B fails it
-    cm7 = funfam.cm7_function
-    monkeypatch.setattr(funfam, "cm7_function", lambda B: cm7(B + 1))
-    assert not verify_cm7(13)
+def test_verify_cm7_reads_cm7_function():
+    # the identity is checked on the function given: one built for another B
+    # leaves offenders for every cube root
+    assert all(cm7_offenders(funfam.cm7_function(2), 1, 13))

@@ -374,7 +374,8 @@ def test_reduce_mod_place_matches_object_reduction_over_q_sqrt_minus_3():
 _ALL_BUILTINS = [
     "builtin:isogeny5", "builtin:cm7", "builtin:a4s4:0:2",
     "builtin:dickson:3:1", "builtin:dickson:5:1", "builtin:redei:3:-1",
-    "builtin:redei:5:2", "builtin:redei3comp",
+    "builtin:redei:5:2", "builtin:redei3comp", "builtin:descent:0:2:5:6",
+    "builtin:descent:3:0:3:4",
 ]
 
 

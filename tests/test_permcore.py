@@ -254,6 +254,23 @@ def test_coset_action_s4_mod_s3():
     assert act.image(g * h) == act.image(g) * act.image(h)
 
 
+def test_coset_action_and_group_caps_refuse_before_any_work(monkeypatch):
+    def no_work(M):
+        raise AssertionError("the coset search started")
+
+    monkeypatch.setattr(permcore, "right_coset_key", no_work)
+    S8 = PermGroup(8, [Perm([1, 0] + list(range(2, 8))),
+                       Perm(list(range(1, 8)) + [0])])
+    # index 40320 over the trivial group
+    with pytest.raises(CapExceeded, match="index 40320"):
+        CosetAction(S8, PermGroup(8, []))
+    C4 = PermGroup(8, [Perm([1, 2, 3, 0, 4, 5, 6, 7])])
+    with pytest.raises(NotASubgroup):
+        CosetAction(C4, PermGroup(8, [Perm([0, 1, 2, 3, 5, 4, 6, 7])]))
+    with pytest.raises(CapExceeded, match="degree 4097"):
+        PermGroup(permcore.DEGREE_CAP + 1, [list(range(4097))])
+
+
 def test_torus_coset_action_degrees():
     act, G = psl2_torus_coset_action(8, "psl")
     assert act.group.degree == 28 and act.group.order == 504

@@ -150,7 +150,7 @@ def _agree_with_oracle(f, bound):
 _BUILTINS = [
     "builtin:isogeny5", "builtin:a4s4:0:2", "builtin:dickson:3:1",
     "builtin:dickson:5:1", "builtin:redei:3:-1", "builtin:redei:5:2",
-    "builtin:redei3comp",
+    "builtin:redei3comp", "builtin:descent:0:2:5:6", "builtin:descent:3:0:3:4",
 ]
 
 

@@ -5,7 +5,8 @@ import itertools
 
 import pytest
 
-from schurscope.permcore import Perm, PermGroup, psl2_torus_coset_action
+from schurscope import ramgenus
+from schurscope.permcore import CapExceeded, Perm, PermGroup, psl2_torus_coset_action
 from schurscope.ramgenus import (
     classify_type,
     genus0_search,
@@ -129,6 +130,21 @@ def test_genus0_search_refuses_r_max_below_2():
             genus0_search(S4, r_max=r_max)
     assert genus0_search(S4, r_max=2) == []
     assert (2, 3, 4) in genus0_search(S4, r_max=3)
+
+
+def test_genus0_search_refuses_a_group_over_a_cap_before_any_work(monkeypatch):
+    def no_work(G):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(ramgenus, "_rank_space", no_work)
+    S8 = s_n(8)
+    assert S8.order == 40_320 > ramgenus.GROUP_ORDER_CAP
+    with pytest.raises(CapExceeded, match="group order 40320"):
+        genus0_search(S8)
+    C1301 = PermGroup(1301, [Perm(list(range(1, 1301)) + [0])])
+    assert C1301.degree > ramgenus.DEGREE_CAP_SEARCH
+    with pytest.raises(CapExceeded, match="degree 1301"):
+        genus0_search(C1301)
 
 
 def test_genus0_search_psl28_degree28():
