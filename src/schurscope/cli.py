@@ -8,10 +8,9 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 
 from .exactalg import format_ratfunc, parse_ratfunc
-from .projmap import SweepReport, odd_primes, sweep_primes
+from .projmap import schur_sweep
 from .funfam import builtin_function
 from .permcore import DEGREE_CAP, Perm, PermGroup
 from . import claims, exceptio, ramgenus
@@ -54,24 +53,6 @@ def dump_group(G, path):
 # ---------------------------------------------------------------------------
 # worker support for sweeps
 
-def parallel_sweep(f, bound, workers):
-    """schur_sweep, optionally splitting the prime range over processes: at
-    most `workers`, the number of cores and the number of primes, as a
-    process pool starts all its workers at its first task. Each worker is
-    sent f itself, pickled, and a share of the primes."""
-    primes = odd_primes(bound)
-    workers = min(workers, os.cpu_count() or 1, len(primes))
-    if workers <= 1:
-        return SweepReport.from_records(sweep_primes(f, primes))
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [primes[i::workers] for i in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(partial(sweep_primes, f), chunks))
-    records = sorted((r for part in parts for r in part), key=lambda r: r.p)
-    return SweepReport.from_records(records)
-
-
 def worker_count():
     try:
         return max(1, int(os.environ.get("SCHURSCOPE_WORKERS", "1")))
@@ -93,7 +74,7 @@ def _emit(text, path):
 
 def cmd_sweep(args):
     f = load_function(args.function)
-    rep = parallel_sweep(f, args.bound, worker_count())
+    rep = schur_sweep(f, args.bound, worker_count())
     _emit(json.dumps(rep.to_dict(args.function), indent=2), args.out)
     return 0
 

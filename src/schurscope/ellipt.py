@@ -213,8 +213,11 @@ def quotient_descent(E, m, beta_order):
         w, norm = _descend_to_y(E, m)
         R = RatFunc(z * w.compose(z * z), norm.compose(z * z))
     elif beta_order == 6:
+        # z*w^2 and norm^2 are coprime: w and the monic norm are, and m is
+        # odd, so E[m] has no point with y = 0 and norm(0) != 0. A common
+        # factor would fail the degree check below
         w, norm = _descend_to_y(E, m)
-        R = RatFunc(z * w * w, norm * norm)
+        R = RatFunc._raw(z * w * w, norm * norm)
     else:
         # psi = x^2 on y^2 = x^3 + Ax
         if E.b:

@@ -31,11 +31,13 @@ coefficient: p | 2d is ramified; a vanishing denominator, leading
 coefficient or resultant at the place is bad reduction, since with unit
 leading coefficients the resultant commutes with reduction. The good places
 go to the evaluator as int rows, in batches of one place degree and at most
-DEFAULT_POINT_CAP points.
+DEFAULT_POINT_CAP points. A sweep with workers reduces in the calling
+process and sends its pool the batches' int rows, never f.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -418,29 +420,26 @@ def sweep_prime(f, p):
     return SweepRecord(p, fp.field.ext, "bijective" if ok else "not-bijective")
 
 
-def sweep_primes(f, primes):
+def _verdicts(fs):
+    """Whether each of the `Reduced` rows fs, of one place degree, permutes
+    P^1 of its field: one pass of `_bijective`, without its bins."""
+    return _bijective(fs)[0]
+
+
+def sweep_primes(f, primes, workers=1):
     """One record per prime, in the given order; a cap overrun is the
     prime's point-cap verdict.
 
     One `Reducer` of f decides each prime's ramified and bad-reduction
-    verdicts, and the point-cap ones are decided on their own; the good
-    places are then evaluated together as int rows, in batches of one place
-    degree and at most DEFAULT_POINT_CAP points, each batch one pass of
-    `_bijective`.
+    verdicts, and the point-cap ones are decided on their own. The good
+    places go into batches of one place degree and at most DEFAULT_POINT_CAP
+    points, each evaluated in one pass of `_bijective`: in this process, or
+    in a pool of at most `workers` processes and no more than the cores or
+    the batches, as a pool starts all its workers at its first task.
     """
     records = [None] * len(primes)
-    pending = {1: [], 2: []}  # place degree -> [(index, Reduced rows)]
-    points = {1: 0, 2: 0}
-
-    def flush(ext):
-        batch = pending[ext]
-        verdicts, _ = _bijective([fp for _, fp in batch])
-        for (i, _), ok in zip(batch, verdicts):
-            records[i] = SweepRecord(primes[i], ext,
-                                     "bijective" if ok else "not-bijective")
-        batch.clear()
-        points[ext] = 0
-
+    batches = []  # [(index, Reduced rows)] of one place degree each
+    last = {}  # place degree -> [its last batch, the points in it]
     reduce = Reducer(f).at
     for i, p in enumerate(primes):
         fp, records[i] = _reduce(reduce, p)
@@ -452,13 +451,25 @@ def sweep_primes(f, primes):
             records[i] = SweepRecord(p, e.place_degree, "point-cap")
             continue
         ext, size = fp.field.ext, fp.field.order + 1
-        if points[ext] + size > DEFAULT_POINT_CAP:
-            flush(ext)
-        pending[ext].append((i, fp))
-        points[ext] += size
-    for ext in pending:
-        if pending[ext]:
-            flush(ext)
+        if ext not in last or last[ext][1] + size > DEFAULT_POINT_CAP:
+            last[ext] = [[], 0]
+            batches.append(last[ext][0])
+        last[ext][0].append((i, fp))
+        last[ext][1] += size
+
+    rows = [[fp for _, fp in batch] for batch in batches]
+    workers = min(workers, os.cpu_count() or 1, len(batches))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            verdicts = list(pool.map(_verdicts, rows))
+    else:
+        verdicts = map(_verdicts, rows)
+    for batch, oks in zip(batches, verdicts):
+        for (i, fp), ok in zip(batch, oks):
+            records[i] = SweepRecord(primes[i], fp.field.ext,
+                                     "bijective" if ok else "not-bijective")
     return records
 
 
@@ -474,11 +485,13 @@ def odd_primes(prime_bound):
     return primes_up_to(prime_bound)[1:]
 
 
-def schur_sweep(f, prime_bound):
+def schur_sweep(f, prime_bound, workers=1):
     """Classify every odd prime <= prime_bound: does f mod p permute P^1?
 
     p = 2 is always skipped; per-prime failures, cap overruns included, are
-    verdicts, not errors. Deterministic: records in increasing prime order.
-    Raises ValueError on a bound that `odd_primes` refuses.
+    verdicts, not errors. Deterministic: records in increasing prime order,
+    the same for any number of workers (see `sweep_primes`). Raises
+    ValueError on a bound that `odd_primes` refuses.
     """
-    return SweepReport.from_records(sweep_primes(f, odd_primes(prime_bound)))
+    return SweepReport.from_records(
+        sweep_primes(f, odd_primes(prime_bound), workers))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurscope import claims
+from schurscope import claims, exactalg, projmap
 from schurscope.cli import (
     build_parser,
     builtin_function,
@@ -21,7 +21,6 @@ from schurscope.cli import (
     load_function,
     load_group,
     main,
-    parallel_sweep,
     worker_count,
 )
 from schurscope.ellipt import EllCurve, quotient_descent
@@ -80,13 +79,22 @@ def test_sweep_command_out_file(tmp_path):
     assert doc["records"]
 
 
-def test_parallel_sweep_matches_serial():
-    # cm7 is over QQ(sqrt(-3)), so its workers get QuadElem coefficients
+def test_parallel_sweep_matches_serial(monkeypatch):
+    # real processes; cm7 is over QQ(sqrt(-3)), so its workers get rows over
+    # F_p^2. dickson to 300 is one batch, which no pool evaluates
     for f, bound in ((dickson(3, 1), 300), (builtin_function("builtin:cm7"), 120)):
         serial = schur_sweep(f, bound)
-        par = parallel_sweep(f, bound, 2)
+        par = schur_sweep(f, bound, 2)
         assert par.records == serial.records
         assert par.density == serial.density
+    # a small cap cuts cm7's split and inert places into many batches each,
+    # so both kinds are spread over the workers
+    monkeypatch.setattr(projmap, "DEFAULT_POINT_CAP", 500)
+    f = builtin_function("builtin:cm7")
+    serial = schur_sweep(f, 120)
+    assert {(r.place_degree, r.verdict) for r in serial.records} >= {
+        (1, "bijective"), (2, "bijective"), (2, "point-cap")}
+    assert schur_sweep(f, 120, 2).records == serial.records
 
 
 def test_sweep_worker_records_point_cap_verdicts():
@@ -115,20 +123,47 @@ class _InProcessPool:
         return map(fn, *iterables)
 
 
-def test_parallel_sweep_workers_are_bounded_by_cores_and_primes(monkeypatch):
+def test_parallel_sweep_workers_are_bounded_by_cores_and_batches(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         _InProcessPool)
     f = dickson(3, 1)
-    # (requested workers, cores, bound, pool size or None for no pool); the
-    # bound 10 has three odd primes, and bound 3 has one
-    for workers, cores, bound, pool in ((64, 2, 100, 2), (64, 8, 10, 3),
-                                        (3, 8, 100, 3), (64, None, 100, None),
-                                        (64, 8, 3, None), (1, 8, 100, None)):
+    # (requested workers, cores, point cap, bound, pool size or None for no
+    # pool). Under the default cap each bound here is one batch; under a cap
+    # of 100 the bound 100 is more than eight, and under a cap of 10 the
+    # primes 3, 5, 7 of the bound 10 are two: 4 + 6 points, then 8
+    cap = projmap.DEFAULT_POINT_CAP
+    for workers, cores, points, bound, pool in (
+            (64, 2, 100, 100, 2), (64, 8, 10, 10, 2), (3, 8, 100, 100, 3),
+            (64, None, 100, 100, None), (64, 8, 100, 3, None),
+            (1, 8, 100, 100, None), (64, 8, cap, 100, None)):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(projmap, "DEFAULT_POINT_CAP", points)
         _InProcessPool.made.clear()
-        rep = parallel_sweep(f, bound, workers)
+        rep = schur_sweep(f, bound, workers)
         assert _InProcessPool.made == ([] if pool is None else [pool])
         assert rep.records == schur_sweep(f, bound).records
+
+
+def test_sweep_computes_one_resultant_whatever_the_workers(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    calls = []
+    resultant = exactalg._resultant
+
+    def counted(*args):
+        calls.append(args)
+        return resultant(*args)
+
+    monkeypatch.setattr(exactalg, "_resultant", counted)
+    _InProcessPool.made.clear()
+    schur_sweep(builtin_function("builtin:cm7"), 400, 2)
+    assert _InProcessPool.made == [2]
+    assert len(calls) == 1
+    # a sweep of one batch starts no pool
+    _InProcessPool.made.clear()
+    schur_sweep(dickson(3, 1), 300, 2)
+    assert _InProcessPool.made == []
 
 
 def test_worker_count_env(monkeypatch):

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from schurscope import funfam
-from schurscope.exactalg import QQ, FqField, poly_const, poly_x, reduce_mod_place
+from schurscope.exactalg import (QQ, FqField, RatFunc, poly_const, poly_x,
+                                 reduce_mod_place)
 from schurscope.ellipt import (
     DescentError,
     EllCurve,
@@ -19,6 +20,7 @@ from schurscope.ellipt import (
     point_neg,
     quotient_descent,
     random_point,
+    _descend_to_y,
     _in_powers,
     xmul_map,
 )
@@ -149,6 +151,16 @@ def test_descent_order_6():
     # psi = y^2, curve y^2 = x^3 + B
     _check_descent_pointwise(0, 2, 5, 6, lambda P: P[1] * P[1], None,
                              (103, 109))
+
+
+def test_descent_order_6_skips_no_common_factor():
+    # the order-6 descent builds R without the gcd of RatFunc; the gcd
+    # finds nothing to cancel
+    EQ = EllCurve(QQ, Fraction(0), Fraction(2))
+    w, norm = _descend_to_y(EQ, 5)
+    z = poly_x(QQ)
+    R = RatFunc(z * w * w, norm * norm)
+    assert quotient_descent(EQ, 5, 6) == R and R.degree == 25
 
 
 def test_descent_validation():
