@@ -253,8 +253,10 @@ def _escaping_normalizers(A, G):
     """Elements of order 4 of G whose cyclic group has its normalizer in A
     outside G."""
     for sigma in G.elements():
-        N = permcore.normalizer_of_cyclic(A, sigma) if sigma.order() == 4 else None
-        if N is not None and any(h not in G for h in N.gens):
+        if sigma.order() != 4:
+            continue
+        N = permcore.normalizer_of_cyclic(A, sigma)
+        if G.first_outside(permcore._perm_rows(N.gens, G.degree)) >= 0:
             yield sigma
 
 

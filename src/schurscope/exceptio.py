@@ -31,12 +31,13 @@ from .permcore import (
     _class_labels,
     _effective_gens,
     _element_blocks,
+    _perm_rows,
     _rank_space,
     check_enum_cap,
     check_pair_cap,
     orbits_on_pairs,  # noqa: F401  perfbench/tracer.py patches exceptio.orbits_on_pairs
     prime_divisors,
-    right_coset_key,
+    right_coset_keys,
 )
 
 INDEX_CAP = 1000
@@ -80,18 +81,20 @@ class ArithVerdict:
 
 def _check_normal(A, G):
     """Refuse (A, G) unless G is a transitive normal subgroup of A. The
-    degrees and the pair cap are checked before any chain is built."""
+    degrees and the pair cap are checked before any chain is built. G's
+    generators are sifted through A in one call, and the conjugates of G's
+    generators by A's through G in another."""
     if A.degree != G.degree:
         raise DegreeMismatch("A and G act on different point sets")
     check_pair_cap(A.degree)
-    for g in G.gens:
-        if g not in A:
-            raise NotASubgroup("G is not contained in A")
-    for a in A.gens:
-        ai = a.inverse()
-        for g in G.gens:
-            if ai * g * a not in G:
-                raise NotNormal("G is not normalized by A")
+    g_rows = _perm_rows(G.gens, G.degree)
+    if A.first_outside(g_rows) >= 0:
+        raise NotASubgroup("G is not contained in A")
+    # a^-1 * g * a maps x to a(g(a^-1(x))); A's generators major, G's minor
+    conjugates = [a[g_rows[:, np.argsort(a)]]
+                  for a in _perm_rows(A.gens, A.degree)]
+    if G.first_outside(np.concatenate([g_rows[:0], *conjugates])) >= 0:
+        raise NotNormal("G is not normalized by A")
     if not G.is_transitive():
         raise NotTransitive("G must be transitive")
 
@@ -201,10 +204,11 @@ def chi_fixed_points(G, H, g):
     direct = len(g.fixed_points())
 
     _, conjugates, rank = _rank_space(G)
-    if not all(G.contains(x) for x in [g, *H.gens]):
+    rows = _perm_rows([g, *H.gens], G.degree)
+    if G.first_outside(rows) >= 0:
         raise NotASubgroup("g or H is not in G")
     in_cls = np.zeros(G.order, dtype=bool)
-    frontier = rank(np.array([g.images], dtype=np.uint16))
+    frontier = rank(rows[:1])
     in_cls[frontier] = True
     while len(frontier):
         reached = np.unique(np.concatenate([frontier[:0], *conjugates(frontier)]))
@@ -327,25 +331,25 @@ def excomp_decompose(A, G, M, U):
     Returns the verdicts of (A, G, A/M), (A, G, A/U) and (U, G n U, U/M) and
     asserts the first holds exactly when the other two both do.
     """
-    for g in M.gens:
-        if g not in U:
-            raise NotASubgroup("M is not contained in U")
-    for g in U.gens:
-        if g not in A:
-            raise NotASubgroup("U is not contained in A")
+    n = A.degree
+    if U.first_outside(_perm_rows(M.gens, n)) >= 0:
+        raise NotASubgroup("M is not contained in U")
+    if A.first_outside(_perm_rows(U.gens, n)) >= 0:
+        raise NotASubgroup("U is not contained in A")
     # A = GM: the cosets of G met by M must be all of them
-    key = right_coset_key(G)
-    rows = np.array([m.images for m in M.elements()], dtype=np.uint16)
-    gm_count = len({key(r) for r in rows})
-    if gm_count != A.order // G.order:
+    keys = right_coset_keys(G)
+    if len(set(keys(_perm_rows(M.elements(), n)))) != A.order // G.order:
         raise ValueError("A = GM fails")
 
     act_m, act_u = CosetAction(A, M), CosetAction(A, U)
     v1 = is_exceptional(act_m.group, act_m.image_group(G))
     v2 = is_exceptional(act_u.group, act_u.image_group(G))
 
-    gu = [h for h in U.elements() if h in G]
-    GU = PermGroup(A.degree, gu or [Perm.identity(A.degree)])
+    # h is in G exactly when G*h is G, the coset of the identity
+    in_g = keys(_perm_rows([Perm.identity(n)], n))[0]
+    gu = [h for h, key in zip(U.elements(), keys(_perm_rows(U.elements(), n)))
+          if key == in_g]
+    GU = PermGroup(n, gu or [Perm.identity(n)])
     act_um = CosetAction(U, M)
     v3 = is_exceptional(act_um.group, act_um.image_group(GU))
 

@@ -10,6 +10,7 @@ from bisect import bisect_right
 from itertools import product
 from math import gcd
 from operator import itemgetter
+from struct import pack
 
 import numpy as np
 
@@ -191,6 +192,17 @@ def _perm(row):
     return Perm._raw(tuple(map(_ident(len(row)).__getitem__, row.tolist())))
 
 
+def _perm_rows(perms, n):
+    """The uint16 rows of a list of Perms of degree n, one row per Perm, as
+    a read-only array. Packing the images with struct is about twice as fast
+    as np.fromiter from a few hundred points on."""
+    if any(len(p.images) != n for p in perms):
+        raise DegreeMismatch("degree mismatch")
+    fmt = f"={n}H"
+    return np.frombuffer(b"".join([pack(fmt, *p.images) for p in perms]),
+                         np.uint16).reshape(len(perms), n)
+
+
 def _gather(table, rows, index):
     """table[rows[:, None], index] for a 2-D table, as one take from the
     flattened table: several times faster than numpy's 2-D fancy index.
@@ -224,7 +236,8 @@ def _sift(chain, i, rows):
     for j in range(i, len(chain)):
         lvl = chain[j]
         pos = lvl.position[rows[:, lvl.base_point]]
-        pos[stuck < j] = 0
+        if j > i:  # no row is stuck before the first level
+            pos[stuck < j] = 0
         stuck[pos < 0] = j
         rows = _gather(lvl.table, np.maximum(pos, 0), rows)
     return stuck, rows
@@ -255,8 +268,7 @@ class _SchreierSims:
         self.chain, self.gens, self.states = [], [], []
         self.serial = {}  # id of a strong generator -> its index in gens
         self.closed, self.clean = [], []
-        self._sift_each(0, np.array([g.images for g in gens],
-                                    dtype=np.uint16).reshape(len(gens), n))
+        self._sift_each(0, _perm_rows(gens, n))
         dirty = True
         while dirty:
             for i in range(len(self.chain)):
@@ -367,7 +379,7 @@ class _SchreierSims:
         eff, idx, st = self._level(i)
         orbit = np.array(lvl.orbit)
         pos, k = np.nonzero(st[idx[:, None], orbit].T == 0)
-        gens = np.array([g.images for g in eff], dtype=np.uint16)
+        gens = _perm_rows(eff, self.n)
 
         def verified(p, kk):
             st[idx[kk], orbit[p]] = _SIFTED
@@ -430,13 +442,22 @@ class PermGroup:
         self._build_chain()
         return self._order
 
-    def contains(self, g):
-        if g.degree != self.degree:
+    def first_outside(self, rows):
+        """The index of the first of the uint16 rows that is not in the
+        group, or -1. The rows are sifted `_SIFT` entries at a time."""
+        if rows.shape[1] != self.degree:
             raise DegreeMismatch("degree mismatch")
         self._build_chain()
-        _, residue = _sift(self._chain, 0,
-                           np.fromiter(g.images, np.uint16, self.degree)[None])
-        return _first_non_identity(residue) < 0
+        step = max(1, _SIFT // max(1, self.degree))
+        for lo in range(0, len(rows), step):
+            _, residues = _sift(self._chain, 0, rows[lo:lo + step])
+            f = _first_non_identity(residues)
+            if f >= 0:
+                return lo + f
+        return -1
+
+    def contains(self, g):
+        return self.first_outside(_perm_rows([g], self.degree)) < 0
 
     def __contains__(self, g):
         return self.contains(g)
@@ -592,7 +613,7 @@ def _element_blocks(G):
         return
     n = G.degree
     base = [lvl.base_point for lvl in G._chain]
-    post = np.array([g.images for g in G.gens], dtype=np.uint16)
+    post = _perm_rows(G.gens, n)
     seen = np.zeros(G.order, dtype=bool)
     seen[0] = True  # the identity: position 0 at every level
     moves = np.arange(len(post))[:, None]
@@ -799,69 +820,87 @@ def normalizer_of_cyclic(G, g):
 # ---------------------------------------------------------------------------
 # coset actions
 
-def right_coset_key(M):
-    """A function r -> canonical key of the right coset M*r, for r a uint16
-    row.
+def right_coset_keys(M):
+    """A function rows -> the canonical keys of the right cosets M*r, one
+    for each uint16 row r, as a list of bytes.
 
-    The key is the bytes of the row of the one element of M*r whose images
-    of M's base points are lexicographically least. It is found by
+    The key of r is the bytes of the row of the one element of M*r whose
+    images of M's base points are lexicographically least. It is found by
     descending M's chain: at each level, move the orbit point whose image
     under r is least onto the base point, by r -> u*r with u the level's
-    forward coset representative (base point -> orbit point). One argmin
-    over the orbit and at most one gather per level; M is never enumerated.
+    forward coset representative (base point -> orbit point). The rows are
+    descended a block of `_SIFT` entries at a time, with one argmin over the
+    orbit and one gather per level and block; M is never enumerated.
     """
     M._build_chain()
     # per level: the orbit (orbit[0] is the base point) and the forward rows
     levels = [(np.array(lvl.orbit), lvl.forward) for lvl in M._chain]
+    width = 2 * M.degree  # bytes of a key
+    step = max(1, _SIFT // max(1, M.degree))
 
-    def key(r):
-        for orbit, forward in levels:
-            k = r[orbit].argmin()
-            if k:
-                r = r[forward[k]]
-        return r.tobytes()
+    def keys(rows):
+        out = []
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step]
+            at = np.arange(len(r))
+            for orbit, forward in levels:
+                r = _gather(r, at, forward[r[:, orbit].argmin(axis=1)])
+            b = r.tobytes()
+            out += [b[k * width:(k + 1) * width] for k in range(len(r))]
+        return out
 
-    return key
+    return keys
 
 
 class CosetAction:
     """Action of A on the right cosets of M, found breadth first from M
     itself under right multiplication by A's generators. A coset is labelled
-    by `right_coset_key(M)`, so reps[i] is the first element of A reached in
-    coset i. Provides the induced permutation for any element of A. The
-    search runs on uint16 rows (r * g is g's row gathered at r's); Perms are
-    made only for `reps`, `image` and `group`."""
+    by `right_coset_keys(M)`, so reps[i] is the first element of A reached in
+    coset i: the cosets are numbered in order of discovery, rep by rep and,
+    for each rep, generator by generator. Each frontier's products are keyed
+    in blocks, not one at a time. Provides the induced permutation for any
+    element of A. The search runs on uint16 rows (r * g is g's row gathered
+    at r's); Perms are made only for `reps`, `image` and `group`."""
 
     def __init__(self, A, M):
-        for g in M.gens:
-            if g not in A:
-                raise NotASubgroup("M is not contained in A")
+        if A.first_outside(_perm_rows(M.gens, A.degree)) >= 0:
+            raise NotASubgroup("M is not contained in A")
         if A.order // M.order > DEGREE_CAP:
             raise CapExceeded(f"index {A.order // M.order} exceeds cap {DEGREE_CAP}")
         self.A = A
         self.M = M
-        self._key = key = right_coset_key(M)
-        gens = np.array([g.images for g in A.gens], dtype=np.uint16)
-        reps = [np.array(_ident(A.degree), dtype=np.uint16)]
-        self._canon_to_idx = index_of = {key(reps[0]): 0}
-        images = [[] for _ in A.gens]  # images[k][i]: the coset of reps[i] * gens[k]
-        i = 0
-        while i < len(reps):
-            r = reps[i]
-            for g, row in zip(gens, images):
-                w = g[r]
-                c = key(w)
-                j = index_of.get(c)
-                if j is None:
-                    j = index_of[c] = len(reps)
-                    reps.append(w)
-                row.append(j)
-            i += 1
-        self._rows = np.array(reps)
-        self.index = len(reps)
+        self._keys = keys = right_coset_keys(M)
+        n, k = A.degree, len(A.gens)
+        gens = _perm_rows(A.gens, n)
+        frontier = np.array([_ident(n)], dtype=np.uint16)
+        self._canon_to_idx = index_of = {keys(frontier)[0]: 0}
+        reps = [frontier]
+        # labels[i * k + s]: the coset of reps[i] * gens[s]
+        labels = []
+        step = max(1, _SIFT // max(1, n))
+        while len(frontier) and k:
+            # the frontier's products, rep-major and generator-minor
+            r, s = np.divmod(np.arange(len(frontier) * k), k)
+            new = []
+            for lo in range(0, len(r), step):
+                w = _gather(gens, s[lo:lo + step], frontier[r[lo:lo + step]])
+                fresh = []
+                for c, key in enumerate(keys(w)):
+                    j = index_of.get(key)
+                    if j is None:
+                        j = index_of[key] = len(index_of)
+                        fresh.append(c)
+                    labels.append(j)
+                if fresh:
+                    new.append(w[fresh])
+            reps += new
+            frontier = np.concatenate([frontier[:0], *new])
+        self._rows = np.concatenate(reps)
+        self.index = len(self._rows)
         if self.index != A.order // M.order:
             raise NotASubgroup("coset count does not match the index")
-        self.group = PermGroup(self.index, [Perm._raw(tuple(row)) for row in images])
+        self.group = PermGroup(self.index,
+                               [Perm._raw(tuple(labels[s::k])) for s in range(k)])
 
     @property
     def reps(self):
@@ -869,10 +908,15 @@ class CosetAction:
         return _perms([self._rows], self.A.degree, [])
 
     def image(self, g):
-        """The permutation induced by g in A on the cosets."""
-        key, index_of = self._key, self._canon_to_idx
-        ws = np.array(g.images, dtype=np.uint16)[self._rows]
-        return Perm._raw(tuple(index_of[key(w)] for w in ws))
+        """The permutation induced by g on the cosets. Raises
+        DegreeMismatch when g is not of A's degree, and NotASubgroup when g
+        is not in A: M*g is then no coset of M in A, so its key is unknown."""
+        ws = _perm_rows([g], self.A.degree)[0][self._rows]
+        try:
+            return Perm._raw(tuple(map(self._canon_to_idx.__getitem__,
+                                       self._keys(ws))))
+        except KeyError:
+            raise NotASubgroup("g is not in A") from None
 
     def image_group(self, H):
         """The image of a subgroup H of A, acting on the cosets."""

@@ -81,6 +81,25 @@ def test_not_normal_and_not_transitive_raise():
         is_exceptional(PermGroup(4, V.gens), V)
 
 
+def test_check_normal_refuses_in_the_order_of_its_checks():
+    with pytest.raises(NotNormal):
+        is_exceptional(S4, D4)  # D4 < S4, not normal
+    # a generator of G outside A comes first, though G is not normal in A
+    # either
+    with pytest.raises(NotASubgroup):
+        is_exceptional(A4, PermGroup(4, [Perm([1, 0, 2, 3])]))
+    with pytest.raises(NotASubgroup):
+        is_exceptional(C4, PermGroup(4, C4.gens + [Perm([1, 0, 2, 3])]))
+    # the conjugates by every generator of A are checked: S4's first two
+    # generators here lie in D4 and normalize it, its third does not
+    S4_late = PermGroup(4, [Perm([2, 1, 0, 3]), Perm([1, 2, 3, 0]),
+                            Perm([1, 0, 2, 3])])
+    assert S4_late.order == 24
+    assert is_exceptional(PermGroup(4, S4_late.gens[:2]), D4).r == 3
+    with pytest.raises(NotNormal):
+        is_exceptional(S4_late, D4)
+
+
 def test_coset_average_equals_common_orbit_count():
     # the average of squared fixed-point counts over a coset xG equals the
     # number of common orbits of (<G, x>, G) on pairs

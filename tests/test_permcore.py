@@ -30,7 +30,7 @@ from schurscope.permcore import (
     psl2,
     psl2_sylow2_coset_action,
     psl2_torus_coset_action,
-    right_coset_key,
+    right_coset_keys,
 )
 
 
@@ -258,7 +258,7 @@ def test_coset_action_and_group_caps_refuse_before_any_work(monkeypatch):
     def no_work(M):
         raise AssertionError("the coset search started")
 
-    monkeypatch.setattr(permcore, "right_coset_key", no_work)
+    monkeypatch.setattr(permcore, "right_coset_keys", no_work)
     S8 = PermGroup(8, [Perm([1, 0] + list(range(2, 8))),
                        Perm(list(range(1, 8)) + [0])])
     # index 40320 over the trivial group
@@ -434,6 +434,46 @@ def test_contains_matches_closure_on_random_perms():
         _assert_transversals_map_to_base(G)
 
 
+@st.composite
+def _group_and_rows(draw):
+    """A group of degree 1..6 (trivial when it has no generators) and up to
+    12 rows: some of its elements, mixed with random permutations."""
+    n = draw(st.integers(1, 6))
+    gens = [draw(st.permutations(range(n))) for _ in range(draw(st.integers(0, 3)))]
+    closure = sorted(brute_force_closure(n, [Perm(g) for g in gens]))
+    rows = draw(st.lists(st.one_of(st.sampled_from(closure),
+                                   st.permutations(range(n))), max_size=12))
+    return PermGroup(n, gens), closure, rows
+
+
+@given(_group_and_rows())
+@settings(max_examples=150, deadline=None)
+def test_first_outside_is_the_first_row_outside_the_closure(case):
+    G, closure, rows = case
+    members = set(closure)
+    want = next((i for i, r in enumerate(rows) if tuple(r) not in members), -1)
+    block = np.array(rows, dtype=np.uint16).reshape(len(rows), G.degree)
+    assert G.first_outside(block) == want
+    assert [G.contains(Perm(r)) for r in rows] == \
+        [tuple(r) in members for r in rows]
+    # blocks of one row
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permcore, "_SIFT", 1)
+        assert G.first_outside(block) == want
+
+
+def test_first_outside_of_the_trivial_group_and_of_no_rows():
+    trivial = PermGroup(4, [])
+    rows = np.array([[0, 1, 2, 3], [0, 1, 2, 3], [1, 0, 2, 3]], dtype=np.uint16)
+    assert trivial.first_outside(rows) == 2
+    assert trivial.first_outside(rows[:2]) == -1
+    assert trivial.first_outside(rows[:0]) == -1
+    S4 = PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])
+    assert S4.first_outside(rows[:0]) == -1
+    with pytest.raises(DegreeMismatch):
+        S4.first_outside(np.zeros((0, 5), dtype=np.uint16))
+
+
 def test_stabilizer_gens_orbit_stabilizer_on_torus_action():
     act, _ = psl2_torus_coset_action(8, "psl")
     G = act.group
@@ -512,20 +552,113 @@ def test_coset_action_never_enumerates_m():
     assert act.index == 28
 
 
-def test_right_coset_key_is_constant_on_cosets():
+def test_right_coset_keys_are_constant_on_cosets():
     A = permcore._projective_group(8, "pgammal")[0]
     M = normalizer_of_cyclic(A, element_of_order(A, 9))
-    key = right_coset_key(M)
+    keys = right_coset_keys(M)
     rng = random.Random(3)
     els = A.elements()
 
-    def row(g):
-        return np.array(g.images, dtype=np.uint16)
+    def rows(gs):
+        return np.array([g.images for g in gs], dtype=np.uint16)
 
     for r in rng.sample(els, 20):
-        k = key(row(r))
-        assert k in {row(m * r).tobytes() for m in M.elements()}
-        assert all(key(row(m * r)) == k for m in M.elements())
+        [k] = keys(rows([r]))
+        coset = rows([m * r for m in M.elements()])
+        assert k in {row.tobytes() for row in coset}
+        assert keys(coset) == [k] * len(coset)
+
+
+def old_right_coset_key(M):
+    """The one-row descent of M's chain: r -> the key of the coset M*r."""
+    M._build_chain()
+    levels = [(np.array(lvl.orbit), lvl.forward) for lvl in M._chain]
+
+    def key(r):
+        for orbit, forward in levels:
+            k = r[orbit].argmin()
+            if k:
+                r = r[forward[k]]
+        return r.tobytes()
+
+    return key
+
+
+def old_row_coset_action(A, M):
+    """The breadth-first coset search one row at a time: (reps as rows, the
+    label of each key in order of discovery, per generator of A the labels
+    of reps[i] * g)."""
+    key = old_right_coset_key(M)
+    gens = np.array([g.images for g in A.gens], dtype=np.uint16)
+    reps = [np.arange(A.degree, dtype=np.uint16)]
+    index_of = {key(reps[0]): 0}
+    images = [[] for _ in A.gens]
+    i = 0
+    while i < len(reps):
+        r = reps[i]
+        for g, row in zip(gens, images):
+            w = g[r]
+            c = key(w)
+            j = index_of.get(c)
+            if j is None:
+                j = index_of[c] = len(reps)
+                reps.append(w)
+            row.append(j)
+        i += 1
+    return reps, list(index_of.items()), images
+
+
+# name -> (the degree of A, the action)
+_KEYED = {
+    "pgammal2(8)-torus": (9, lambda: psl2_torus_coset_action(8, "pgammal")[0]),
+    "psl2(32)-torus": (33, lambda: psl2_torus_coset_action(32, "psl")[0]),
+    "m10-sylow2": (10, lambda: psl2_sylow2_coset_action(9, "m10")[0]),
+}
+
+
+@pytest.mark.parametrize("name", _KEYED)
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_coset_keys_and_action_match_the_one_row_descent(monkeypatch, name,
+                                                         rows):
+    """With `_SIFT` set to blocks of one or three rows of A's degree, the
+    blocks split every frontier and every image."""
+    degree, make = _KEYED[name]
+    if rows is not None:
+        monkeypatch.setattr(permcore, "_SIFT", rows * degree)
+    act = make()
+    assert act.A.degree == degree
+    A, M = act.A, act.M
+    key, keys = old_right_coset_key(M), right_coset_keys(M)
+    rng = np.random.default_rng(5)
+    rows = np.array([rng.permutation(A.degree) for _ in range(40)]
+                    + [g.images for g in A.gens], dtype=np.uint16)
+    assert keys(rows) == [key(r) for r in rows]
+    assert keys(rows[:0]) == []
+
+    reps, labels, images = old_row_coset_action(A, M)
+    assert act._rows.tobytes() == np.array(reps).tobytes()
+    assert list(act._canon_to_idx.items()) == labels
+    assert [act.image(g).images for g in A.gens] == \
+        [tuple(row) for row in images]
+    assert [g.images for g in act.group.gens] == \
+        [g.images for g in PermGroup(act.index, images).gens]
+
+
+def test_coset_action_image_refuses_an_element_outside_a():
+    A4 = PermGroup(4, [Perm([1, 2, 0, 3]), Perm([1, 0, 3, 2])])
+    act = CosetAction(A4, PermGroup(4, []))
+    assert act.index == 12
+    with pytest.raises(NotASubgroup):
+        act.image(Perm([1, 0, 2, 3]))
+
+
+def test_coset_action_image_refuses_a_wrong_degree():
+    A4 = PermGroup(4, [Perm([1, 2, 0, 3]), Perm([1, 0, 3, 2])])
+    act = CosetAction(A4, PermGroup(4, []))
+    with pytest.raises(DegreeMismatch):
+        act.image(Perm([1, 0, 2, 3, 4]))
+    with pytest.raises(DegreeMismatch):
+        act.image(Perm([1, 0, 2]))
 
 
 def old_elements(G, cap):
