@@ -552,7 +552,7 @@ def test_coset_action_never_enumerates_m():
     assert act.index == 28
 
 
-def test_right_coset_keys_are_constant_on_cosets():
+def test_right_coset_key_is_constant_on_cosets():
     A = permcore._projective_group(8, "pgammal")[0]
     M = normalizer_of_cyclic(A, element_of_order(A, 9))
     keys = right_coset_keys(M)
