@@ -249,49 +249,3 @@ def random_point(E, rng):
         if kronecker(r.v, p) == 1:
             y = K.from_int(sqrt_mod(r.v, p))
             return (x, y)
-
-
-def fiber_profiles(f):
-    """Branch data of a rational function over F_p: for every value v in
-    P^1(F_p) whose fiber is not squarefree, the multiset of point
-    multiplicities (counting points over the algebraic closure).
-    Returns {value: sorted multiplicities}, with 'inf' for v = infinity."""
-    K = f.field
-    p = K.p
-    if K.ext != 1:
-        raise ValueError("prime fields only")
-    deg = f.degree
-    out = {}
-    values = [K.from_int(v) for v in range(p)] + [None]
-    for v in values:
-        if v is None:
-            h = f.den
-        else:
-            h = f.num - poly_const(K, v) * f.den
-        mults = _multiplicity_profile(h)
-        drop = deg - h.degree
-        if drop > 0:
-            mults = sorted(mults + [drop])
-        if any(e > 1 for e in mults):
-            out["inf" if v is None else v.v] = mults
-    return out
-
-
-def _multiplicity_profile(h):
-    """Multiplicities of the roots of h over the closure, via repeated
-    gcd with the derivative: if u_0 = h and u_{k+1} = gcd(u_k, u_k'), then
-    deg u_k - deg u_{k+1} counts the distinct roots of multiplicity > k.
-    Valid while the characteristic exceeds every multiplicity."""
-    if h.degree <= 0:
-        return []
-    u = [h.monic()]
-    while u[-1].degree > 0:
-        if len(u) > 64:
-            raise AssertionError("runaway multiplicity computation")
-        u.append(u[-1].gcd(u[-1].derivative()))
-    ge = [u[k].degree - u[k + 1].degree for k in range(len(u) - 1)]
-    out = []
-    for e in range(1, len(ge) + 1):
-        exactly = ge[e - 1] - (ge[e] if e < len(ge) else 0)
-        out.extend([e] * exactly)
-    return sorted(out)

@@ -8,6 +8,7 @@ All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from fractions import Fraction
@@ -622,6 +623,9 @@ def poly_const(field, c):
 class RatFunc:
     """Quotient of coprime polynomials; denominator monic and nonzero.
 
+    The constructor divides num and den by their gcd, `Poly.gcd`, unless
+    `_coprime_at_a_prime` certifies that it is 1.
+
     degree = max(deg num, deg den); the degree of the zero function is 0.
     """
 
@@ -635,17 +639,12 @@ class RatFunc:
             self.num = num
             self.den = Poly(num.field, [num.field.one])
             return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.coeffs[-1]
-        if lead != num.field.one:
-            inv = num.field.one / lead
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num = num
-        self.den = den
+        if not _coprime_at_a_prime(num, den):
+            g = num.gcd(den)
+            if g.degree > 0:
+                num = num // g
+                den = den // g
+        self.num, self.den = _monic_den(num, den)
 
     @classmethod
     def _raw(cls, num, den):
@@ -717,17 +716,38 @@ class RatFunc:
         return RatFunc(Poly(self.field, [c]), one)
 
     def compose(self, other):
-        """self(other(X)); deg(f o g) = deg f * deg g for nonconstant f, g."""
+        """self(other(X)); deg(f o g) = deg f * deg g for nonconstant f, g.
+
+        With other = a/b in lowest terms and m = deg self, the result is
+        N(a, b) / D(a, b), where N(X, Y) = sum n_i X^i Y^(m-i) and D are num
+        and den made forms of degree m. N and D have no common zero on P^1:
+        an affine one is a common root of num and den, and (1 : 0) is a zero
+        of both only if both degrees are below m. A common root x of N(a, b)
+        and D(a, b) would give such a zero (a(x) : b(x)), a point of P^1 as
+        a and b are coprime. So the two are coprime, no gcd is taken, and
+        only the denominator is made monic. D(a, b) is zero only when other
+        is a constant at a pole of self: ZeroDenominator.
+        """
         other = self._as_ratfunc(other)
-        # evaluate num and den of self at other via Horner over RatFunc
-        one = Poly(self.field, [self.field.one])
-        accn = RatFunc(Poly(self.field, []), one)
-        for c in reversed(self.num.coeffs):
-            accn = accn * other + self._as_ratfunc(c)
-        accd = RatFunc(Poly(self.field, []), one)
-        for c in reversed(self.den.coeffs):
-            accd = accd * other + self._as_ratfunc(c)
-        return accn / accd
+        a, b = other.num, other.den
+        m = self.degree
+        b_pow = [Poly(self.field, [self.field.one])]
+        for _ in range(m):
+            b_pow.append(b_pow[-1] * b)
+
+        def form(poly):
+            # Horner in a: acc = acc * a + c_i * b^(m - i), i from m down
+            acc = Poly(self.field, [])
+            for i in range(m, -1, -1):
+                acc = acc * a
+                if i < len(poly.coeffs) and poly.coeffs[i]:
+                    acc = acc + b_pow[m - i].scale(poly.coeffs[i])
+            return acc
+
+        num, den = form(self.num), form(self.den)
+        if den.is_zero():
+            raise ZeroDenominator("composition at a pole")
+        return RatFunc._raw(*_monic_den(num, den))
 
     def derivative(self):
         return RatFunc(self.num.derivative() * self.den - self.num * self.den.derivative(),
@@ -736,11 +756,97 @@ class RatFunc:
     def eval(self, x):
         d = self.den.eval(x)
         if not d:
-            raise ZeroDivisionError("pole; use projmap.eval_proj for P^1 semantics")
+            raise ZeroDivisionError("pole: the value is the point at infinity")
         return self.num.eval(x) / d
 
     def __repr__(self):
         return format_ratfunc(self)
+
+
+def _monic_den(num, den):
+    """num and den scaled so that den, nonzero, is monic."""
+    lead = den.coeffs[-1]
+    if lead == num.field.one:
+        return num, den
+    inv = num.field.one / lead
+    return num.scale(inv), den.scale(inv)
+
+
+# ---------------------------------------------------------------------------
+# coprimality at one prime
+
+# the primes below 2^31 that the certificate tries, largest first: over
+# QQ(sqrt(d)) only the split ones are used, and none may be
+_CERT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579,
+                2147483563, 2147483549, 2147483543, 2147483497)
+
+
+@functools.cache
+def _certificate_places(d):
+    """(p, scalar) for each prime of _CERT_PRIMES with a place of degree 1
+    over QQ (d None) or QQ(sqrt(d)): all of them over QQ, the split ones
+    over QQ(sqrt(d)); scalar is `_place_scalar`'s map into F_p."""
+    return tuple((p, _place_scalar(d, p)[2]) for p in _CERT_PRIMES
+                 if d is None or kronecker(d, p) == 1)
+
+
+def _coprime_at_a_prime(num, den):
+    """True when num and den, nonzero, are certified coprime: one of them is
+    a constant, or, over QQ or QQ(sqrt(d)), their images at one place of
+    degree 1 over a prime p of _CERT_PRIMES are coprime over F_p. False
+    means only "not certified": the caller runs the exact Euclid.
+
+    With L the lcm of the denominators, N = L*num and D = L*den are the
+    integer rows of `_integer_rows`. The place is admissible when p does not
+    divide L and the leading coefficient of N does not vanish there; the
+    first admissible one of `_certificate_places` is tried, and none may
+    be. Its local ring O is a DVR with residue field F_p: Z localised at p
+    over QQ, and over QQ(sqrt(d)), p split, the localisation of the ring of
+    integers at the prime (p, sqrt(d) - s) above p, with s^2 = d mod p the
+    root that `_place_scalar` substitutes. N and D lie in O[x], and their
+    gcd over the field is that of num and den. If g = gcd(N, D) has degree
+    >= 1, scale g to content 1 in O[x]; by Gauss's lemma (O is a UFD)
+    N = g*u and D = g*v with u, v in O[x]. lc(N), a unit of O, is
+    lc(g)*lc(u), so lc(g) is a unit and the image of g keeps its degree and
+    divides the images of N and D. So if those have a gcd of degree 0, num
+    and den are coprime (von zur Gathen-Gerhard, *Modern Computer Algebra*,
+    ch. 6).
+    """
+    if num.degree == 0 or den.degree == 0:
+        return True
+    if not isinstance(num.field, (RationalField, QuadField)):
+        return False
+    d, L, N, D = _integer_rows(num.field, num.coeffs, den.coeffs)
+    for p, scalar in _certificate_places(d):
+        if L % p == 0:
+            continue
+        a = [scalar(c) for c in N]
+        if not a[-1]:
+            continue
+        b = [scalar(c) for c in D]
+        while b and not b[-1]:
+            b.pop()
+        return _coprime_mod(a, b, p)
+    return False
+
+
+def _coprime_mod(a, b, p):
+    """Whether the rows a and b of ints mod p (lowest degree first, a's
+    leading entry nonzero, b's trailing zeros dropped) have a gcd of degree
+    0 over F_p, by Euclid's algorithm."""
+    while len(b) > 1:
+        n = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        r = list(a)
+        for k in range(len(a) - n - 1, -1, -1):
+            q = r[k + n] * inv % p
+            if q:
+                r[k:k + n] = [(x - q * y) % p for x, y in zip(r[k:k + n], b)]
+        del r[n:]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+    return len(b) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +939,45 @@ def _resultant(a, b, d=None):
     return res if sign > 0 else sub(zero, res)
 
 
+def _integer_rows(field, num, den):
+    """(d, L, N, D) for the coefficients num and den over QQ or QQ(sqrt(d))
+    (d None over QQ): L is the lcm of all their denominators, and N = L*num
+    and D = L*den are rows over Z, or over Z[sqrt(d)] as pairs (see
+    `_ring`)."""
+    coeffs = num + den
+    if isinstance(field, RationalField):
+        d, parts = None, coeffs
+    elif isinstance(field, QuadField):
+        d, parts = field.d, [x for c in coeffs for x in (c.a, c.b)]
+    else:
+        raise FieldMismatch("reduction only from QQ or QQ(sqrt(d))")
+    L = lcm(*(x.denominator for x in parts))
+    ints = [int(x * L) for x in parts]
+    rows = ints if d is None else list(zip(ints[::2], ints[1::2]))
+    return d, L, rows[:len(num)], rows[len(num):]
+
+
+def _place_scalar(d, p):
+    """(F_q, zero, scalar) at the place over the odd prime p, p not dividing
+    d: scalar maps Z, or Z[sqrt(d)] as pairs (see `_ring`), onto the residue
+    field F_q, F_p at a split place or over QQ (d None), F_p^2 at an inert
+    one, as ints mod p or pairs (u, v) meaning u + v*sqrt(r).
+
+    Split places substitute the smallest square root of d in {1..p-1};
+    inert places land in F_p^2, with sqrt(d) = s*sqrt(r) for s^2 = d/r.
+    """
+    if d is None:
+        return FqField(p), 0, lambda c: c % p
+    if kronecker(d, p) == 1:
+        r0 = sqrt_mod(d, p)
+        root = min(r0, p - r0)
+        return FqField(p), 0, lambda c: (c[0] + c[1] * root) % p
+    target = FqField(p, ext=2)
+    # d and r are both non-residues, so d/r has a root
+    s = sqrt_mod(d * pow(target.r, -1, p), p)
+    return target, (0, 0), lambda c: (c[0] % p, c[1] * s % p)
+
+
 class Reduced(NamedTuple):
     """A function at a good place: its residue field F_q and the rows of
     num and den, lowest degree first with nonzero leading entries; ints
@@ -849,9 +994,9 @@ class Reducer:
 
     The coefficients of num and den are cleared once of their denominators,
     with L the lcm of all of them, into integer rows N = L*num and D = L*den
-    over Z or Z[sqrt(d)]; f = N/D. Res(N, D) is computed once, by the
-    subresultant PRS (`_resultant`). `at(p)` then decides the place over p
-    with O(1) work per coefficient:
+    over Z or Z[sqrt(d)] (`_integer_rows`); f = N/D. Res(N, D) is computed
+    once, by the subresultant PRS (`_resultant`). `at(p)` then decides the
+    place over p with O(1) work per coefficient:
 
     - p = 2, or p | 2d: RamifiedPlace;
     - p | L, or a leading coefficient of N or D vanishes at the place:
@@ -862,23 +1007,12 @@ class Reducer:
       reduction, and over the residue field it vanishes exactly when the
       reduced num and den share a factor.
 
-    Split places substitute the smallest square root of d in {1..p-1};
-    inert places land in F_p^2, with sqrt(d) = s*sqrt(r) for s^2 = d/r.
+    The coefficients map into the residue field by `_place_scalar`.
     """
 
     def __init__(self, f):
-        field, coeffs = f.field, f.num.coeffs + f.den.coeffs
-        if isinstance(field, RationalField):
-            self.d, parts = None, coeffs
-        elif isinstance(field, QuadField):
-            self.d, parts = field.d, [x for c in coeffs for x in (c.a, c.b)]
-        else:
-            raise FieldMismatch("reduction only from QQ or QQ(sqrt(d))")
-        self.lcm = lcm(*(x.denominator for x in parts))
-        ints = [int(x * self.lcm) for x in parts]
-        rows = ints if self.d is None else list(zip(ints[::2], ints[1::2]))
-        k = len(f.num.coeffs)
-        self.num, self.den = rows[:k], rows[k:]
+        self.d, self.lcm, self.num, self.den = _integer_rows(
+            f.field, f.num.coeffs, f.den.coeffs)
         self.res = (_resultant(self.num, self.den, self.d)
                     if len(self.num) > 1 and len(self.den) > 1 else None)
 
@@ -892,25 +1026,7 @@ class Reducer:
             raise RamifiedPlace(f"p = {p} divides 2d")
         if self.lcm % p == 0:
             raise BadReduction(f"a denominator vanishes mod {p}")
-        if d is None:
-            target, zero = FqField(p), 0
-
-            def scalar(c):
-                return c % p
-        elif kronecker(d, p) == 1:
-            target, zero = FqField(p), 0
-            r0 = sqrt_mod(d, p)
-            root = min(r0, p - r0)
-
-            def scalar(c):
-                return (c[0] + c[1] * root) % p
-        else:
-            target, zero = FqField(p, ext=2), (0, 0)
-            # d and r are both non-residues, so d/r has a root
-            s = sqrt_mod(d * pow(target.r, -1, p), p)
-
-            def scalar(c):
-                return c[0] % p, c[1] * s % p
+        target, zero, scalar = _place_scalar(d, p)
         num = [scalar(c) for c in self.num]
         den = [scalar(c) for c in self.den]
         if (num and num[-1] == zero) or den[-1] == zero:

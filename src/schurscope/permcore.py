@@ -899,8 +899,13 @@ class CosetAction:
         self.index = len(self._rows)
         if self.index != A.order // M.order:
             raise NotASubgroup("coset count does not match the index")
-        self.group = PermGroup(self.index,
-                               [Perm._raw(tuple(labels[s::k])) for s in range(k)])
+        images = [tuple(labels[s::k]) for s in range(k)]
+        # Perm._raw does not check images, and a chain built from a wrong
+        # labelling need not finish. Every label is below the index, so
+        # index distinct labels are a permutation.
+        if any(len(set(im)) != self.index for im in images):
+            raise AssertionError("a generator does not permute the cosets")
+        self.group = PermGroup(self.index, [Perm._raw(im) for im in images])
 
     @property
     def reps(self):

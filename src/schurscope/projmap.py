@@ -85,21 +85,6 @@ class PointCapExceeded(ValueError):
         self.place_degree = place_degree
 
 
-def eval_proj(f, x):
-    """Evaluate f at a point of P^1(F_q), x an element of F_q or INF."""
-    if x is INF:
-        dn, dd = f.num.degree, f.den.degree
-        if dn > dd:
-            return INF
-        if dn < dd:
-            return f.field.zero
-        return f.num.coeffs[-1] / f.den.coeffs[-1]
-    d = f.den.eval(x)
-    if not d:
-        return INF
-    return f.num.eval(x) / d
-
-
 # ---------------------------------------------------------------------------
 # the segmented evaluator
 

@@ -17,12 +17,10 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # public names that no code in src/ or perfbench/ calls, kept on purpose
 ALLOWED_UNREFERENCED = {
-    "projmap.eval_proj": "point-by-point oracle of the array evaluator",
     "funfam.redei_bijectivity_predicate":
         "the per-prime criterion that Redei sweeps are checked against",
     "funfam.a4s4_branch_identity":
         "symbolic check of the branch cycles of a4s4_function",
-    "ellipt.fiber_profiles": "branch data that identifies xmul_map and descents",
     "ramgenus.permutation_genus":
         "Riemann-Hurwitz genus of branch cycles; genus0_search's index budget "
         "is its genus-0 case",

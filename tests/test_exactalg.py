@@ -6,11 +6,13 @@ import operator
 import random
 from fractions import Fraction
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schurscope import projmap
+from schurscope import exactalg, projmap
 from schurscope.cli import builtin_function
 from schurscope.exactalg import (
     QQ,
@@ -23,6 +25,9 @@ from schurscope.exactalg import (
     QuadField,
     RamifiedPlace,
     RatFunc,
+    ZeroDenominator,
+    _CERT_PRIMES,
+    _certificate_places,
     _resultant,
     format_ratfunc,
     kronecker,
@@ -171,6 +176,164 @@ def test_ratfunc_derivative_quotient_rule():
     f = RatFunc(x ** 3 + one, x * x - 2 * one)
     g = RatFunc(x + one, x - one)
     assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+
+
+# -- the oracles of the certificate and of compose: the constructor that
+# always runs the exact Euclid, and compose by Horner over RatFuncs
+
+def euclid_ratfunc(num, den):
+    """num/den in lowest terms by Poly.gcd, den monic."""
+    if num.is_zero():
+        return RatFunc._raw(num, Poly(num.field, [num.field.one]))
+    g = num.gcd(den)
+    if g.degree > 0:
+        num = num // g
+        den = den // g
+    inv = num.field.one / den.coeffs[-1]
+    return RatFunc._raw(num.scale(inv), den.scale(inv))
+
+
+def horner_compose(f, g):
+    """f(g(X)) by Horner over RatFuncs, every product and quotient reduced
+    by the exact Euclid."""
+    with mock.patch.object(exactalg, "_coprime_at_a_prime",
+                           lambda num, den: False):
+        g = f._as_ratfunc(g)
+        one = Poly(f.field, [f.field.one])
+        accn = RatFunc(Poly(f.field, []), one)
+        for c in reversed(f.num.coeffs):
+            accn = accn * g + f._as_ratfunc(c)
+        accd = RatFunc(Poly(f.field, []), one)
+        for c in reversed(f.den.coeffs):
+            accd = accd * g + f._as_ratfunc(c)
+        return accn / accd
+
+
+_P0 = _CERT_PRIMES[0]
+# squarefree d that are not squares mod the first certificate prime, so that
+# the certificate runs at a later one
+_NONSPLIT_D = [d for d in (-7, -3, -1, 2, 3, 5, 6, 7, 10, 11)
+               if kronecker(d, _P0) == -1]
+
+
+def _scalars_over(K):
+    """Small scalars of K, often integers, so that num and den share
+    factors; over QQ and QQ(sqrt(d)) some are multiples of _P0 or have a
+    denominator _P0, so that the first certificate prime is inadmissible."""
+    if isinstance(K, FqField):
+        return st.integers(0, K.p - 1).map(K.from_int)
+    base = st.one_of(st.integers(-6, 6), st.sampled_from([_P0, -2 * _P0]),
+                     st.fractions(-5, 5, max_denominator=3),
+                     st.just(Fraction(1, _P0))).map(Fraction)
+    if K == QQ:
+        return base
+    return st.builds(lambda a, b: QuadElem(a, b, K.d), base, base)
+
+
+_FIELDS = [QQ, QuadField(_NONSPLIT_D[0]), QuadField(_NONSPLIT_D[1]),
+           FqField(7), FqField(13)]
+
+
+def _draw_pair(draw, K, size):
+    """(num, den) over K, of at most size coefficients each, den nonzero,
+    with a common factor of degree 0 to 2 multiplied into both."""
+    scalar = _scalars_over(K)
+
+    def poly(max_size):
+        return Poly(K, draw(st.lists(scalar, min_size=1, max_size=max_size)))
+
+    num, den, common = poly(size), poly(size), poly(3)
+    if den.is_zero():
+        den = Poly(K, [K.one])
+    if not common.is_zero():
+        num, den = num * common, den * common
+    return num, den
+
+
+@st.composite
+def _poly_pairs(draw):
+    return _draw_pair(draw, draw(st.sampled_from(_FIELDS)), 6)
+
+
+@st.composite
+def _composable_pairs(draw):
+    K = draw(st.sampled_from(_FIELDS))
+    return _draw_pair(draw, K, 3), _draw_pair(draw, K, 3)
+
+
+def test_nonsplit_d_run_the_certificate_at_a_later_prime():
+    for d in _NONSPLIT_D[:2]:
+        places = _certificate_places(d)
+        assert places and places[0][0] != _P0
+
+
+@given(_poly_pairs())
+@example((poly_x(QQ), poly_x(QQ) + poly_const(QQ, Fraction(_P0))))
+# a common factor whose leading coefficient vanishes mod p0: the certificate
+# may not use p0, where the images are coprime
+@example(((poly_x(QQ) * _P0 + poly_const(QQ, Fraction(1)))
+          * (poly_x(QQ) + poly_const(QQ, Fraction(2))),
+          (poly_x(QQ) * _P0 + poly_const(QQ, Fraction(1)))
+          * (poly_x(QQ) + poly_const(QQ, Fraction(3)))))
+@settings(max_examples=200, deadline=None)
+def test_ratfunc_equals_the_always_euclid_constructor(pair):
+    num, den = pair
+    assert RatFunc(num, den) == euclid_ratfunc(num, den)
+
+
+@given(_composable_pairs())
+@settings(max_examples=80, deadline=None)
+def test_compose_equals_horner_over_ratfuncs(pairs):
+    f, g = (euclid_ratfunc(*pair) for pair in pairs)
+    try:
+        want = horner_compose(f, g)
+    except ZeroDenominator:
+        with pytest.raises(ZeroDenominator):
+            f.compose(g)
+        return
+    assert f.compose(g) == want
+
+
+def test_unlucky_prime_still_gives_lowest_terms(monkeypatch):
+    """x / (x + p0) is coprime over QQ but not mod p0: the certificate fails
+    there and the exact Euclid decides."""
+    calls = []
+    gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    x, p0 = poly_x(QQ), poly_const(QQ, Fraction(_P0))
+    f = RatFunc(x, x + p0)
+    assert (f.num, f.den) == (x, x + p0)
+    assert len(calls) == 1
+    # and a true common factor, divided out
+    f = RatFunc((x + p0) * (x - p0), (x + p0) * x)
+    assert (f.num, f.den) == (x - p0, x)
+
+
+def test_dense_coprime_degree_100_pair_takes_no_exact_gcd(monkeypatch):
+    calls = []
+    gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    rng = random.Random(100)
+    num = Poly(QQ, [rng.randint(1, 9) for _ in range(101)])
+    den = Poly(QQ, [rng.randint(1, 9) for _ in range(101)])
+    f = RatFunc(num, den)
+    assert calls == []
+    assert f.num * den == f.den * num and f.den.coeffs[-1] == 1
+    K = QuadField(_NONSPLIT_D[0])
+    num = Poly(K, [QuadElem(Fraction(rng.randint(1, 9)),
+                            Fraction(rng.randint(-3, 3)), K.d)
+                   for _ in range(41)])
+    RatFunc(num, Poly(K, list(reversed(num.coeffs))) + K.one)
+    assert calls == []
+
+
+def test_compose_at_a_pole_raises_zero_denominator():
+    x, one = poly_x(QQ), poly_const(QQ, Fraction(1))
+    with pytest.raises(ZeroDenominator):
+        RatFunc(one, x).compose(0)
+    with pytest.raises(ZeroDenominator):
+        RatFunc(x * x, (x - one) * (x + 2 * one)).compose(-2)
+    assert RatFunc(x - one, x).compose(1) == RatFunc(Poly(QQ, []), one)
 
 
 # sqrt(-3) in QQ(sqrt(-3))

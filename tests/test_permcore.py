@@ -661,6 +661,22 @@ def test_coset_action_image_refuses_a_wrong_degree():
         act.image(Perm([1, 0, 2]))
 
 
+def test_coset_action_refuses_a_labelling_that_is_no_action(monkeypatch):
+    """Keys of w^-1 label the left cosets, on which right multiplication does
+    not act: for M = <(0 1 2)> in S4 the search still finds four cosets, but
+    a generator's labels are no permutation, and CosetAction says so."""
+    keys_of = permcore.right_coset_keys
+
+    def left_coset_keys(M):
+        keys = keys_of(M)
+        return lambda w: keys(np.argsort(w, axis=1).astype(np.uint16))
+
+    monkeypatch.setattr(permcore, "right_coset_keys", left_coset_keys)
+    S4 = PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])
+    with pytest.raises(AssertionError):
+        CosetAction(S4, PermGroup(4, [Perm([1, 2, 0, 3])]))
+
+
 def old_elements(G, cap):
     """Python BFS closure from the identity, frontier by frontier."""
     ident = Perm.identity(G.degree)

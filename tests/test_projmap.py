@@ -29,11 +29,26 @@ from schurscope.projmap import (
     PointCapExceeded,
     SweepRecord,
     SweepReport,
-    eval_proj,
     is_bijective,
     schur_sweep,
     sweep_prime,
 )
+
+
+def eval_proj(f, x):
+    """f at a point of P^1(F_q), x an element of F_q or INF: the
+    point-by-point oracle of the array evaluator."""
+    if x is INF:
+        dn, dd = f.num.degree, f.den.degree
+        if dn > dd:
+            return INF
+        if dn < dd:
+            return f.field.zero
+        return f.num.coeffs[-1] / f.den.coeffs[-1]
+    d = f.den.eval(x)
+    if not d:
+        return INF
+    return f.num.eval(x) / d
 
 
 def _over_fp(p, num_coeffs, den_coeffs):
