@@ -776,7 +776,7 @@ def _monic_den(num, den):
 # coprimality at one prime
 
 # the primes below 2^31 that the certificate tries, largest first: over
-# QQ(sqrt(d)) only the split ones are used, and none may be
+# QQ(sqrt(d)) only the split ones are used, and there may be none
 _CERT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579,
                 2147483563, 2147483549, 2147483543, 2147483497)
 
@@ -799,8 +799,8 @@ def _coprime_at_a_prime(num, den):
     With L the lcm of the denominators, N = L*num and D = L*den are the
     integer rows of `_integer_rows`. The place is admissible when p does not
     divide L and the leading coefficient of N does not vanish there; the
-    first admissible one of `_certificate_places` is tried, and none may
-    be. Its local ring O is a DVR with residue field F_p: Z localised at p
+    first admissible one of `_certificate_places` is tried, and there may
+    be none. Its local ring O is a DVR with residue field F_p: Z localised at p
     over QQ, and over QQ(sqrt(d)), p split, the localisation of the ring of
     integers at the prime (p, sqrt(d) - s) above p, with s^2 = d mod p the
     root that `_place_scalar` substitutes. N and D lie in O[x], and their
