@@ -30,8 +30,8 @@ from .permcore import (
     _ChainLevel,
     _class_labels,
     _effective_gens,
-    _element_blocks,
     _perm_rows,
+    _rank_rows,
     _rank_space,
     check_enum_cap,
     check_pair_cap,
@@ -240,11 +240,11 @@ def coset_average_fixed_points(A, G, x):
     if x not in A:
         raise NotASubgroup("x is not in A")
     # x*g fixes i exactly when g maps x(i) to i, so count the j = x(i) with
-    # g(j) = x^-1(j): for g = 1 these are x's fixed points, and for the rest
-    # of G one comparison per block of uint16 rows
-    total = len(x.fixed_points()) ** 2
+    # g(j) = x^-1(j): one comparison per block of G's rows
     x_inv = np.array(x.inverse().images, dtype=np.uint16)
-    for block in _element_blocks(G):
+    images, _, _ = _rank_space(G)
+    total = 0
+    for block in _rank_rows(images, np.arange(G.order), G.degree):
         fixed = np.count_nonzero(block == x_inv, axis=1)
         total += int(fixed @ fixed)
     return Fraction(total, G.order)

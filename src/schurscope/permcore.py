@@ -465,14 +465,13 @@ class PermGroup:
     # -- enumeration ---------------------------------------------------------
 
     def elements(self):
-        """All elements by BFS closure from the identity under right
-        multiplication by the generators, in discovery order (frontier by
-        frontier, then generator by generator); cached. Raises CapExceeded
-        when |G| > ENUM_CAP."""
-        if self._elements is not None:
-            return self._elements
-        self._elements = _perms(list(_element_blocks(self)), self.degree,
-                                [Perm.identity(self.degree)])
+        """All elements in rank order (`_rank_space`), the identity first;
+        cached. Raises CapExceeded when |G| > ENUM_CAP."""
+        if self._elements is None:
+            images, _, _ = _rank_space(self)
+            self._elements = _perms(
+                _rank_rows(images, np.arange(self.order), self.degree),
+                self.degree, [])
         return self._elements
 
     # -- orbits ---------------------------------------------------------------
@@ -581,8 +580,8 @@ def _least_labels(labels, maps):
 # ---------------------------------------------------------------------------
 # classes, centralizers, normalizers
 
-_SLICE = 1 << 12  # products ranked at once
-_CHUNK = 1 << 13  # entries of new rows built at once
+_SLICE = 1 << 12  # ranks conjugated at once
+_CHUNK = 1 << 13  # entries of rows decoded at once
 
 
 def _rank(chain, base_images):
@@ -598,59 +597,23 @@ def _rank(chain, base_images):
     return rank
 
 
-def _element_blocks(G):
-    """The elements of G other than the identity as uint16 row blocks, in
-    the order of G.elements(): breadth first from the identity, frontier by
-    frontier, each element's right multiples by the generators in order.
-    Raises CapExceeded, at the first block, when |G| > ENUM_CAP.
-
-    A product is new when its rank in G's chain, computed from its base
-    images alone, is unseen; full rows (uint16: every degree is below
-    DEGREE_CAP) are made only for new elements, a chunk at a time, so every
-    temporary is bounded by _SLICE and _CHUNK."""
-    check_enum_cap(G)
-    if not G.gens:
-        return
-    n = G.degree
-    base = [lvl.base_point for lvl in G._chain]
-    post = _perm_rows(G.gens, n)
-    seen = np.zeros(G.order, dtype=bool)
-    seen[0] = True  # the identity: position 0 at every level
-    moves = np.arange(len(post))[:, None]
-    step, chunk = max(1, _SLICE // len(post)), max(1, _CHUNK // n)
-    frontier = [np.array([_ident(n)], dtype=np.uint16)]
-    while frontier:
-        layer = []
-        for piece in frontier:
-            for lo in range(0, len(piece), step):
-                rows = piece[lo:lo + step]
-                # base images of every product, ordered (row, move)
-                images = post[moves, rows[:, None, base]].reshape(-1, len(base))
-                uniq, first = np.unique(_rank(G._chain, images),
-                                        return_index=True)
-                fresh = ~seen[uniq]
-                if not fresh.any():
-                    continue
-                seen[uniq[fresh]] = True
-                r, j = np.divmod(np.sort(first[fresh]), len(post))
-                for c in range(0, len(r), chunk):
-                    layer.append(_gather(post, j[c:c + chunk],
-                                         rows[r[c:c + chunk]]))
-                    yield layer[-1]
-        frontier = layer
-
-
 def _perms(blocks, n, out):
-    """out, extended by the Perms of a list of uint16 row blocks of degree n,
-    in order. The tuples share the int objects of the degree's identity
-    tuple; each block is dropped from the list once used. Making the tuples
-    after a search keeps them from interleaving in the heap with the search's
-    temporaries."""
+    """out, extended by the Perms of the uint16 row blocks of degree n (an
+    iterable), in order. The tuples share the int objects of the degree's
+    identity tuple."""
     points = np.array(_ident(n), dtype=object)
-    blocks.reverse()
-    while blocks:
-        out.extend(map(Perm._raw, map(tuple, points[blocks.pop()].tolist())))
+    for block in blocks:
+        out.extend(map(Perm._raw, map(tuple, points[block].tolist())))
     return out
+
+
+def _rank_rows(images, ranks, n):
+    """The rows of the elements of the given ranks, decoded by `images` of
+    `_rank_space` in blocks of `_CHUNK` entries, so no temporary grows with
+    the number of ranks."""
+    points, step = np.arange(n), max(1, _CHUNK // max(1, n))
+    for lo in range(0, len(ranks), step):
+        yield images(ranks[lo:lo + step], points)
 
 
 def _rank_space(G):
@@ -708,10 +671,7 @@ def conjugacy_classes(G):
     images, conjugates, _ = _rank_space(G)
     labels, _, sizes = _class_labels(G, conjugates)
     ranks = np.argsort(labels, kind="stable")
-    points, step = np.arange(G.degree), max(1, _CHUNK // max(1, G.degree))
-    out = []
-    for lo in range(0, len(ranks), step):
-        _perms([images(ranks[lo:lo + step], points)], G.degree, out)
+    out = _perms(_rank_rows(images, ranks, G.degree), G.degree, [])
     ends = np.cumsum(sizes).tolist()
     return [out[e - size:e] for size, e in zip(sizes.tolist(), ends)]
 
@@ -1128,17 +1088,29 @@ def _factor_prime_power(q):
 
 
 def element_of_order(G, n):
-    """The first element of order n in the order of G.elements(), found
-    block by block as the closure discovers them: the closure stops at the
-    block that holds it, and G's element cache is left as it is. Raises
-    CapExceeded when |G| > ENUM_CAP."""
+    """The first element of order n that a breadth-first search from the
+    identity meets, which right-multiplies each element of a frontier by the
+    generators in order, frontier by frontier. The search stops there, and
+    G's element cache is left as it is. This order, not rank order, picks
+    the torus element, and so the point labels, of psl2_torus_coset_action.
+    Raises CapExceeded when |G| > ENUM_CAP, and ValueError when no element
+    has order n."""
     check_enum_cap(G)
+    ident = Perm.identity(G.degree)
     if n == 1:
-        return Perm.identity(G.degree)
-    for block in _element_blocks(G):
-        for h in _perms([block], G.degree, []):
-            if h.order() == n:
-                return h
+        return ident
+    seen, frontier = {ident.images}, [ident]
+    while frontier:
+        layer = []
+        for h in frontier:
+            for s in G.gens:
+                w = h * s
+                if w.images not in seen:
+                    if w.order() == n:
+                        return w
+                    seen.add(w.images)
+                    layer.append(w)
+        frontier = layer
     raise ValueError(f"no element of order {n}")
 
 

@@ -117,20 +117,45 @@ def test_coset_average_known_values():
     assert coset_average_fixed_points(S3, C3, y) == 1
 
 
+def python_closure(G):
+    """G's elements by a Python breadth-first closure from the identity."""
+    seen = {Perm.identity(G.degree)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [w for w in {h * g for h in frontier for g in G.gens}
+                    if w not in seen]
+        seen.update(frontier)
+    return seen
+
+
 def old_coset_average_fixed_points(G, x):
     """(1/|G|) * sum over g in G of fix(x*g)^2, each x*g a Perm product."""
-    els = G.elements()
+    els = python_closure(G)
     return Fraction(sum(len((x * g).fixed_points()) ** 2 for g in els),
                     len(els))
 
 
-def test_coset_average_matches_perm_products():
+def _coset_average_pairs():
     S3_ = PermGroup(3, [Perm([1, 0, 2]), Perm([1, 2, 0])])
     act28, G8 = psl2_torus_coset_action(8, "pgammal")
     wreath_a, wreath_g, _ = build_wreath_diagonal_example(S3_, 3)
-    pairs = [(S4, A4), (D4, C4),
-             (act28.group, act28.image_group(G8)), (wreath_a, wreath_g)]
-    for A, G in pairs:
+    return [(S4, A4), (D4, C4),
+            (act28.group, act28.image_group(G8)), (wreath_a, wreath_g)]
+
+
+def test_coset_average_matches_perm_products():
+    for A, G in _coset_average_pairs():
+        for x in CosetAction(A, G).reps:
+            assert coset_average_fixed_points(A, G, x) == \
+                old_coset_average_fixed_points(G, x)
+
+
+@pytest.mark.parametrize("slice_, chunk", [(1, 1), (4, 10_000), (64, 100)])
+def test_coset_average_matches_perm_products_across_slices_and_chunks(
+        monkeypatch, slice_, chunk):
+    monkeypatch.setattr(permcore, "_SLICE", slice_)
+    monkeypatch.setattr(permcore, "_CHUNK", chunk)
+    for A, G in _coset_average_pairs():
         for x in CosetAction(A, G).reps:
             assert coset_average_fixed_points(A, G, x) == \
                 old_coset_average_fixed_points(G, x)

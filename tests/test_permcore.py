@@ -197,14 +197,28 @@ def test_element_of_order():
     (lambda: psl2(9)[0], (2, 3, 4, 5)),
     (lambda: psl2(16)[0], (2, 3, 5, 15, 17)),
     (lambda: permcore._projective_group(8, "pgammal")[0], (2, 3, 6, 7, 9)),
-], ids=["s4", "psl2(8)", "psl2(9)", "psl2(16)", "pgammal2(8)"])
+    (lambda: psl2(32)[0], (33,)),
+], ids=["s4", "psl2(8)", "psl2(9)", "psl2(16)", "pgammal2(8)", "psl2(32)"])
 def test_element_of_order_is_the_first_in_enumeration_order(make, orders):
+    # the enumeration order of the Python breadth-first closure
     G = make()
-    els = make().elements()
+    els = old_elements(make(), ENUM_CAP)
     for n in orders:
-        want = next(h for h in els if h.order() == n)
-        assert element_of_order(G, n) == want
+        want = next(h for h in els if Perm(h).order() == n)
+        assert element_of_order(G, n).images == want
     assert G._elements is None
+
+
+@pytest.mark.parametrize("q, ambient", [(8, "psl"), (8, "pgammal"), (32, "psl")])
+def test_torus_coset_action_is_built_on_the_closure_order_element(q, ambient):
+    # the torus element is the first of its order in the Python closure, and
+    # the action built from it is the package's, generator for generator
+    A, G, _ = permcore._projective_group(q, ambient)
+    t = next(Perm(h) for h in old_elements(G, ENUM_CAP)
+             if Perm(h).order() == q + 1)
+    want = CosetAction(A, normalizer_of_cyclic(A, t)).group.gens
+    act, _ = psl2_torus_coset_action(q, ambient)
+    assert [g.images for g in act.group.gens] == [g.images for g in want]
 
 
 def test_torus_coset_action_never_enumerates_psl2_32():
@@ -696,6 +710,32 @@ def old_elements(G, cap):
     return [e.images for e in seen.values()]
 
 
+def rank_order_elements(G):
+    """The images of G's elements in rank order, composed in Python: the
+    element of rank r maps p to u_0(u_1(...u_k(p))), u_i the forward row of
+    level i at r's mixed-radix digit there, the last level's the least
+    significant."""
+    levels = [(len(lvl.orbit), lvl.forward.tolist()) for lvl in G._chain]
+    out = []
+    for r in range(G.order):
+        images = list(range(G.degree))
+        for size, forward in reversed(levels):
+            r, digit = divmod(r, size)
+            images = [forward[digit][p] for p in images]
+        out.append(tuple(images))
+    return out
+
+
+def assert_elements_match_oracles(G, cap=ENUM_CAP):
+    """G.elements() holds each element of the Python closure once, in the
+    order of the Python rank decoding."""
+    els = [e.images for e in G.elements()]
+    assert len(set(els)) == len(els)
+    assert set(els) == set(old_elements(G, cap))
+    assert els == rank_order_elements(G)
+    return els
+
+
 def old_conjugacy_class(G, g):
     seen = {g.images}
     queue = [g]
@@ -728,8 +768,8 @@ def _groups(draw):
 @example(PermGroup(5, [Perm.identity(5)]))
 @settings(max_examples=150, deadline=None)
 def test_elements_match_python_bfs(G):
-    want = old_elements(G, ENUM_CAP)
-    assert [e.images for e in G.elements()] == want
+    els = assert_elements_match_oracles(G)
+    assert els[0] == Perm.identity(G.degree).images
     _assert_ints_shared(G.elements(), G.degree)
 
 
@@ -805,7 +845,7 @@ def test_conjugacy_classes_match_python_closure(G, data):
 
 def test_elements_and_classes_match_python_on_psl2_8():
     G, _ = psl2(8)
-    assert [e.images for e in G.elements()] == old_elements(G, ENUM_CAP)
+    assert_elements_match_oracles(G)
     assert_classes_match_python(G)
 
 
@@ -833,7 +873,7 @@ def test_elements_cap_exactly_at_the_order(monkeypatch):
                  lambda: PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])):
         order = make().order
         monkeypatch.setattr(permcore, "ENUM_CAP", order)
-        assert len(make().elements()) == order
+        assert len(assert_elements_match_oracles(make(), order)) == order
         monkeypatch.setattr(permcore, "ENUM_CAP", order - 1)
         with pytest.raises(CapExceeded):
             make().elements()
@@ -848,7 +888,7 @@ def test_closures_share_the_identity_ints_above_256():
     D = PermGroup(n, [rot, flip])
     els = D.elements()
     assert len(els) == 600
-    assert [e.images for e in els] == old_elements(D, ENUM_CAP)
+    assert_elements_match_oracles(D)
     _assert_ints_shared(els, n)
     classes = conjugacy_classes(D)
     cls = next(c for c in classes if flip in c)
@@ -871,7 +911,7 @@ def test_closures_keep_their_order_across_slices_and_chunks(
     monkeypatch.setattr(permcore, "_SLICE", slice_)
     monkeypatch.setattr(permcore, "_CHUNK", chunk)
     G, _ = psl2(8)
-    assert [e.images for e in G.elements()] == old_elements(G, ENUM_CAP)
+    assert_elements_match_oracles(G)
     assert_classes_match_python(G)
 
 
