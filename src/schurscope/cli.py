@@ -44,12 +44,6 @@ def load_group(path):
     return PermGroup(degree, [Perm(g) for g in gens])
 
 
-def dump_group(G, path):
-    with open(path, "w") as fh:
-        json.dump({"degree": G.degree,
-                   "generators": [list(g.images) for g in G.gens]}, fh)
-
-
 # ---------------------------------------------------------------------------
 # worker support for sweeps
 

@@ -37,7 +37,6 @@ from .permcore import (
     check_pair_cap,
     orbits_on_pairs,  # noqa: F401  perfbench/tracer.py patches exceptio.orbits_on_pairs
     prime_divisors,
-    right_coset_keys,
 )
 
 INDEX_CAP = 1000
@@ -323,38 +322,3 @@ def build_scalar_example(p, e, h_matrices, r):
     G = PermGroup(space.n, basis + h_perms)
     A = PermGroup(space.n, basis + h_perms + [scalar])
     return A, G
-
-
-def excomp_decompose(A, G, M, U):
-    """Exceptionality through a subgroup chain M < U < A with A = GM.
-
-    Returns the verdicts of (A, G, A/M), (A, G, A/U) and (U, G n U, U/M) and
-    asserts the first holds exactly when the other two both do.
-    """
-    n = A.degree
-    if U.first_outside(_perm_rows(M.gens, n)) >= 0:
-        raise NotASubgroup("M is not contained in U")
-    if A.first_outside(_perm_rows(U.gens, n)) >= 0:
-        raise NotASubgroup("U is not contained in A")
-    # A = GM: the cosets of G met by M must be all of them
-    keys = right_coset_keys(G)
-    if len(set(keys(_perm_rows(M.elements(), n)))) != A.order // G.order:
-        raise ValueError("A = GM fails")
-
-    act_m, act_u = CosetAction(A, M), CosetAction(A, U)
-    v1 = is_exceptional(act_m.group, act_m.image_group(G))
-    v2 = is_exceptional(act_u.group, act_u.image_group(G))
-
-    # h is in G exactly when G*h is G, the coset of the identity
-    in_g = keys(_perm_rows([Perm.identity(n)], n))[0]
-    gu = [h for h, key in zip(U.elements(), keys(_perm_rows(U.elements(), n)))
-          if key == in_g]
-    GU = PermGroup(n, gu or [Perm.identity(n)])
-    act_um = CosetAction(U, M)
-    v3 = is_exceptional(act_um.group, act_um.image_group(GU))
-
-    if v1.exceptional != (v2.exceptional and v3.exceptional):
-        raise AssertionError("decomposition identity violated: "
-                             f"{v1.exceptional} vs {v2.exceptional} and {v3.exceptional}")
-    return v1.exceptional, v2.exceptional, v3.exceptional
-

@@ -5,7 +5,7 @@ predicates that decide when they permute P^1 over a prime field."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 
 from . import ellipt
 from .exactalg import (
@@ -15,7 +15,6 @@ from .exactalg import (
     QuadElem,
     QuadField,
     RatFunc,
-    kronecker,
     parse_fraction,
     poly_const,
     poly_x,
@@ -76,28 +75,6 @@ def redei(n, d):
     return RatFunc(Poly(QQ, num), Poly(QQ, den))
 
 
-def redei_bijectivity_predicate(n, d, p):
-    """Predicted bijectivity of the degree-n map of redei() on P^1(F_p).
-
-    The map is conjugate to Z -> Z^n on a cyclic group of order p - chi(d, p)
-    (chi the quadratic character), so for prime n it permutes exactly when n
-    does not divide that order.  For n = 3 this is the condition that p stays
-    inert in Q(sqrt(-3 d)).  Implemented for n in {3, 5}.
-    """
-    if p < 3:
-        raise ValueError("p must be an odd prime")
-    d = Fraction(d)
-    dn = d.numerator * d.denominator
-    if dn % p == 0 or d.denominator % p == 0:
-        raise ValueError(f"p = {p} is a bad prime for d = {d}")
-    if n == 3:
-        m = -3 * dn
-        return kronecker(m, p) == -1
-    if n == 5:
-        return gcd(5, p - kronecker(dn, p)) == 1
-    raise NotImplementedError("predicate implemented for n in {3, 5} only")
-
-
 def a4s4_function(p, q):
     """The degree-4 function (X^4 - 2pX^2 - 8qX + p^2) / (4(X^3 + pX + q)).
 
@@ -113,44 +90,6 @@ def a4s4_function(p, q):
     num = x ** 4 - 2 * p * x ** 2 - 8 * q * x + poly_const(QQ, p * p)
     den = 4 * (x ** 3 + p * x + poly_const(QQ, q))
     return RatFunc(num, den)
-
-
-def a4s4_branch_identity(p, q):
-    """Check f(X) - l == (X^2 - 2lX - 2l^2 - p)^2 / (4(X^3+pX+q)) symbolically
-    for l a root of X^3 + pX + q, working in Q[l] modulo that cubic.
-    Returns True when the identity holds."""
-    f = a4s4_function(p, q)
-    p, q = Fraction(p), Fraction(q)
-    cubic = [q, p, Fraction(0), Fraction(1)]  # l^3 + p l + q
-    # bivariate polynomials: list over X-degree of Poly(QQ) in l
-    lam = Poly(QQ, [0, 1])
-    one = Poly(QQ, [1])
-
-    def reduce_l(poly):
-        return poly % Poly(QQ, cubic)
-
-    def biv_mul(a, b):
-        out = [Poly(QQ, [0])] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = reduce_l(out[i + j] + ai * bj)
-        return out
-
-    def biv_sub(a, b):
-        n = max(len(a), len(b))
-        z = Poly(QQ, [0])
-        a = list(a) + [z] * (n - len(a))
-        b = list(b) + [z] * (n - len(b))
-        return [reduce_l(x - y) for x, y in zip(a, b)]
-
-    # s = X^2 - 2lX - (2l^2 + p)
-    s = [-(2 * lam * lam + p * one), -2 * lam, one]
-    # f's denominator is monic: put back the factor 4 it took out
-    lhs = [Poly(QQ, [4 * c]) for c in f.num.coeffs]
-    den = [Poly(QQ, [4 * c]) for c in f.den.coeffs]
-    lhs = biv_sub(lhs, biv_mul([lam], den))  # num - l*den
-    rhs = biv_mul(s, s)
-    return all(c.is_zero() for c in biv_sub(lhs, rhs))
 
 
 def sporadic_degree5():

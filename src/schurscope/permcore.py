@@ -533,9 +533,6 @@ class PairOrbits:
         self.n = n
         self.labels = labels  # numpy array of size n*n; value = min pair index in orbit
 
-    def orbit_count(self):
-        return len(np.unique(self.labels))
-
 
 def check_enum_cap(G):
     """Raise CapExceeded when |G| exceeds ENUM_CAP, the bound on every

@@ -27,24 +27,6 @@ def ind(sigma):
     return sigma.degree - sigma.num_cycles()
 
 
-def permutation_genus(sigmas, n):
-    """Genus g of a cover with branch cycles sigmas on n points, from
-    sum of indices = 2(n - 1 + g).  Raises if the data is inconsistent."""
-    sigmas = list(sigmas)
-    prod = Perm.identity(n)
-    for s in sigmas:
-        prod = prod * s
-    if not prod.is_identity():
-        raise ValueError("branch cycles must have product one")
-    if not PermGroup(n, sigmas).is_transitive():
-        raise ValueError("branch cycles must generate a transitive group")
-    total = sum(ind(s) for s in sigmas)
-    rem = total - 2 * (n - 1)
-    if rem % 2 != 0 or rem < 0:
-        raise ValueError(f"impossible index sum {total} for degree {n}")
-    return rem // 2
-
-
 def regular_genus(ram_type, group_order):
     """Genus of the Galois closure cover: solves
     2(|G| - 1 + g) = |G| * sum(1 - 1/e_i)."""

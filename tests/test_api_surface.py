@@ -16,21 +16,7 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # public names that no code in src/ or perfbench/ calls, kept on purpose
-ALLOWED_UNREFERENCED = {
-    "funfam.redei_bijectivity_predicate":
-        "the per-prime criterion that Redei sweeps are checked against",
-    "funfam.a4s4_branch_identity":
-        "symbolic check of the branch cycles of a4s4_function",
-    "ramgenus.permutation_genus":
-        "Riemann-Hurwitz genus of branch cycles; genus0_search's index budget "
-        "is its genus-0 case",
-    "exceptio.excomp_decompose":
-        "oracle of exceptionality through a chain of subgroups",
-    "cli.dump_group": "writes the group file format that load_group reads",
-    "permcore.PairOrbits.orbit_count":
-        "part of the pair-orbit oracle of the suborbit test, which "
-        "perfbench/tracer.py keeps in src/",
-}
+ALLOWED_UNREFERENCED = {}
 
 # imports that their own module never reads, kept on purpose
 ALLOWED_UNUSED_IMPORTS = {

@@ -17,7 +17,6 @@ from schurscope import claims, exactalg, projmap
 from schurscope.cli import (
     build_parser,
     builtin_function,
-    dump_group,
     load_function,
     load_group,
     main,
@@ -28,6 +27,13 @@ from schurscope.exactalg import QQ, parse_ratfunc
 from schurscope.funfam import dickson, sporadic_degree5
 from schurscope.permcore import Perm, PermGroup
 from schurscope.projmap import SweepRecord, schur_sweep, sweep_primes
+
+
+def dump_group(G, path):
+    """Write G in the group file format that load_group reads."""
+    with open(path, "w") as fh:
+        json.dump({"degree": G.degree,
+                   "generators": [list(g.images) for g in G.gens]}, fh)
 
 
 def test_builtin_function_registry():

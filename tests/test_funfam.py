@@ -13,20 +13,80 @@ from schurscope.exactalg import (
     QuadField,
     RatFunc,
     poly_const,
+    kronecker,
     poly_x,
     primes_up_to,
 )
+from schurscope import funfam
 from schurscope.funfam import (
-    a4s4_branch_identity,
     a4s4_function,
     cm7_function,
     dickson,
     redei,
-    redei_bijectivity_predicate,
     sporadic_degree5,
     sporadic_degree5_isogeny_identity,
 )
 from schurscope.projmap import sweep_prime
+
+
+def redei_bijectivity_predicate(n, d, p):
+    """Predicted bijectivity of the degree-n map of redei() on P^1(F_p).
+
+    The map is conjugate to Z -> Z^n on a cyclic group of order p - chi(d, p)
+    (chi the quadratic character), so for prime n it permutes exactly when n
+    does not divide that order.  For n = 3 this is the condition that p stays
+    inert in Q(sqrt(-3 d)).  Implemented for n in {3, 5}.
+    """
+    if p < 3:
+        raise ValueError("p must be an odd prime")
+    d = Fraction(d)
+    dn = d.numerator * d.denominator
+    if dn % p == 0 or d.denominator % p == 0:
+        raise ValueError(f"p = {p} is a bad prime for d = {d}")
+    if n == 3:
+        m = -3 * dn
+        return kronecker(m, p) == -1
+    if n == 5:
+        return gcd(5, p - kronecker(dn, p)) == 1
+    raise NotImplementedError("predicate implemented for n in {3, 5} only")
+
+
+def a4s4_branch_identity(p, q):
+    """Check f(X) - l == (X^2 - 2lX - 2l^2 - p)^2 / (4(X^3+pX+q)) symbolically
+    for l a root of X^3 + pX + q, working in Q[l] modulo that cubic.
+    Returns True when the identity holds."""
+    f = funfam.a4s4_function(p, q)
+    p, q = Fraction(p), Fraction(q)
+    cubic = [q, p, Fraction(0), Fraction(1)]  # l^3 + p l + q
+    # bivariate polynomials: list over X-degree of Poly(QQ) in l
+    lam = Poly(QQ, [0, 1])
+    one = Poly(QQ, [1])
+
+    def reduce_l(poly):
+        return poly % Poly(QQ, cubic)
+
+    def biv_mul(a, b):
+        out = [Poly(QQ, [0])] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] = reduce_l(out[i + j] + ai * bj)
+        return out
+
+    def biv_sub(a, b):
+        n = max(len(a), len(b))
+        z = Poly(QQ, [0])
+        a = list(a) + [z] * (n - len(a))
+        b = list(b) + [z] * (n - len(b))
+        return [reduce_l(x - y) for x, y in zip(a, b)]
+
+    # s = X^2 - 2lX - (2l^2 + p)
+    s = [-(2 * lam * lam + p * one), -2 * lam, one]
+    # f's denominator is monic: put back the factor 4 it took out
+    lhs = [Poly(QQ, [4 * c]) for c in f.num.coeffs]
+    den = [Poly(QQ, [4 * c]) for c in f.den.coeffs]
+    lhs = biv_sub(lhs, biv_mul([lam], den))  # num - l*den
+    rhs = biv_mul(s, s)
+    return all(c.is_zero() for c in biv_sub(lhs, rhs))
 
 
 def test_dickson_defining_identity():
