@@ -23,7 +23,10 @@ from .exactalg import (
 
 def dickson(n, a):
     """Degree-n Dickson polynomial D_n(a, X), defined by
-    D_n(a, Z + a/Z) = Z^n + (a/Z)^n, via the three-term recurrence.
+    D_n(a, Z + a/Z) = Z^n + (a/Z)^n, in closed form (Lidl-Mullen-Turnwald,
+    Dickson Polynomials, ch. 2):
+        D_n(a, X) = sum_{k <= n/2} n/(n-k) C(n-k, k) (-a)^k X^(n-2k),
+    where n/(n-k) C(n-k, k) = C(n-k, k) + C(n-k-1, k-1) is an integer.
     Refuses n above PARSE_DEGREE_CAP, the degree cap of function text."""
     if n < 1:
         raise ValueError("need n >= 1")
@@ -32,13 +35,12 @@ def dickson(n, a):
     a = Fraction(a)
     if a == 0:
         raise ValueError("need a != 0")
-    x = poly_x(QQ)
-    prev = poly_const(QQ, Fraction(2))  # D_0
-    cur = x                             # D_1
-    for _ in range(n - 1):
-        prev, cur = cur, x * cur - a * prev
-    poly = cur if n > 1 else x
-    return RatFunc(poly, poly_const(QQ, Fraction(1)))
+    coeffs = [Fraction(0)] * (n + 1)
+    power = Fraction(1)  # (-a)^k
+    for k in range(n // 2 + 1):
+        coeffs[n - 2 * k] = comb(n - k, k) * n // (n - k) * power
+        power *= -a
+    return RatFunc(Poly(QQ, coeffs), poly_const(QQ, Fraction(1)))
 
 
 def _is_rational_square(d):

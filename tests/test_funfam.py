@@ -1,12 +1,14 @@
 """Dickson polynomials, power-map conjugates, and the explicit degree-4/5/7
 functions, checked against their defining identities and prime sweeps."""
 
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from schurscope.exactalg import (
+    PARSE_DEGREE_CAP,
     QQ,
     Poly,
     QuadElem,
@@ -115,6 +117,37 @@ def test_dickson_low_degrees():
     assert dickson(1, a) == RatFunc(x, one)
     assert dickson(2, a) == RatFunc(x * x - 2 * a * one, one)
     assert dickson(3, a) == RatFunc(x ** 3 - 3 * a * x, one)
+
+
+def recurrence_dickson(n, a):
+    """D_n(a, X) by the three-term recurrence D_n = X D_(n-1) - a D_(n-2),
+    from D_0 = 2 and D_1 = X."""
+    a = Fraction(a)
+    x = poly_x(QQ)
+    prev = poly_const(QQ, Fraction(2))  # D_0
+    cur = x                             # D_1
+    for _ in range(n - 1):
+        prev, cur = cur, x * cur - a * prev
+    poly = cur if n > 1 else x
+    return RatFunc(poly, poly_const(QQ, Fraction(1)))
+
+
+def test_dickson_closed_form_matches_the_recurrence():
+    for a in (1, 2, -3, Fraction(1, 2)):
+        for n in range(1, 41):
+            assert dickson(n, a) == recurrence_dickson(n, a), (n, a)
+
+
+def test_dickson_at_the_degree_cap_and_above():
+    start = time.perf_counter()
+    f = dickson(PARSE_DEGREE_CAP, 1)
+    assert time.perf_counter() - start < 1
+    # D_n(1, X) = 2 T_n(X / 2): X^n - n X^(n-2) + ... + 2 (-1)^(n/2) for even n
+    c = f.num.coeffs
+    assert f.degree == PARSE_DEGREE_CAP and f.den.degree == 0
+    assert (c[-1], c[-3], c[0]) == (1, -PARSE_DEGREE_CAP, 2)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        dickson(PARSE_DEGREE_CAP + 1, 1)
 
 
 def test_dickson_bijectivity_gcd_criterion():
