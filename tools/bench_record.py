@@ -18,8 +18,13 @@ current checkout.
 After the workloads, each claim of ``schurscope.claims`` runs
 ``CLAIM_RUNS`` times per revision, each time as ``claims.run(name)`` in a
 fresh interpreter from the revision's checkout, the revisions alternating
-as for the workloads; a record holds every run's seconds and their median
-per claim.
+as for the workloads. That interpreter first times the fixed pure-Python
+``reference`` loop of the checkout's ``perfbench/run.py`` (imported, the
+fastest of ``REFERENCE_RUNS``), as the benchmark does before each round, so
+a claim's seconds can be put at the fixed host speed that ``wall_s``
+assumes: seconds * ``REFERENCE_S`` / reference. A record holds, per claim
+and run, the raw seconds, the reference seconds and the scaled seconds,
+and the medians of the raw and of the scaled seconds.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep", "exceptional", "genus0")
 METRICS = ("setup_s", "wall_s", "peak_rss_mb")
 SEEDS = tuple(range(9201, 9211))  # none of them used while tuning the code
-CLAIM_RUNS = 3
+CLAIM_RUNS = 5
+REFERENCE_RUNS = 3  # reference loops timed before each claim run
 
 
 def _args(argv):
@@ -82,9 +88,16 @@ def _python(checkout, code):
 
 
 def _claim_seconds(checkout, name):
-    """The seconds of one claims.run(name), in a fresh interpreter."""
-    return float(_python(checkout, "from schurscope import claims; "
-                                   f"print(claims.run({name!r})[2])"))
+    """{"seconds", "reference_s", "scaled_s"} of one claims.run(name), in a
+    fresh interpreter that first times the checkout's reference loop."""
+    seconds, ref, reference_s = map(float, _python(checkout, (
+        "import sys; sys.path.insert(0, 'perfbench'); "
+        "from run import REFERENCE_S, reference; "
+        f"ref = min(reference() for _ in range({REFERENCE_RUNS})); "
+        "from schurscope import claims; "
+        f"print(claims.run({name!r})[2], ref, REFERENCE_S)")).split())
+    return {"seconds": seconds, "reference_s": ref,
+            "scaled_s": seconds * reference_s / ref}
 
 
 def _quartiles(values):
@@ -122,10 +135,11 @@ def main(argv=None):
                 for rev in args.revs[::-1] if n % 2 else args.revs:
                     if name not in claims[rev]:
                         continue
-                    seconds = _claim_seconds(checkouts[rev], name)
-                    claims[rev][name].append(seconds)
-                    print(f"{full[rev][:12]} claim {name}: {seconds:.3f} s",
-                          file=sys.stderr)
+                    run = _claim_seconds(checkouts[rev], name)
+                    claims[rev][name].append(run)
+                    print(f"{full[rev][:12]} claim {name}: "
+                          f"{run['seconds']:.3f} s, scaled "
+                          f"{run['scaled_s']:.3f} s", file=sys.stderr)
     host = {"cores": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__, "machine": platform.machine()}
     for rev in args.revs:
@@ -140,8 +154,11 @@ def main(argv=None):
                     "summary": {m: _quartiles([r["metrics"][m] for r in rs])
                                 for m in METRICS}}
                 for w, rs in runs[rev].items()},
-            "claims": {name: {"seconds": s, "median": statistics.median(s)}
-                       for name, s in claims[rev].items()},
+            "claims": {name: {
+                "runs": rs,
+                "median": statistics.median(r["seconds"] for r in rs),
+                "scaled_median": statistics.median(r["scaled_s"] for r in rs)}
+                for name, rs in claims[rev].items()},
         }
         path = ROOT / f"BENCH_{full[rev][:7]}.json"
         path.write_text(json.dumps(record, indent=1) + "\n")
