@@ -94,7 +94,7 @@ def division_polynomials(E, m):
     if m < 0:
         raise ValueError(f"need m >= 0, got m = {m}")
     if m > DIVPOLY_CAP:
-        raise ValueError(f"m = {m} exceeds cap {DIVPOLY_CAP}")
+        raise ValueError(f"index {m} exceeds cap {DIVPOLY_CAP}")
     K = E.field
     x = poly_x(K)
     a_, b_ = E.a, E.b
@@ -148,21 +148,6 @@ def xmul_map(E, m):
     return F
 
 
-def _ymul_parts(E, m):
-    """y(mP) = y * num(x) / den(x): returns (num, den) as polynomials in x,
-    from y(mP) = psi_2m / (2 psi_m^4)."""
-    K = E.field
-    a = division_polynomials(E, 2 * m)
-    x = poly_x(K)
-    f = x * x * x + E.a * x + poly_const(K, E.b)
-    num = a[2 * m]
-    if m % 2 == 1:
-        den = 2 * a[m] ** 4
-    else:
-        den = 2 * f * f * a[m] ** 4
-    return num, den
-
-
 # ---------------------------------------------------------------------------
 # quotient descents
 
@@ -181,13 +166,22 @@ def _in_powers(poly, k):
 
 
 def _descend_to_y(E, m):
-    """For y^2 = x^3 + B, express y(mP) as a function of y alone:
-    y(mP) = y * W(y^2) / N(y^2).  Returns (W, N) as Polys in t = y^2.
-    y(mP) / y is invariant under x -> omega x, so in lowest terms its
-    numerator and denominator are polynomials in x^3 = t - B."""
+    """For y^2 = x^3 + B, express y(mP) as a function of y alone: returns
+    (W, N), Polys in t = y^2, with y(mP) = y * W(y^2) / N(y^2) for odd m and
+    y(mP) = W(y^2) / (y^3 N(y^2)) for even m, in lowest terms.
+
+    From y(mP) = omega_m / psi_m^3, where
+    4 y omega_m = psi_{m+2} psi_{m-1}^2 - psi_{m-2} psi_{m+1}^2
+    (psi_{-1} = -psi_1): in x-parts, y(mP) is y^(+1 or -3) times
+    (a_{m+2} a_{m-1}^2 - a_{m-2} a_{m+1}^2) / (4 a_m^3). That fraction is
+    invariant under x -> omega x, so its numerator and denominator are
+    polynomials in x^3 = t - B."""
     if E.a:
         raise ValueError("curve must have the shape y^2 = x^3 + B")
-    q = RatFunc(*_ymul_parts(E, m))
+    a = division_polynomials(E, m + 2)
+    a.append(-a[1])  # a[-1] is psi_{-1}, read at m = 1
+    q = RatFunc(a[m + 2] * a[m - 1] ** 2 - a[m - 2] * a[m + 1] ** 2,
+                4 * a[m] ** 3)
     x3 = poly_x(E.field) - poly_const(E.field, E.b)
     return (_in_powers(q.num, 3).compose(x3), _in_powers(q.den, 3).compose(x3))
 
@@ -210,8 +204,8 @@ def quotient_descent(E, m, beta_order):
 
     z = poly_x(E.field)
     if beta_order == 3:
-        w, norm = _descend_to_y(E, m)
-        R = RatFunc(z * w.compose(z * z), norm.compose(z * z))
+        w, norm = (p.compose(z * z) for p in _descend_to_y(E, m))
+        R = RatFunc(z * w, norm) if m % 2 else RatFunc(w, z ** 3 * norm)
     elif beta_order == 6:
         # z*w^2 and norm^2 are coprime: w and the monic norm are, and m is
         # odd, so E[m] has no point with y = 0 and norm(0) != 0. A common

@@ -286,9 +286,12 @@ def test_bad_input_exits_2(capsys, tmp_path):
         assert main(["family", spec]) == 2, spec
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, spec
-    # builtin degrees are capped like the exponents of function text
+    # builtin degrees are capped like the exponents of function text; the
+    # descents of orders 3 and 6 at m = 29 need psi_31, past DIVPOLY_CAP
     for argv in (["family", "builtin:dickson:20000:1"],
-                 ["sweep", "--function", "builtin:redei:20001:3", "--bound", "5"]):
+                 ["sweep", "--function", "builtin:redei:20001:3", "--bound", "5"],
+                 ["family", "builtin:descent:0:2:29:3"],
+                 ["family", "builtin:descent:0:2:29:6"]):
         start = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - start < 1

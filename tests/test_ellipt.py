@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from schurscope import funfam
-from schurscope.exactalg import (QQ, FqField, RatFunc, poly_const, poly_x,
-                                 reduce_mod_place)
+from schurscope import ellipt, funfam
+from schurscope.exactalg import (QQ, FqField, Poly, RatFunc, poly_const,
+                                 poly_x, reduce_mod_place)
 from schurscope.ellipt import (
     DescentError,
     EllCurve,
@@ -209,6 +209,61 @@ def test_descent_order_6_skips_no_common_factor():
     assert quotient_descent(EQ, 5, 6) == R and R.degree == 25
 
 
+def psi_2m_descent(E, m, beta_order):
+    """The order-3 or order-6 descent by the older route, as the oracle:
+    y(mP) = psi_2m / (2 psi_m^4) with every division polynomial up to
+    psi_2m, brought to lowest terms by RatFunc's gcd over Q."""
+    x = poly_x(E.field)
+    a = division_polynomials(E, 2 * m)
+    f = x ** 3 + poly_const(E.field, E.b)
+    q = RatFunc(a[2 * m], 2 * a[m] ** 4 * (f * f if m % 2 == 0 else 1))
+    x3 = x - poly_const(E.field, E.b)
+    w, norm = (_in_powers(p, 3).compose(x3) for p in (q.num, q.den))
+    if beta_order == 3:
+        return RatFunc(x * w.compose(x * x), norm.compose(x * x))
+    return RatFunc(x * w * w, norm * norm)
+
+
+_B = (2, 1, -3, Fraction(1, 2), 5, 7)
+_GRID = [*((m, 3, _B) for m in (1, 2, 4, 5)),
+         *((m, 6, _B) for m in (1, 5)),
+         # the oracle's gcd costs 0.4-1.5 s at these m: one curve each
+         (7, 3, (Fraction(1, 2),)), (8, 3, (2,)), (7, 6, (-3,))]
+
+
+@pytest.mark.parametrize("m, beta_order, bs", _GRID,
+                         ids=[f"{m}:{beta}" for m, beta, _ in _GRID])
+def test_omega_descent_equals_the_psi_2m_route(m, beta_order, bs):
+    for b in bs:
+        E = EllCurve(QQ, Fraction(0), Fraction(b))
+        R = quotient_descent(E, m, beta_order)
+        want = psi_2m_descent(E, m, beta_order)
+        assert R.num.coeffs == want.num.coeffs
+        assert R.den.coeffs == want.den.coeffs
+
+
+def test_omega_descents_take_no_gcd(monkeypatch):
+    # y(mP) = omega_m / psi_m^3 is in lowest terms as built: RatFunc's
+    # one-prime certificate passes, so no Euclid over Q runs
+    calls, indices = [], []
+    gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    divpolys = ellipt.division_polynomials
+    monkeypatch.setattr(ellipt, "division_polynomials",
+                        lambda E, k: indices.append(k) or divpolys(E, k))
+    E = EllCurve(QQ, Fraction(0), Fraction(2))
+    R = {(m, beta): quotient_descent(E, m, beta)
+         for m, beta in ((11, 3), (13, 6), (14, 3))}
+    assert calls == [] and indices == [13, 15, 16]
+    assert {k: f.degree for k, f in R.items()} == {
+        (11, 3): 121, (13, 6): 169, (14, 3): 196}
+    # 11:3 is out of the oracle's reach (psi_22 and a gcd of degree 60):
+    # check it against the group law at one prime, p = 1 mod 3
+    assert pointwise_offenders(R[11, 3], 0, 2,
+                               lambda E, P: point_mul(E, 11, P),
+                               lambda P: P[1], (103,), 20, 11) == []
+
+
 def test_descent_validation():
     EQ = EllCurve(QQ, Fraction(0), Fraction(2))
     with pytest.raises(ValueError):
@@ -220,6 +275,8 @@ def test_descent_validation():
     # a negative m is refused before any polynomial work
     with pytest.raises(ValueError):
         division_polynomials(EQ, -1)
+    with pytest.raises(ValueError, match="index 31 exceeds cap 30"):
+        quotient_descent(EQ, 29, 3)  # needs psi_31
     for beta in (3, 6):
         with pytest.raises(ValueError):
             quotient_descent(EQ, -1, beta)
