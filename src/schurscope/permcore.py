@@ -1091,8 +1091,10 @@ def element_of_order(G, n):
     G's element cache is left as it is. This order, not rank order, picks
     the torus element, and so the point labels, of psl2_torus_coset_action.
     Raises CapExceeded when |G| > ENUM_CAP, and ValueError when no element
-    has order n."""
+    has order n: at once when n < 1 or n does not divide |G| (Lagrange)."""
     check_enum_cap(G)
+    if n < 1 or G.order % n:
+        raise ValueError(f"no element of order {n}: |G| = {G.order}")
     ident = Perm.identity(G.degree)
     if n == 1:
         return ident

@@ -3,6 +3,7 @@ projective/affine group constructions."""
 
 import itertools
 import random
+import time
 from math import prod
 
 import numpy as np
@@ -194,6 +195,22 @@ def test_element_of_order():
         assert element_of_order(S4, n).order() == n
     with pytest.raises(ValueError):
         element_of_order(S4, 5)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="no element of order"):
+            element_of_order(S4, n)
+
+
+def test_element_of_order_refuses_a_non_divisor_without_a_search():
+    # 7 does not divide |PGammaL2(32)| = 163680 = 2^5 3 5 11 31: Lagrange
+    # refuses it before the breadth-first search, which would walk all of G
+    A = psl2_torus_coset_action(32, "pgammal")[0].group
+    assert A.order == 163680  # builds the chain outside the timed part
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="no element of order 7"):
+        element_of_order(A, 7)
+    with pytest.raises(ValueError, match="no element of order 0"):
+        element_of_order(A, 0)
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("make, orders", [
