@@ -25,6 +25,14 @@ a claim's seconds can be put at the fixed host speed that ``wall_s``
 assumes: seconds * ``REFERENCE_S`` / reference. A record holds, per claim
 and run, the raw seconds, the reference seconds and the scaled seconds,
 and the medians of the raw and of the scaled seconds.
+
+Last, each CLI probe of ``PROBES`` runs ``CLAIM_RUNS`` times per revision,
+alternating in the same way, each as ``cli.main(argv)`` in a fresh
+interpreter that first times the reference loop as for the claims. A probe
+run has ``PROBE_LIMIT_S`` seconds; one past it is ended by ``SIGALRM`` and
+recorded as timed out, with no seconds. A record holds, per probe and run,
+the exit code, the raw, reference and scaled seconds (or ``timed_out``),
+the count of runs timed out, and the medians of the runs that finished.
 """
 
 from __future__ import annotations
@@ -33,10 +41,12 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy
@@ -47,6 +57,9 @@ METRICS = ("setup_s", "wall_s", "peak_rss_mb")
 SEEDS = tuple(range(9201, 9211))  # none of them used while tuning the code
 CLAIM_RUNS = 5
 REFERENCE_RUNS = 3  # reference loops timed before each claim run
+PROBES = ("family builtin:descent:0:2:11:3", "family builtin:descent:0:2:13:6",
+          "family builtin:dickson:1000:1")
+PROBE_LIMIT_S = 60
 
 
 def _args(argv):
@@ -79,12 +92,16 @@ def _run(checkout, workload, seed, seconds):
     return out
 
 
+def _interpreter(checkout, code, check=True):
+    """code run in a fresh interpreter with the checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    return subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env,
+                          check=check, capture_output=True, text=True)
+
+
 def _python(checkout, code):
     """The last line that code prints, run with the checkout's package."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env,
-                          check=True, capture_output=True, text=True)
-    return proc.stdout.strip().splitlines()[-1]
+    return _interpreter(checkout, code).stdout.strip().splitlines()[-1]
 
 
 def _claim_seconds(checkout, name):
@@ -98,6 +115,46 @@ def _claim_seconds(checkout, name):
         f"print(claims.run({name!r})[2], ref, REFERENCE_S)")).split())
     return {"seconds": seconds, "reference_s": ref,
             "scaled_s": seconds * reference_s / ref}
+
+
+def _probe_seconds(checkout, probe):
+    """{"exit", "seconds", "reference_s", "scaled_s"} of one cli.main(argv)
+    in a fresh interpreter that first times the checkout's reference loop,
+    or {"timed_out": True, "reference_s"} when the call runs past
+    PROBE_LIMIT_S."""
+    proc = _interpreter(checkout, textwrap.dedent(f"""\
+        import contextlib, io, signal, sys, time
+        sys.path.insert(0, 'perfbench')
+        from run import REFERENCE_S, reference
+        print(min(reference() for _ in range({REFERENCE_RUNS})), REFERENCE_S,
+              flush=True)
+        from schurscope.cli import main
+        signal.alarm({PROBE_LIMIT_S})
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main({probe.split()!r})
+        print(code, time.perf_counter() - start)
+        """), check=False)
+    lines = proc.stdout.split("\n")
+    ref, reference_s = map(float, lines[0].split())
+    if proc.returncode == -signal.SIGALRM:
+        return {"timed_out": True, "reference_s": ref}
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, probe,
+                                            proc.stdout, proc.stderr)
+    code, seconds = lines[1].split()
+    return {"exit": int(code), "seconds": float(seconds), "reference_s": ref,
+            "scaled_s": float(seconds) * reference_s / ref}
+
+
+def _finished_medians(rs):
+    """The count of timed-out runs, and the medians of the raw and of the
+    scaled seconds of the others (None when every run timed out)."""
+    done = [r for r in rs if "seconds" in r]
+    out = {"timed_out": len(rs) - len(done)}
+    for key, field in (("median", "seconds"), ("scaled_median", "scaled_s")):
+        out[key] = statistics.median(r[field] for r in done) if done else None
+    return out
 
 
 def _quartiles(values):
@@ -140,6 +197,18 @@ def main(argv=None):
                     print(f"{full[rev][:12]} claim {name}: "
                           f"{run['seconds']:.3f} s, scaled "
                           f"{run['scaled_s']:.3f} s", file=sys.stderr)
+        probes = {rev: {probe: [] for probe in PROBES} for rev in args.revs}
+        for n in range(CLAIM_RUNS):
+            for probe in PROBES:
+                for rev in args.revs[::-1] if n % 2 else args.revs:
+                    run = _probe_seconds(checkouts[rev], probe)
+                    probes[rev][probe].append(run)
+                    said = (f"timed out after {PROBE_LIMIT_S} s"
+                            if run.get("timed_out") else
+                            f"exit {run['exit']}, {run['seconds']:.3f} s, "
+                            f"scaled {run['scaled_s']:.3f} s")
+                    print(f"{full[rev][:12]} probe {probe}: {said}",
+                          file=sys.stderr)
     host = {"cores": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__, "machine": platform.machine()}
     for rev in args.revs:
@@ -159,6 +228,9 @@ def main(argv=None):
                 "median": statistics.median(r["seconds"] for r in rs),
                 "scaled_median": statistics.median(r["scaled_s"] for r in rs)}
                 for name, rs in claims[rev].items()},
+            "probe_limit_s": PROBE_LIMIT_S,
+            "probes": {probe: {"runs": rs, **_finished_medians(rs)}
+                       for probe, rs in probes[rev].items()},
         }
         path = ROOT / f"BENCH_{full[rev][:7]}.json"
         path.write_text(json.dumps(record, indent=1) + "\n")
