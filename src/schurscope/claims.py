@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import ellipt, exceptio, funfam, permcore, ramgenus
-from .exactalg import QQ, FqField, kronecker, reduce_mod_place
+from .exactalg import QQ, FqField, legendre, reduce_mod_place
 from .permcore import Perm, PermGroup
 from .projmap import schur_sweep
 
@@ -133,7 +133,7 @@ def sweeps():
     # (name, function, criterion, predicted(p), density to within 1/20)
     cases = [
         ("isogeny5", funfam.sporadic_degree5(), "(5/p) = -1",
-         lambda p: kronecker(5, p) == -1, Fraction(1, 2)),
+         lambda p: legendre(5, p) == -1, Fraction(1, 2)),
         ("a4s4(0, 2)", funfam.a4s4_function(0, 2), "X^3 + 2 irreducible mod p",
          lambda p: all(pow(x, 3, p) != (-2) % p for x in range(p)), Fraction(1, 3)),
     ]

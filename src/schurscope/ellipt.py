@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .exactalg import Poly, RatFunc, kronecker, poly_const, poly_x, sqrt_mod
+from .exactalg import Poly, RatFunc, legendre, poly_const, poly_x, sqrt_mod
 
 DIVPOLY_CAP = 30
 
@@ -107,7 +107,7 @@ def division_polynomials(E, m):
               - 5 * (a_ * a_) * x ** 2 - 4 * (a_ * b_) * x
               - poly_const(K, 8 * b_ * b_ + a_ * a_ * a_))]
     f2 = f * f
-    two = poly_const(K, K.coerce(2))
+    half = K.one / K.coerce(2)
     for k in range(5, m + 1):
         j = k // 2
         if k % 2 == 1:
@@ -118,10 +118,8 @@ def division_polynomials(E, m):
                 nxt = a[j + 2] * a[j] ** 3 - f2 * a[j - 1] * a[j + 1] ** 3
         else:
             # psi_{2j} = psi_j (psi_{j+2} psi_{j-1}^2 - psi_{j-2} psi_{j+1}^2) / psi_2
-            nxt, rem = (a[j] * (a[j + 2] * a[j - 1] ** 2
-                                - a[j - 2] * a[j + 1] ** 2)).divmod(two)
-            if not rem.is_zero():
-                raise AssertionError("even division polynomial not divisible by 2")
+            nxt = (a[j] * (a[j + 2] * a[j - 1] ** 2
+                           - a[j - 2] * a[j + 1] ** 2)).scale(half)
         a.append(nxt)
     return a
 
@@ -240,6 +238,6 @@ def random_point(E, rng):
         r = E.rhs(x)
         if not r:
             return (x, K.zero)
-        if kronecker(r.v, p) == 1:
+        if legendre(r.v, p) == 1:
             y = K.from_int(sqrt_mod(r.v, p))
             return (x, y)

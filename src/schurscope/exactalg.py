@@ -51,30 +51,10 @@ def primes_up_to(n):
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def kronecker(a, n):
-    """Kronecker symbol (a|n)."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if n < 0:
-        return (-1 if a < 0 else 1) * kronecker(a, -n)
-    t = 1
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            t = -t
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                t = -t
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            t = -t
-        a %= n
-    return t if n == 1 else 0
+def legendre(a, p):
+    """The Legendre symbol (a|p) for an odd prime p, by Euler's criterion."""
+    t = pow(a, (p - 1) // 2, p)
+    return -1 if t == p - 1 else t
 
 
 def sqrt_mod(a, p):
@@ -82,7 +62,7 @@ def sqrt_mod(a, p):
     a %= p
     if a == 0:
         return 0
-    if kronecker(a, p) != 1:
+    if legendre(a, p) != 1:
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -92,7 +72,7 @@ def sqrt_mod(a, p):
         q //= 2
         s += 1
     z = 2
-    while kronecker(z, p) != -1:
+    while legendre(z, p) != -1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -446,7 +426,7 @@ class FqField:
 
 def smallest_nonresidue(p):
     for r in range(2, p):
-        if kronecker(r, p) == -1:
+        if legendre(r, p) == -1:
             return r
     raise ValueError(f"{p} is not an odd prime")
 
@@ -662,9 +642,6 @@ class RatFunc:
     def degree(self):
         return max(self.num.degree, self.den.degree, 0)
 
-    def is_constant(self):
-        return self.num.degree <= 0 and self.den.degree <= 0
-
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
@@ -787,7 +764,7 @@ def _certificate_places(d):
     over QQ (d None) or QQ(sqrt(d)): all of them over QQ, the split ones
     over QQ(sqrt(d)); scalar is `_place_scalar`'s map into F_p."""
     return tuple((p, _place_scalar(d, p)[2]) for p in _CERT_PRIMES
-                 if d is None or kronecker(d, p) == 1)
+                 if d is None or legendre(d, p) == 1)
 
 
 def _coprime_at_a_prime(num, den):
@@ -968,7 +945,7 @@ def _place_scalar(d, p):
     """
     if d is None:
         return FqField(p), 0, lambda c: c % p
-    if kronecker(d, p) == 1:
+    if legendre(d, p) == 1:
         r0 = sqrt_mod(d, p)
         root = min(r0, p - r0)
         return FqField(p), 0, lambda c: (c[0] + c[1] * root) % p

@@ -1130,16 +1130,16 @@ def psl2_torus_coset_action(q, ambient="psl"):
 
 def psl2_sylow2_coset_action(q, ambient="psl"):
     """The degree q(q+1)/2 action of PSL2(q) (or an overgroup) on the 2-sets
-    of P^1(F_q), as the cosets of M, the setwise stabilizer of {0, INF}.
+    of P^1(F_q), as the cosets of M, the setwise stabilizer of {0, infinity}.
 
     PSL2(q) is 2-transitive, so the index is q(q+1)/2 in every ambient. M is
-    generated by the ambient's generators that fix {0, INF}: all but the
+    generated by the ambient's generators that fix {0, infinity}: all but the
     translations. For q = 9, M is a Sylow 2-subgroup of the ambient.
     ambient: 'psl', 'pgammal', or 'm10' (q=9 only). Returns (coset_action,
     G_in_ambient) as psl2_torus_coset_action does.
     """
     A, G, _ = _projective_group(q, ambient)
-    pair = {0, q}  # the points 0 and INF of ProjectiveLine
+    pair = {0, q}  # the points 0 and infinity of ProjectiveLine
     M = PermGroup(A.degree, [h for h in A.gens
                              if {h.images[0], h.images[q]} == pair])
     return CosetAction(A, M), G

@@ -8,7 +8,7 @@ ints mod p, or as pairs (u, v) for u + v*sqrt(r) in F_p^2. It lays the
 points of their projective lines end to end as int arrays, one segment per
 function and one lane per point: F_p elements are ints 0..p-1, and an
 element u + v*sqrt(r) of F_p^2 is enumerated as the int u*p + v in the order
-of `FqField.elements()`; the index q is INF. Each lane carries its
+of `FqField.elements()`; the index q is infinity. Each lane carries its
 segment's modulus and gathers its coefficients; Horner runs in place, in
 int32 when every intermediate fits (else int64), and 1/d is the per-lane
 Fermat power d^(p-2). The images, shifted to their segment's offset, fill
@@ -16,9 +16,7 @@ one bincount, and a function is bijective when no bin of its segment counts
 other than 1. The lanes are evaluated in chunks of `_CHUNK`, which bounds
 the temporaries.
 
-`is_bijective` is the batch of one, on the rows of its RatFunc, and only it
-decodes a witness of a "not bijective" verdict: the first collision in
-evaluation order (the elements in order, then INF).
+`is_bijective` is the batch of one, on the rows of its RatFunc.
 
 A sweep classifies each odd prime as bijective, not-bijective,
 bad-reduction, ramified or point-cap; point-cap means P^1(F_q) has more
@@ -45,9 +43,7 @@ import numpy as np
 
 from .exactalg import (
     BadReduction,
-    FpElem,
     FqField,
-    QuadElem,
     RamifiedPlace,
     Reduced,
     Reducer,
@@ -55,22 +51,6 @@ from .exactalg import (
     reduce_mod_place,
 )
 
-
-class Infinity:
-    """The point at infinity on P^1."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = Infinity()
 
 DEFAULT_POINT_CAP = 1 << 20
 _CHUNK = 1 << 14  # lanes evaluated at once, which bounds the temporaries
@@ -125,10 +105,10 @@ def _images(fs, j, seg):
     """Images under fs[seg[i]] of the points j[i], one lane each.
 
     fs are `Reduced` rows of one place degree, each over its own field; a
-    point is its index in field.elements(), q meaning INF, and an image is
-    an int in the same numbering (F_p^2 pairs as u*p + v). Each per-segment
-    value is gathered onto the lanes. Works in place, in the dtype of
-    `_exact_dtype`; 1/d is the per-lane Fermat power d^(p-2).
+    point is its index in field.elements(), q meaning infinity, and an
+    image is an int in the same numbering (F_p^2 pairs as u*p + v). Each
+    per-segment value is gathered onto the lanes. Works in place, in the
+    dtype of `_exact_dtype`; 1/d is the per-lane Fermat power d^(p-2).
     """
     fields = [f.field for f in fs]
     ext = fields[0].ext
@@ -172,7 +152,7 @@ def _images(fs, j, seg):
     q = lane([F.order for F in fields])
     at_inf = np.flatnonzero(j == q)
     x = j.astype(dtype)
-    x[at_inf] = 0  # INF lanes are overwritten below
+    x[at_inf] = 0  # the lanes at infinity are overwritten below
     if ext == 1:
         def horner(rows):
             cs = table(rows)
@@ -245,7 +225,7 @@ def _images(fs, j, seg):
 
 
 def _image_at_inf(f):
-    """The image of INF under the rows f, as an int in the lanes' numbering."""
+    """The image of infinity under the rows f, in the lanes' numbering."""
     F, p = f.field, f.field.p
     dn, dd = len(f.num), len(f.den)
     if dn > dd:
@@ -271,8 +251,8 @@ def _rows(f):
 
 
 def _bijective(fs):
-    """(verdicts, bins) for `Reduced` rows fs of one place degree: whether
-    each permutes P^1 of its field, from one pass over the fields' points
+    """Whether each of the `Reduced` rows fs, of one place degree, permutes
+    P^1 of its field, as a bool array: one pass over the fields' points
     laid end to end. f's points and its images take the bins from the
     offset of its segment on, so one bincount serves them all; a function
     is bijective when no bin of its segment counts other than 1."""
@@ -288,44 +268,19 @@ def _bijective(fs):
         img = _images(fs[lo:hi], j, seg - lo)
         np.add(img, lanes - j, out=bins[a:a + len(lanes)])
     counts = np.bincount(bins, minlength=starts[-1])
-    bad = np.logical_or.reduceat(counts != 1, starts[:-1])
-    return ~bad, bins
+    return ~np.logical_or.reduceat(counts != 1, starts[:-1])
 
 
 def is_bijective(f):
-    """Whether f permutes P^1(F_q). Returns (verdict, witness).
-
-    The batch of one of the segmented evaluator. witness is a colliding
-    pair of points when the verdict is False: the first collision in
-    evaluation order (field elements in enumeration order, then INF), else
-    None. Raises PointCapExceeded, before any allocation, when
+    """Whether f, a RatFunc over F_q, permutes P^1(F_q): the batch of one of
+    the segmented evaluator. Raises TypeError when f is not over a finite
+    field, and PointCapExceeded, before any allocation, when
     q + 1 > DEFAULT_POINT_CAP or the field is too large for int64.
     """
-    field = f.field
-    if not isinstance(field, FqField):
+    if not isinstance(f.field, FqField):
         raise TypeError("is_bijective needs a function over a finite field")
-    _check_cap(field)
-    if f.is_constant():
-        return False, (_decode(field, 0), _decode(field, 1))
-    (ok,), images = _bijective([_rows(f)])
-    if ok:
-        return True, None
-    q = field.order
-    values, first = np.unique(images, return_index=True)
-    is_first = np.zeros(q + 1, dtype=bool)
-    is_first[first] = True
-    j = int(np.argmin(is_first))
-    i = int(first[np.searchsorted(values, images[j])])
-    return False, (_decode(field, i), _decode(field, j))
-
-
-def _decode(field, i):
-    if i == field.order:
-        return INF
-    if field.ext == 1:
-        return field.from_int(i)
-    u, v = divmod(i, field.p)
-    return QuadElem(FpElem(u, field.p), FpElem(v, field.p), field.r)
+    _check_cap(f.field)
+    return bool(_bijective([_rows(f)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +356,8 @@ def sweep_prime(f, p):
     fp, skipped = _reduce(lambda q: reduce_mod_place(f, q), p)
     if skipped:
         return skipped
-    ok, _ = is_bijective(fp)
-    return SweepRecord(p, fp.field.ext, "bijective" if ok else "not-bijective")
-
-
-def _verdicts(fs):
-    """Whether each of the `Reduced` rows fs, of one place degree, permutes
-    P^1 of its field: one pass of `_bijective`, without its bins."""
-    return _bijective(fs)[0]
+    return SweepRecord(p, fp.field.ext,
+                       "bijective" if is_bijective(fp) else "not-bijective")
 
 
 def sweep_primes(f, primes, workers=1):
@@ -448,9 +397,9 @@ def sweep_primes(f, primes, workers=1):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(_verdicts, rows))
+            verdicts = list(pool.map(_bijective, rows))
     else:
-        verdicts = map(_verdicts, rows)
+        verdicts = map(_bijective, rows)
     for batch, oks in zip(batches, verdicts):
         for (i, fp), ok in zip(batch, oks):
             records[i] = SweepRecord(primes[i], fp.field.ext,

@@ -4,8 +4,9 @@ package or the benchmark, or is a kept oracle named below; no public
 function takes a cap as a parameter; every defaulted parameter of a public
 function is passed by some call in the package or the benchmark, or is
 named below; every private top-level function or class of the package is
-read by the package; and no module of the package or its tests imports a
-name it never reads."""
+read by the package; no module of the package or its tests imports a name
+it never reads; and the package reads no environment variable but those
+named below."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,11 @@ ALLOWED_UNUSED_IMPORTS = {
 }
 
 ALLOWED_CAP_PARAMETERS = set()
+
+# environment variables that src/ reads, by name
+ALLOWED_ENVIRONMENT = {
+    "SCHURSCOPE_WORKERS": "cli.worker_count: the sweep's process pool",
+}
 
 # private top-level functions and classes that no code in src/ reads, kept on
 # purpose
@@ -193,3 +199,49 @@ def test_no_unused_imports():
     found = {f"{path.stem}.{name}"
              for path in SRC + TESTS for name in _unused_imports(path)}
     assert found == set(ALLOWED_UNUSED_IMPORTS)
+
+
+def _environment_reads(tree):
+    """The names of the environment variables that one module reads through
+    os.environ[...], os.environ.get(...) or os.getenv(...); a read of any
+    other shape, or with a key that is not a string literal, as "?"."""
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+
+    def key(node):
+        return node.value if isinstance(node, ast.Constant) \
+            and isinstance(node.value, str) else "?"
+
+    found = set()
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name not in ("environ", "getenv"):
+            continue
+        up = parents.get(node)
+        if name == "getenv" and isinstance(up, ast.Call) and up.func is node:
+            found.add(key(up.args[0]) if up.args else "?")
+        elif name == "environ" and isinstance(up, ast.Subscript):
+            found.add(key(up.slice))
+        elif (name == "environ" and isinstance(up, ast.Attribute)
+              and up.attr == "get" and isinstance(parents.get(up), ast.Call)
+              and parents[up].args):
+            found.add(key(parents[up].args[0]))
+        else:
+            found.add("?")
+    return found
+
+
+def test_environment_reads_are_allowed():
+    found = set().union(*(_environment_reads(_parse(path)) for path in SRC))
+    assert found == set(ALLOWED_ENVIRONMENT)
+
+
+def test_environment_reads_are_found_in_every_shape():
+    reads = _environment_reads(ast.parse(
+        "import os\nfrom os import environ, getenv\n"
+        "os.environ['A']\nos.environ.get('B', '1')\nos.getenv('C')\n"
+        "environ['D']\ngetenv('E')\nos.environ.get(name)\n"))
+    assert reads == {"A", "B", "C", "D", "E", "?"}
+    assert _environment_reads(ast.parse("dict(os.environ)")) == {"?"}
+    assert _environment_reads(ast.parse("'X' in os.environ")) == {"?"}
+    assert _environment_reads(ast.parse("import os\nos.getcwd()")) == set()

@@ -128,10 +128,10 @@ def test_division_polynomial_roots_are_torsion():
         tor = set()
         for v in range(101):
             r = E.rhs(K.from_int(v))
-            from schurscope.exactalg import kronecker, sqrt_mod
+            from schurscope.exactalg import legendre, sqrt_mod
             if not r:
                 ys = [K.zero]
-            elif kronecker(r.v, 101) == 1:
+            elif legendre(r.v, 101) == 1:
                 ys = [K.from_int(sqrt_mod(r.v, 101))]
             else:
                 continue

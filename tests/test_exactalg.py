@@ -30,7 +30,7 @@ from schurscope.exactalg import (
     _certificate_places,
     _resultant,
     format_ratfunc,
-    kronecker,
+    legendre,
     parse_poly,
     parse_ratfunc,
     poly_const,
@@ -53,22 +53,21 @@ def test_primes_up_to_oracle():
     assert primes_up_to(2) == [2]
 
 
-def test_kronecker_matches_euler_criterion():
-    for p in primes_up_to(60):
-        if p == 2:
-            continue
-        for a in range(1, p):
-            euler = pow(a, (p - 1) // 2, p)
-            assert kronecker(a, p) == (1 if euler == 1 else -1)
-        assert kronecker(p, p) == 0
+def test_legendre_matches_the_squares():
+    for p in primes_up_to(60)[1:]:
+        squares = {x * x % p for x in range(1, p)}
+        for a in range(-p, 2 * p):
+            want = 0 if a % p == 0 else 1 if a % p in squares else -1
+            assert legendre(a, p) == want, (a, p)
 
 
-def test_kronecker_multiplicative():
+def test_legendre_multiplicative():
     rng = random.Random(1)
+    odd_primes = primes_up_to(60)[1:]
     for _ in range(200):
         a, b = rng.randint(-50, 50), rng.randint(-50, 50)
-        n = rng.randrange(1, 60, 2)
-        assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
+        p = rng.choice(odd_primes)
+        assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
 
 
 def test_sqrt_mod():
@@ -213,7 +212,7 @@ _P0 = _CERT_PRIMES[0]
 # squarefree d that are not squares mod the first certificate prime, so that
 # the certificate runs at a later one
 _NONSPLIT_D = [d for d in (-7, -3, -1, 2, 3, 5, 6, 7, 10, 11)
-               if kronecker(d, _P0) == -1]
+               if legendre(d, _P0) == -1]
 
 
 def _scalars_over(K):
@@ -456,7 +455,7 @@ def _slow_reduce(f, p):
     if isinstance(K, QuadField):
         if (2 * K.d) % p == 0:
             raise RamifiedPlace(p)
-        if kronecker(K.d, p) == 1:
+        if legendre(K.d, p) == 1:
             F = FqField(p)
             r0 = sqrt_mod(K.d, p)
             root = F.from_int(min(r0, p - r0))

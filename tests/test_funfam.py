@@ -14,8 +14,8 @@ from schurscope.exactalg import (
     QuadElem,
     QuadField,
     RatFunc,
+    legendre,
     poly_const,
-    kronecker,
     poly_x,
     primes_up_to,
 )
@@ -47,9 +47,9 @@ def redei_bijectivity_predicate(n, d, p):
         raise ValueError(f"p = {p} is a bad prime for d = {d}")
     if n == 3:
         m = -3 * dn
-        return kronecker(m, p) == -1
+        return legendre(m, p) == -1
     if n == 5:
-        return gcd(5, p - kronecker(dn, p)) == 1
+        return gcd(5, p - legendre(dn, p)) == 1
     raise NotImplementedError("predicate implemented for n in {3, 5} only")
 
 

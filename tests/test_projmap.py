@@ -12,8 +12,10 @@ from schurscope.cli import builtin_function
 from schurscope.exactalg import (
     QQ,
     BadReduction,
+    FpElem,
     FqField,
     Poly,
+    QuadElem,
     RamifiedPlace,
     RatFunc,
     Reduced,
@@ -24,8 +26,6 @@ from schurscope.exactalg import (
 )
 from schurscope.funfam import cm7_function
 from schurscope.projmap import (
-    INF,
-    Infinity,
     PointCapExceeded,
     SweepRecord,
     SweepReport,
@@ -33,6 +33,19 @@ from schurscope.projmap import (
     schur_sweep,
     sweep_prime,
 )
+
+INF = object()  # the point at infinity of P^1, for the oracles
+
+
+def _decode(F, i):
+    """The point of P^1(F) at index i: the elements in the order of
+    F.elements(), then INF at index q, in O(1)."""
+    if i == F.order:
+        return INF
+    if F.ext == 1:
+        return F.from_int(i)
+    u, v = divmod(i, F.p)
+    return QuadElem(FpElem(u, F.p), FpElem(v, F.p), F.r)
 
 
 def eval_proj(f, x):
@@ -56,10 +69,6 @@ def _over_fp(p, num_coeffs, den_coeffs):
     from schurscope.exactalg import Poly
     return RatFunc(Poly(F, [F.from_int(c) for c in num_coeffs]),
                    Poly(F, [F.from_int(c) for c in den_coeffs]))
-
-
-def test_inf_is_a_singleton():
-    assert Infinity() is INF
 
 
 def test_eval_proj_mobius():
@@ -86,17 +95,13 @@ def test_is_bijective_power_map_oracle():
         if p == 2:
             continue
         f = _over_fp(p, [0, 0, 0, 1], [1])
-        ok, witness = is_bijective(f)
-        assert ok == ((p - 1) % 3 != 0)
-        if not ok:
-            a, b = witness
-            assert eval_proj(f, a) == eval_proj(f, b) and a != b
+        assert is_bijective(f) is ((p - 1) % 3 != 0)
 
 
 def test_is_bijective_mobius_always():
     for p in (3, 5, 11):
-        ok, _ = is_bijective(_over_fp(p, [1, 2], [1, 1]))  # det = 1, never degenerate
-        assert ok
+        # det = 1, never degenerate
+        assert is_bijective(_over_fp(p, [1, 2], [1, 1])) is True
 
 
 def test_is_bijective_over_fq2():
@@ -106,11 +111,32 @@ def test_is_bijective_over_fq2():
     from schurscope.exactalg import Poly
     x7 = [F.zero] * 7 + [F.one]
     f = RatFunc(Poly(F, x7), Poly(F, [F.one]))
-    ok, _ = is_bijective(f)
-    assert ok
+    assert is_bijective(f) is True
     x3 = [F.zero] * 3 + [F.one]
-    ok, witness = is_bijective(RatFunc(Poly(F, x3), Poly(F, [F.one])))
-    assert not ok and witness is not None
+    assert is_bijective(RatFunc(Poly(F, x3), Poly(F, [F.one]))) is False
+
+
+@pytest.mark.parametrize("F", [FqField(3), FqField(7), FqField(3, 2),
+                               FqField(5, 2)], ids=str)
+def test_constant_and_zero_functions_are_not_bijective(F):
+    """A constant function sends every point to one value and the zero
+    function every point to 0, INF included: alone, and in one segmented
+    batch between bijections, so that a collision cannot leak across
+    segments."""
+    x = poly_x(F)
+    one = poly_const(F, F.one)
+    c = F.elements()[-1]
+    constants = [RatFunc(poly_const(F, c), one),
+                 RatFunc(Poly(F, []), one),
+                 RatFunc(poly_const(F, c), poly_const(F, F.from_int(2)))]
+    for f in constants:
+        assert f.num.degree <= 0 and f.den.degree == 0
+        assert is_bijective(f) is False
+    mobius = RatFunc(x + one, x + poly_const(F, F.from_int(2)))
+    batch = [RatFunc(x, one), constants[0], mobius, constants[1], mobius,
+             constants[2]]
+    verdicts = projmap._bijective([projmap._rows(f) for f in batch])
+    assert verdicts.tolist() == [True, False, True, False, True, False]
 
 
 def test_is_bijective_cap(monkeypatch):
@@ -137,16 +163,16 @@ def test_is_bijective_refuses_fields_past_int64_before_allocating(monkeypatch, e
     assert exc.value.place_degree == ext
 
 
-# -- the slow oracle: eval_proj point by point, first collision by a dict
+# -- the slow oracle: eval_proj point by point, a collision found by a set
 
 def _slow_is_bijective(f):
-    first = {}
+    seen = set()
     for x in f.field.elements() + [INF]:
         y = eval_proj(f, x)
-        if y in first:
-            return False, (first[y], x)
-        first[y] = x
-    return True, None
+        if y in seen:
+            return False
+        seen.add(y)
+    return True
 
 
 def _agree_with_oracle(f, bound):
@@ -208,8 +234,8 @@ def test_is_bijective_matches_oracle_on_random_functions(case):
 def _function(F, num, den):
     """The function with coefficients given by their indexes in
     F.elements()."""
-    return RatFunc(Poly(F, [projmap._decode(F, i) for i in num]),
-                   Poly(F, [projmap._decode(F, i) for i in den]))
+    return RatFunc(Poly(F, [_decode(F, i) for i in num]),
+                   Poly(F, [_decode(F, i) for i in den]))
 
 
 def _row(F, indexes):
@@ -248,8 +274,8 @@ def test_segmented_verdicts_match_oracle(cases, seed):
     for ext in (1, 2):
         batch = [i for i, f in enumerate(fs) if f.field.ext == ext]
         if batch:
-            verdicts, _ = projmap._bijective([rows[i] for i in batch])
-            assert list(verdicts) == [_slow_is_bijective(fs[i])[0]
+            verdicts = projmap._bijective([rows[i] for i in batch])
+            assert list(verdicts) == [_slow_is_bijective(fs[i])
                                       for i in batch]
 
 
@@ -277,7 +303,7 @@ def test_images_are_exact_on_both_sides_of_the_int32_boundary(ext):
         j = np.append(rng.integers(0, F.order, 200), F.order)
         want = []
         for i in j:
-            y = eval_proj(f, projmap._decode(F, int(i)))
+            y = eval_proj(f, _decode(F, int(i)))
             want.append(F.order if y is INF else _index(F, y))
         seg = np.zeros(len(j), np.intp)
         assert projmap._images([rows], j, seg).tolist() == want, (p, dtype)
@@ -399,7 +425,9 @@ def test_sweep_report_from_records_counts_each_verdict():
 
 @pytest.mark.parametrize("p", [3, 7, 11, 19])
 def test_decode_matches_field_enumeration(p):
+    """The oracles' numbering of P^1 is the evaluator's."""
     for F in (FqField(p), FqField(p, 2)):
         els = F.elements()
-        assert [projmap._decode(F, i) for i in range(F.order)] == els
-        assert projmap._decode(F, F.order) is INF
+        assert [_decode(F, i) for i in range(F.order)] == els
+        assert [_index(F, c) for c in els] == list(range(F.order))
+        assert _decode(F, F.order) is INF
