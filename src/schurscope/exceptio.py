@@ -210,7 +210,7 @@ def chi_fixed_points(G, H, g):
     frontier = rank(rows[:1])
     in_cls[frontier] = True
     while len(frontier):
-        reached = np.unique(np.concatenate([frontier[:0], *conjugates(frontier)]))
+        reached = np.unique(conjugates(frontier))
         frontier = reached[~in_cls[reached]]
         in_cls[frontier] = True
     cg_order = G.order // np.count_nonzero(in_cls)  # |C_G(g)| = |G| / |g^G|

@@ -620,15 +620,23 @@ def _rank_space(G):
     level i.
     images(ranks, points): the images of points (a row, or a row per rank)
     under each rank's element.
-    conjugates(ranks): per generator s, the ranks of s^-1 g s, from its base
-    images s(g(s^-1(b))) alone. rank(rows, pre): the ranks of pre * c for the
+    conjugates(ranks): a k x len(ranks) array, k the number of generators:
+    row j holds the ranks of s^-1 g s for s the j-th generator, from its base
+    images s(g(s^-1(b))) alone. One `images` call reads the images under
+    every g of the points s^-1(b), over all s and b at once, and one `_rank`
+    call ranks all k rows. rank(rows, pre): the ranks of pre * c for the
     uint16 rows c (pre, a Perm of G, defaults to the identity). Raises
     CapExceeded when |G| > ENUM_CAP."""
     check_enum_cap(G)
     chain = G._chain
     base = [lvl.base_point for lvl in chain]
-    gens = [(np.array(s.images), np.array(s.inverse().images)[base])
-            for s in G.gens]
+    k, n, b = len(G.gens), G.degree, len(base)
+    gens = _perm_rows(G.gens, n).astype(np.intp)
+    # the distinct points s^-1(b), and per generator the columns of its own
+    preimages, columns = np.unique(np.argsort(gens, axis=1)[:, base],
+                                   return_inverse=True)
+    columns = columns.reshape(k, b)
+    offsets = (np.arange(k) * n)[:, None]  # of each generator's row in gens
 
     def images(ranks, points):
         x = np.broadcast_to(points, (len(ranks), np.shape(points)[-1]))
@@ -638,7 +646,11 @@ def _rank_space(G):
         return x
 
     def conjugates(ranks):
-        return [_rank(chain, s[images(ranks, pre)]) for s, pre in gens]
+        # x[r, j]: g(s_j^-1(b)) for the element g of rank r, then s_j of it
+        x = images(ranks, preimages)[:, columns]
+        rows = gens.ravel().take(x + offsets).transpose(1, 0, 2)
+        m = len(ranks)
+        return _rank(chain, rows.reshape(k * m, b)).reshape(k, m)
 
     def rank(rows, pre=None):
         return _rank(chain, rows[:, base if pre is None else
@@ -654,8 +666,8 @@ def _class_labels(G, conjugates):
     whose edges are the conjugations by the generators (`conjugates` of
     `_rank_space(G)`)."""
     ranks = np.arange(G.order)
-    moves = [np.concatenate(m) for m in zip(*(
-        conjugates(ranks[lo:lo + _SLICE]) for lo in range(0, G.order, _SLICE)))]
+    moves = np.concatenate([conjugates(ranks[lo:lo + _SLICE])
+                            for lo in range(0, G.order, _SLICE)], axis=1)
     first, labels, sizes = np.unique(_least_labels(ranks, moves),
                                      return_inverse=True, return_counts=True)
     return labels, first, sizes
@@ -674,8 +686,32 @@ def conjugacy_classes(G):
 
 
 def normalizer_of_cyclic(G, g):
-    """N_G(<g>), with all its elements as generators, by a backtrack search
-    over G's chain (Seress, Permutation Group Algorithms, ch. 9).
+    """N_G(<g>), found by `_normalizer_rows` and generated by some of the
+    elements found, taken in search order: an element is taken when it is
+    not in the group the ones taken before generate (one batched sift
+    through that group's chain), so each at least doubles the order and
+    there are at most log2 |N| of them. That group is returned, its chain
+    built, once no element found lies outside it; its order must be the
+    number of elements found, else AssertionError. g must lie in G (else
+    NotASubgroup) and |G| must be at most ENUM_CAP (else CapExceeded)."""
+    rows = _normalizer_rows(G, g)
+    N, gens, lo = PermGroup(G.degree, []), [], 0
+    while (f := N.first_outside(rows[lo:])) >= 0:
+        lo += f
+        gens.append(_perm(rows[lo]))
+        N = PermGroup(G.degree, gens)
+        lo += 1
+    if N.order != len(rows):
+        raise AssertionError(f"the {len(gens)} generators taken generate a "
+                             f"group of order {N.order}, but the search "
+                             f"found {len(rows)} elements")
+    return N
+
+
+def _normalizer_rows(G, g):
+    """The uint16 rows of the elements of N_G(<g>), in the order a backtrack
+    search over G's chain finds them (Seress, Permutation Group Algorithms,
+    ch. 9).
 
     h normalizes <g> exactly when h^-1 g h = g^k for a unit k mod ord(g),
     that is, when h(g(x)) = g^k(h(x)) at every point x. The search chooses
@@ -690,16 +726,16 @@ def normalizer_of_cyclic(G, g):
     equation as both sides lie in G, and then on every point.
 
     Rows are extended a chunk at a time, so no temporary of the search grows
-    with |G|. g must lie in G (else NotASubgroup) and |G| must be at most
-    ENUM_CAP (else CapExceeded).
+    with |G|; only the rows found are kept.
     """
     if not G.contains(g):
         raise NotASubgroup("g is not in G")
     check_enum_cap(G)
     n = G.degree
     base = [lvl.base_point for lvl in G._chain]
+    ident = np.array(_ident(n), dtype=np.uint16)
     if not base:  # G is trivial
-        return PermGroup(n, [Perm.identity(n)])
+        return ident[None]
     order = g.order()
     powers = np.array([(g ** k).images for k in range(order)], dtype=np.uint16)
     lengths = np.zeros(n, dtype=np.intp)
@@ -719,7 +755,6 @@ def normalizer_of_cyclic(G, g):
         levels.append((b, forced, np.array(lvl.orbit), lvl.position, lvl.table))
     units = np.array([k for k in range(order) if gcd(k, order) == 1])
     rows = max(1, _CHUNK // n)
-    ident = np.array(_ident(n), dtype=np.uint16)
     g_images = np.array(g.images, dtype=np.uint16)
     base_points = np.array(base)
     found = []  # row blocks of N's elements
@@ -771,7 +806,7 @@ def normalizer_of_cyclic(G, g):
             found.append(Q[hold.all(axis=1)])
 
     search(0, None, ident[None])
-    return PermGroup(n, _perms(found, n, []))
+    return np.concatenate([ident[None][:0], *found])
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +935,15 @@ _GF_MODULI = {
 
 
 class SmallGF:
-    """GF(p^k), elements as tuples of k coefficients (low degree first)."""
+    """GF(p^k), elements as tuples of k coefficients (low degree first).
+
+    Products, inverses and powers are lookups in a log/antilog (Zech) table
+    of the multiplicative group (Holt-Eick-O'Brien, Handbook of
+    Computational Group Theory, 2005), built once per field from the first
+    primitive element in `elements()` order, the one
+    `multiplicative_generator` returns: `_exp[i]` is its i-th power for i
+    in [0, 2(q-1)), so a product of two nonzero elements needs no reduction
+    of its log, and `_log` maps each nonzero element to its log."""
 
     def __init__(self, p, k):
         self.p = p
@@ -914,6 +957,37 @@ class SmallGF:
             self.modulus = _GF_MODULI[(p, k)]
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
+        self._generator, powers = self._primitive_powers()
+        self._exp = powers + powers
+        self._log = {x: i for i, x in enumerate(powers)}
+
+    def _primitive_powers(self):
+        """(g, [g^0, ..., g^(q-2)]) for the first primitive g in `elements()`
+        order: the powers of each candidate are walked until they return to
+        one, and g is the first whose walk has q - 1 steps."""
+        for x in self.elements()[1:]:  # all but zero
+            powers, y = [self.one], x
+            while y != self.one:
+                powers.append(y)
+                y = self._horner_mul(y, x)
+            if len(powers) == self.q - 1:
+                return x, powers
+        raise RuntimeError("no generator found")
+
+    def _horner_mul(self, y, x):
+        """y * x by Horner's rule in x's coefficients, t^k reduced by the
+        monic modulus. Only the table build multiplies polynomials."""
+        p, k = self.p, self.k
+        if k == 1:
+            return ((y[0] * x[0]) % p,)
+        out = [0] * k
+        for c in reversed(x):  # Horner: out = out * t + c * y
+            top = out[-1]
+            out = [0] + out[:-1]
+            if top:
+                out = [(a - top * m) % p for a, m in zip(out, self.modulus)]
+            out = [(a + c * b) % p for a, b in zip(out, y)]
+        return tuple(out)
 
     def elements(self):
         """The q elements, the coefficients of n = 0, 1, ... in base p."""
@@ -926,48 +1000,26 @@ class SmallGF:
         return tuple((-a) % self.p for a in x)
 
     def mul(self, x, y):
-        p, k = self.p, self.k
-        if k == 1:
-            return ((x[0] * y[0]) % p,)
-        prod = [0] * (2 * k - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        # reduce by modulus (monic of degree k)
-        mod = self.modulus
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j in range(k):
-                    prod[d - k + j] = (prod[d - k + j] - c * mod[j]) % p
-        return tuple(prod[:k])
+        if x == self.zero or y == self.zero:
+            return self.zero
+        return self._exp[self._log[x] + self._log[y]]
 
     def power(self, x, n):
-        out = self.one
-        base = x
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        """x^n for any integer n; ZeroDivisionError for x = 0 and n < 0."""
+        if x == self.zero:
+            if n < 0:
+                raise ZeroDivisionError
+            return self.one if n == 0 else self.zero
+        return self._exp[self._log[x] * n % (self.q - 1)]
 
     def inv(self, x):
-        if x == self.zero:
-            raise ZeroDivisionError
-        return self.power(x, self.q - 2)
+        return self.power(x, -1)
 
     def frobenius(self, x):
         return self.power(x, self.p)
 
     def multiplicative_generator(self):
-        for x in self.elements()[1:]:  # all but zero
-            if all(self.power(x, (self.q - 1) // d) != self.one
-                   for d in prime_divisors(self.q - 1)):
-                return x
-        raise RuntimeError("no generator found")
+        return self._generator
 
 
 def prime_divisors(n):

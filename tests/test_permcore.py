@@ -248,6 +248,64 @@ def test_torus_coset_action_never_enumerates_psl2_32():
     assert act.A._elements is None and G._elements is None
 
 
+class SchoolbookGF(SmallGF):
+    """The field with schoolbook polynomial arithmetic and Fermat inverses,
+    no tables: the oracle of `SmallGF`'s lookups. Its generator is the first
+    element, in `elements()` order, that no (q-1)/d-th power, d a prime
+    divisor of q - 1, sends to one."""
+
+    def __init__(self, p, k):
+        self.p, self.k, self.q = p, k, p ** k
+        self.modulus = None if k == 1 else permcore._GF_MODULI[(p, k)]
+        self.zero = (0,) * k
+        self.one = (1,) + (0,) * (k - 1)
+
+    def mul(self, x, y):
+        p, k = self.p, self.k
+        if k == 1:
+            return ((x[0] * y[0]) % p,)
+        prod = [0] * (2 * k - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y):
+                    prod[i + j] = (prod[i + j] + a * b) % p
+        # reduce by modulus (monic of degree k)
+        mod = self.modulus
+        for d in range(2 * k - 2, k - 1, -1):
+            c = prod[d]
+            if c:
+                prod[d] = 0
+                for j in range(k):
+                    prod[d - k + j] = (prod[d - k + j] - c * mod[j]) % p
+        return tuple(prod[:k])
+
+    def power(self, x, n):
+        assert n >= 0
+        out = self.one
+        base = x
+        while n:
+            if n & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            n >>= 1
+        return out
+
+    def inv(self, x):
+        if x == self.zero:
+            raise ZeroDivisionError
+        return self.power(x, self.q - 2)
+
+    def frobenius(self, x):
+        return self.power(x, self.p)
+
+    def multiplicative_generator(self):
+        for x in self.elements()[1:]:  # all but zero
+            if all(self.power(x, (self.q - 1) // d) != self.one
+                   for d in permcore.prime_divisors(self.q - 1)):
+                return x
+        raise RuntimeError("no generator found")
+
+
 def test_small_gf():
     F8 = SmallGF(2, 3)
     els = F8.elements()
@@ -259,6 +317,58 @@ def test_small_gf():
         cur = F8.mul(cur, g)
         powers.add(cur)
     assert len(powers) == 7  # g generates the multiplicative group
+
+
+_FIELDS = sorted(permcore._GF_MODULI) + [(p, 1) for p in (2, 3, 5, 7, 11, 13)]
+
+
+@pytest.mark.parametrize("p, k", _FIELDS, ids=[f"GF({p}^{k})" for p, k in _FIELDS])
+def test_field_tables_match_schoolbook_arithmetic(p, k):
+    F, oracle = SmallGF(p, k), SchoolbookGF(p, k)
+    els = F.elements()
+    assert els == oracle.elements()
+    assert F.multiplicative_generator() == oracle.multiplicative_generator()
+    for x in els:  # every pair, zero operands included
+        assert [F.mul(x, y) for y in els] == [oracle.mul(x, y) for y in els]
+        assert F.frobenius(x) == oracle.frobenius(x)
+        assert [F.power(x, n) for n in range(2 * F.q)] == \
+            [oracle.power(x, n) for n in range(2 * F.q)]
+        if x != F.zero:
+            assert F.inv(x) == oracle.inv(x)
+    assert F.power(F.zero, 0) == F.one  # exponent 0, zero base included
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
+
+
+def test_small_gf_power_takes_negative_exponents():
+    # x^(-k) is inv(x)^k; this call once looped for ever, as n >>= 1 stays -1
+    F8 = SmallGF(2, 3)
+    assert F8.power((0, 1, 0), -1) == F8.inv((0, 1, 0)) == (1, 0, 1)
+    for F in (F8, SmallGF(3, 2), SmallGF(7, 1)):
+        for x in F.elements()[1:]:
+            for n in range(1, 2 * F.q):
+                assert F.power(x, -n) == F.power(F.inv(x), n)
+                assert F.mul(F.power(x, -n), F.power(x, n)) == F.one
+        for n in (-1, -F.q):
+            with pytest.raises(ZeroDivisionError):
+                F.power(F.zero, n)
+
+
+_AMBIENTS = [(8, "psl"), (8, "pgammal"), (9, "psl"), (9, "m10"), (16, "psl"),
+             (27, "psl"), (32, "psl"), (32, "pgammal")] + [
+    (q, "psl") for q in (5, 7, 11, 13, 25)]
+
+
+@pytest.mark.parametrize("q, ambient", _AMBIENTS,
+                         ids=[f"{a}({q})" for q, a in _AMBIENTS])
+def test_projective_group_is_the_same_with_schoolbook_fields(
+        monkeypatch, q, ambient):
+    got = [[g.images for g in H.gens]
+           for H in permcore._projective_group(q, ambient)[:2]]
+    monkeypatch.setattr(permcore, "SmallGF", SchoolbookGF)
+    A, G, line = permcore._projective_group(q, ambient)
+    assert type(line.gf) is SchoolbookGF
+    assert got == [[g.images for g in H.gens] for H in (A, G)]
 
 
 def test_projective_group_orders():
@@ -808,6 +918,7 @@ def test_rank_space_matches_perm_arithmetic(G):
     assert sorted(p.images for p in perms) == sorted(old_elements(G, ENUM_CAP))
     assert rank(rows).tolist() == ranks.tolist()
     assert perms[0].is_identity()
+    assert conjugates(ranks).shape == (len(G.gens), G.order)
     for s, got in zip(G.gens, conjugates(ranks)):
         conj = [s.inverse() * g * s for g in perms]
         assert got.tolist() == rank(np.array(
@@ -815,6 +926,51 @@ def test_rank_space_matches_perm_arithmetic(G):
     pre = perms[-1]
     assert rank(rows, pre).tolist() == rank(np.array(
         [(pre * g).images for g in perms], dtype=np.uint16).reshape(rows.shape)).tolist()
+
+
+def old_conjugates(G):
+    """`conjugates` of `_rank_space(G)` as a list with one array per
+    generator s, each from its own `images` and `_rank` calls: the ranks of
+    s^-1 g s, from the base images s(g(s^-1(b)))."""
+    images, _, _ = permcore._rank_space(G)
+    chain = G._chain
+    base = [lvl.base_point for lvl in chain]
+    gens = [(np.array(s.images), np.array(s.inverse().images)[base])
+            for s in G.gens]
+    return lambda ranks: [permcore._rank(chain, s[images(ranks, pre)])
+                          for s, pre in gens]
+
+
+def _chi_ranks():
+    """The 496-point torus action of PSL2(32) and the ranks of an element of
+    order 2, one of order 3 and their conjugates by the generators, the
+    first step of `chi_fixed_points`' class walk."""
+    G = psl2_torus_coset_action(32)[0].group
+    _, conjugates, rank = permcore._rank_space(G)
+    ranks = rank(permcore._perm_rows(
+        [element_of_order(G, 2), element_of_order(G, 3)], G.degree))
+    return G, np.unique(np.concatenate([ranks, *conjugates(ranks)]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (_s4(), None),
+    lambda: (psl2_torus_coset_action(8)[0].group, None),
+    lambda: (psl2(16)[0], None),
+    _chi_ranks,
+    lambda: (_chi_ranks()[0], None),
+    lambda: (PermGroup(5, []), None),
+    lambda: (PermGroup(0, []), None),
+], ids=["s4", "psl2(8)-on-28", "psl2(16)", "chi-on-496", "psl2(32)-on-496",
+        "no-generators", "degree-0"])
+def test_batched_conjugates_match_one_call_per_generator(make):
+    G, ranks = make()
+    _, conjugates, _ = permcore._rank_space(G)
+    oracle = old_conjugates(G)
+    for r in (np.arange(G.order) if ranks is None else ranks,
+              np.arange(min(G.order, 3)), np.arange(0)):
+        got = conjugates(r)
+        assert got.shape == (len(G.gens), len(r))
+        assert got.tolist() == [c.tolist() for c in oracle(r)]
 
 
 def old_partition(G):
@@ -1264,26 +1420,60 @@ def _normalizer_cases():
 
 
 def test_normalizer_of_cyclic_matches_per_element_conjugation():
-    """The same elements as the oracle's; the search lists them in its own
-    order, not in enumeration order."""
+    """The same elements as the oracle's, generated by at most log2 |N| of
+    them: each generator taken at least doubles the order."""
     seen = set()
     for name, G, g in _normalizer_cases():
         seen.add(name)
         N = normalizer_of_cyclic(G, g)
-        assert {h.images for h in N.gens} == \
-            {h.images for h in old_normalizer_of_cyclic(G, g).gens}, name
-        assert len(N.gens) == N.order - 1, name
+        # the oracle's generators are its elements but the identity
+        want = {h.images for h in old_normalizer_of_cyclic(G, g).gens}
+        assert {h.images for h in N.elements()} == \
+            want | {Perm.identity(G.degree).images}, name
+        assert 2 ** len(N.gens) <= N.order, name
     assert seen == {"psl2(8)", "psl2(9)", "psl2(16)", "pgammal2(8)", "s4",
                     "gf16", "m10-sylow2"}
 
 
 def test_normalizer_of_cyclic_is_the_same_in_chunks_of_one_row(monkeypatch):
+    """The same elements in the same search order, and so the same
+    generators."""
     cases = list(_normalizer_cases())
-    want = [[h.images for h in normalizer_of_cyclic(G, g).gens]
+    want = [(permcore._normalizer_rows(G, g).tolist(),
+             [h.images for h in normalizer_of_cyclic(G, g).gens])
             for _, G, g in cases]
     monkeypatch.setattr(permcore, "_CHUNK", 1)
-    for (name, G, g), gens in zip(cases, want):
+    for (name, G, g), (rows, gens) in zip(cases, want):
+        assert permcore._normalizer_rows(G, g).tolist() == rows, name
         assert [h.images for h in normalizer_of_cyclic(G, g).gens] == gens, name
+
+
+def test_normalizer_generators_are_taken_greedily_in_search_order():
+    # each generator is the first element found outside the group the ones
+    # before it generate
+    for name, G, g in _normalizer_cases():
+        rows = [tuple(r) for r in permcore._normalizer_rows(G, g).tolist()]
+        gens, closure = [], {Perm.identity(G.degree).images}
+        for r in rows:
+            if r not in closure:
+                gens.append(r)
+                closure = brute_force_closure(G.degree, [Perm(h) for h in gens])
+        assert [h.images for h in normalizer_of_cyclic(G, g).gens] == gens, name
+        assert len(closure) == len(rows), name
+
+
+@pytest.mark.parametrize("drop", [0, 1, -1], ids=["first", "second", "last"])
+def test_normalizer_of_cyclic_checks_the_order(monkeypatch, drop):
+    # a search that loses one element is caught: the generators taken from
+    # the rest still generate all of N
+    G, _ = psl2(8)
+    t = element_of_order(G, 9)
+    search = permcore._normalizer_rows
+    assert len(search(G, t)) == 18
+    monkeypatch.setattr(permcore, "_normalizer_rows",
+                        lambda G, g: np.delete(search(G, g), drop, axis=0))
+    with pytest.raises(AssertionError, match="found 17 elements"):
+        normalizer_of_cyclic(G, t)
 
 
 def test_normalizer_of_cyclic_needs_g_in_g():
