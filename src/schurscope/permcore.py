@@ -577,7 +577,7 @@ def _least_labels(labels, maps):
 # ---------------------------------------------------------------------------
 # classes, centralizers, normalizers
 
-_SLICE = 1 << 12  # ranks conjugated at once
+_SLICE = 1 << 10  # ranks conjugated at once, by all generators in one call
 _CHUNK = 1 << 13  # entries of rows decoded at once
 
 
