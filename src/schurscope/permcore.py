@@ -688,24 +688,42 @@ def conjugacy_classes(G):
 def normalizer_of_cyclic(G, g):
     """N_G(<g>), found by `_normalizer_rows` and generated by some of the
     elements found, taken in search order: an element is taken when it is
-    not in the group the ones taken before generate (one batched sift
-    through that group's chain), so each at least doubles the order and
-    there are at most log2 |N| of them. That group is returned, its chain
-    built, once no element found lies outside it; its order must be the
-    number of elements found, else AssertionError. g must lie in G (else
-    NotASubgroup) and |G| must be at most ENUM_CAP (else CapExceeded)."""
-    rows = _normalizer_rows(G, g)
-    N, gens, lo = PermGroup(G.degree, []), [], 0
-    while (f := N.first_outside(rows[lo:])) >= 0:
-        lo += f
-        gens.append(_perm(rows[lo]))
-        N = PermGroup(G.degree, gens)
-        lo += 1
-    if N.order != len(rows):
+    not in the group the ones taken before generate, so each at least
+    doubles the order and there are at most log2 |N| of them. That group is
+    listed as it grows by Dimino's algorithm (Butler, Fundamental
+    Algorithms for Permutation Groups, LNCS 559, 1991): taking x into H
+    adds the right cosets H*r, r = x first, then each product of a new
+    coset's representative by a generator taken that is in no coset yet.
+    Its order must be the number of elements found, else AssertionError.
+    g must lie in G (else NotASubgroup) and |G| must be at most ENUM_CAP
+    (else CapExceeded)."""
+    n = G.degree
+    found = _perms([_normalizer_rows(G, g)], n, [])
+    gens, elements = [], [Perm.identity(n)]
+    members = {elements[0].images}
+
+    def add_coset(H, r):
+        coset = [h * r for h in H]
+        elements.extend(coset)
+        members.update(c.images for c in coset)
+
+    for x in found:
+        if x.images in members:
+            continue
+        gens.append(x)
+        H, reps = list(elements), [x]
+        add_coset(H, x)
+        for r in reps:  # reps grows as cosets are found
+            for s in gens:
+                w = r * s
+                if w.images not in members:
+                    add_coset(H, w)
+                    reps.append(w)
+    if len(elements) != len(found):
         raise AssertionError(f"the {len(gens)} generators taken generate a "
-                             f"group of order {N.order}, but the search "
-                             f"found {len(rows)} elements")
-    return N
+                             f"group of order {len(elements)}, but the "
+                             f"search found {len(found)} elements")
+    return PermGroup(n, gens)
 
 
 def _normalizer_rows(G, g):
