@@ -251,8 +251,8 @@ def test_torus_coset_action_never_enumerates_psl2_32():
 class SchoolbookGF(SmallGF):
     """The field with schoolbook polynomial arithmetic and Fermat inverses,
     no tables: the oracle of `SmallGF`'s lookups. Its generator is the first
-    element, in `elements()` order, that no (q-1)/d-th power, d a prime
-    divisor of q - 1, sends to one."""
+    element, in `elements()` order, whose (q-1)/d-th power is not one for
+    any prime divisor d of q - 1."""
 
     def __init__(self, p, k):
         self.p, self.k, self.q = p, k, p ** k
