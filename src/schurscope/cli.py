@@ -45,16 +45,6 @@ def load_group(path):
 
 
 # ---------------------------------------------------------------------------
-# worker support for sweeps
-
-def worker_count():
-    try:
-        return max(1, int(os.environ.get("SCHURSCOPE_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-# ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _emit(text, path):
@@ -68,7 +58,7 @@ def _emit(text, path):
 
 def cmd_sweep(args):
     f = load_function(args.function)
-    rep = schur_sweep(f, args.bound, worker_count())
+    rep = schur_sweep(f, args.bound)
     _emit(json.dumps(rep.to_dict(args.function), indent=2), args.out)
     return 0
 

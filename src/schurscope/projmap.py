@@ -29,13 +29,12 @@ coefficient: p | 2d is ramified; a vanishing denominator, leading
 coefficient or resultant at the place is bad reduction, since with unit
 leading coefficients the resultant commutes with reduction. The good places
 go to the evaluator as int rows, in batches of one place degree and at most
-DEFAULT_POINT_CAP points. A sweep with workers reduces in the calling
-process and sends its pool the batches' int rows, never f.
+DEFAULT_POINT_CAP points. A batch is evaluated as soon as it is full, so a
+sweep holds the rows of at most one batch per place degree.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -360,20 +359,26 @@ def sweep_prime(f, p):
                        "bijective" if is_bijective(fp) else "not-bijective")
 
 
-def sweep_primes(f, primes, workers=1):
+def sweep_primes(f, primes):
     """One record per prime, in the given order; a cap overrun is the
     prime's point-cap verdict.
 
     One `Reducer` of f decides each prime's ramified and bad-reduction
     verdicts, and the point-cap ones are decided on their own. The good
-    places go into batches of one place degree and at most DEFAULT_POINT_CAP
-    points, each evaluated in one pass of `_bijective`: in this process, or
-    in a pool of at most `workers` processes and no more than the cores or
-    the batches, as a pool starts all its workers at its first task.
+    places go into one open batch per place degree, of at most
+    DEFAULT_POINT_CAP points. A batch is evaluated in one pass of
+    `_bijective` as soon as the next place of its degree would overflow it,
+    and the batches still open after the last prime are evaluated then.
     """
     records = [None] * len(primes)
-    batches = []  # [(index, Reduced rows)] of one place degree each
-    last = {}  # place degree -> [its last batch, the points in it]
+    batches = {}  # place degree -> ([(index, Reduced rows)], points)
+
+    def evaluate(batch):
+        oks = _bijective([fp for _, fp in batch])
+        for (i, fp), ok in zip(batch, oks):
+            records[i] = SweepRecord(primes[i], fp.field.ext,
+                                     "bijective" if ok else "not-bijective")
+
     reduce = Reducer(f).at
     for i, p in enumerate(primes):
         fp, records[i] = _reduce(reduce, p)
@@ -385,25 +390,15 @@ def sweep_primes(f, primes, workers=1):
             records[i] = SweepRecord(p, e.place_degree, "point-cap")
             continue
         ext, size = fp.field.ext, fp.field.order + 1
-        if ext not in last or last[ext][1] + size > DEFAULT_POINT_CAP:
-            last[ext] = [[], 0]
-            batches.append(last[ext][0])
-        last[ext][0].append((i, fp))
-        last[ext][1] += size
-
-    rows = [[fp for _, fp in batch] for batch in batches]
-    workers = min(workers, os.cpu_count() or 1, len(batches))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(_bijective, rows))
-    else:
-        verdicts = map(_bijective, rows)
-    for batch, oks in zip(batches, verdicts):
-        for (i, fp), ok in zip(batch, oks):
-            records[i] = SweepRecord(primes[i], fp.field.ext,
-                                     "bijective" if ok else "not-bijective")
+        batch, points = batches.get(ext, ([], 0))
+        # size fits the cap, so a batch it overflows is never empty
+        if points + size > DEFAULT_POINT_CAP:
+            evaluate(batch)
+            batch, points = [], 0
+        batch.append((i, fp))
+        batches[ext] = batch, points + size
+    for batch, _ in batches.values():
+        evaluate(batch)
     return records
 
 
@@ -419,13 +414,11 @@ def odd_primes(prime_bound):
     return primes_up_to(prime_bound)[1:]
 
 
-def schur_sweep(f, prime_bound, workers=1):
+def schur_sweep(f, prime_bound):
     """Classify every odd prime <= prime_bound: does f mod p permute P^1?
 
     p = 2 is always skipped; per-prime failures, cap overruns included, are
-    verdicts, not errors. Deterministic: records in increasing prime order,
-    the same for any number of workers (see `sweep_primes`). Raises
-    ValueError on a bound that `odd_primes` refuses.
+    verdicts, not errors. Deterministic: records in increasing prime order.
+    Raises ValueError on a bound that `odd_primes` refuses.
     """
-    return SweepReport.from_records(
-        sweep_primes(f, odd_primes(prime_bound), workers))
+    return SweepReport.from_records(sweep_primes(f, odd_primes(prime_bound)))

@@ -31,9 +31,7 @@ ALLOWED_UNUSED_IMPORTS = {
 ALLOWED_CAP_PARAMETERS = set()
 
 # environment variables that src/ reads, by name
-ALLOWED_ENVIRONMENT = {
-    "SCHURSCOPE_WORKERS": "cli.worker_count: the sweep's process pool",
-}
+ALLOWED_ENVIRONMENT = {}
 
 # private top-level functions and classes that no code in src/ reads, kept on
 # purpose

@@ -3,24 +3,21 @@ shapes, and the builtin function registry."""
 
 import argparse
 import ast
-import concurrent.futures
 import inspect
 import json
-import os
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurscope import claims, exactalg, projmap
+from schurscope import claims, exactalg
 from schurscope.cli import (
     build_parser,
     builtin_function,
     load_function,
     load_group,
     main,
-    worker_count,
 )
 from schurscope.ellipt import EllCurve, quotient_descent
 from schurscope.exactalg import QQ, parse_ratfunc
@@ -85,25 +82,7 @@ def test_sweep_command_out_file(tmp_path):
     assert doc["records"]
 
 
-def test_parallel_sweep_matches_serial(monkeypatch):
-    # real processes; cm7 is over QQ(sqrt(-3)), so its workers get rows over
-    # F_p^2. dickson to 300 is one batch, which no pool evaluates
-    for f, bound in ((dickson(3, 1), 300), (builtin_function("builtin:cm7"), 120)):
-        serial = schur_sweep(f, bound)
-        par = schur_sweep(f, bound, 2)
-        assert par.records == serial.records
-        assert par.density == serial.density
-    # a small cap cuts cm7's split and inert places into many batches each,
-    # so both kinds are spread over the workers
-    monkeypatch.setattr(projmap, "DEFAULT_POINT_CAP", 500)
-    f = builtin_function("builtin:cm7")
-    serial = schur_sweep(f, 120)
-    assert {(r.place_degree, r.verdict) for r in serial.records} >= {
-        (1, "bijective"), (2, "bijective"), (2, "point-cap")}
-    assert schur_sweep(f, 120, 2).records == serial.records
-
-
-def test_sweep_worker_records_point_cap_verdicts():
+def test_sweep_records_point_cap_verdicts():
     # 1031 is inert for cm7, and 1031^2 + 1 points exceed the default cap
     f = builtin_function("builtin:cm7")
     assert sweep_primes(f, [11, 1031, 19]) == [
@@ -111,49 +90,7 @@ def test_sweep_worker_records_point_cap_verdicts():
         SweepRecord(19, 1, "not-bijective")]
 
 
-class _InProcessPool:
-    """A stand-in for ProcessPoolExecutor that records its max_workers and
-    maps in this process, so no process is started."""
-    made = []
-
-    def __init__(self, max_workers):
-        self.made.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-def test_parallel_sweep_workers_are_bounded_by_cores_and_batches(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        _InProcessPool)
-    f = dickson(3, 1)
-    # (requested workers, cores, point cap, bound, pool size or None for no
-    # pool). Under the default cap each bound here is one batch; under a cap
-    # of 100 the bound 100 is more than eight, and under a cap of 10 the
-    # primes 3, 5, 7 of the bound 10 are two: 4 + 6 points, then 8
-    cap = projmap.DEFAULT_POINT_CAP
-    for workers, cores, points, bound, pool in (
-            (64, 2, 100, 100, 2), (64, 8, 10, 10, 2), (3, 8, 100, 100, 3),
-            (64, None, 100, 100, None), (64, 8, 100, 3, None),
-            (1, 8, 100, 100, None), (64, 8, cap, 100, None)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        monkeypatch.setattr(projmap, "DEFAULT_POINT_CAP", points)
-        _InProcessPool.made.clear()
-        rep = schur_sweep(f, bound, workers)
-        assert _InProcessPool.made == ([] if pool is None else [pool])
-        assert rep.records == schur_sweep(f, bound).records
-
-
-def test_sweep_computes_one_resultant_whatever_the_workers(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        _InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_sweep_computes_one_resultant(monkeypatch):
     calls = []
     resultant = exactalg._resultant
 
@@ -162,23 +99,8 @@ def test_sweep_computes_one_resultant_whatever_the_workers(monkeypatch):
         return resultant(*args)
 
     monkeypatch.setattr(exactalg, "_resultant", counted)
-    _InProcessPool.made.clear()
-    schur_sweep(builtin_function("builtin:cm7"), 400, 2)
-    assert _InProcessPool.made == [2]
+    schur_sweep(builtin_function("builtin:cm7"), 400)
     assert len(calls) == 1
-    # a sweep of one batch starts no pool
-    _InProcessPool.made.clear()
-    schur_sweep(dickson(3, 1), 300, 2)
-    assert _InProcessPool.made == []
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("SCHURSCOPE_WORKERS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("SCHURSCOPE_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("SCHURSCOPE_WORKERS", "junk")
-    assert worker_count() == 1
 
 
 def test_exceptional_command(tmp_path, capsys):
@@ -324,12 +246,9 @@ def test_large_sqrt_discriminant_exits_2_at_once(capsys):
     assert "exceeds cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_sweep_bound_past_the_point_cap_exits_2_at_once(monkeypatch, capsys,
-                                                        workers):
+def test_sweep_bound_past_the_point_cap_exits_2_at_once(capsys):
     # every prime past the cap could only be a point-cap verdict, and the
     # sieve of the bound would not fit in memory
-    monkeypatch.setenv("SCHURSCOPE_WORKERS", workers)
     start = time.perf_counter()
     assert main(["sweep", "--function", "builtin:dickson:3:1",
                  "--bound", "100000000000000"]) == 2

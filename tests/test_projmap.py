@@ -331,14 +331,28 @@ def test_sweep_in_many_batches_and_chunks_gives_the_same_records(
     primes = primes_up_to(199)[1:]
     unbatched = projmap.sweep_primes(f, primes)
     batches = []
+    reduced = []  # the places reduced so far that fit the cap, in order
     bijective = projmap._bijective
 
     def counted(fs):
         assert all(isinstance(g, Reduced) for g in fs)
         batches.append(sum(g.field.order + 1 for g in fs))
+        # a batch is evaluated once the next place of its degree is reduced,
+        # before any place after that one: the sweep holds one batch a degree
+        ext, last = fs[0].field.ext, max(g.field.p for g in fs)
+        assert sum(g.field.ext == ext and g.field.p > last
+                   for g in reduced) <= 1
         return bijective(fs)
 
+    class CountedReducer(projmap.Reducer):
+        def at(self, p):
+            fp = super().at(p)
+            if fp.field.order + 1 <= 500:
+                reduced.append(fp)
+            return fp
+
     monkeypatch.setattr(projmap, "_bijective", counted)
+    monkeypatch.setattr(projmap, "Reducer", CountedReducer)
     monkeypatch.setattr(projmap, "DEFAULT_POINT_CAP", 500)
     monkeypatch.setattr(projmap, "_CHUNK", 97)  # chunks split the segments
     records = projmap.sweep_primes(f, primes)

@@ -31,8 +31,9 @@ alternating in the same way, each as ``cli.main(argv)`` in a fresh
 interpreter that first times the reference loop as for the claims. A probe
 run has ``PROBE_LIMIT_S`` seconds; one past it is ended by ``SIGALRM`` and
 recorded as timed out, with no seconds. A record holds, per probe and run,
-the exit code, the raw, reference and scaled seconds (or ``timed_out``),
-the count of runs timed out, and the medians of the runs that finished.
+the exit code, the raw, reference and scaled seconds and the interpreter's
+peak RSS (``ru_maxrss``, in MB), or ``timed_out``; and per probe the count
+of runs timed out and the medians of the runs that finished.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ SEEDS = tuple(range(9201, 9211))  # none of them used while tuning the code
 CLAIM_RUNS = 5
 REFERENCE_RUNS = 3  # reference loops timed before each claim run
 PROBES = ("family builtin:descent:0:2:11:3", "family builtin:descent:0:2:13:6",
-          "family builtin:dickson:1000:1")
+          "family builtin:dickson:1000:1",
+          "sweep --function builtin:cm7 --bound 2000",
+          "sweep --function builtin:redei3comp --bound 30000")
 PROBE_LIMIT_S = 60
 
 
@@ -118,12 +121,12 @@ def _claim_seconds(checkout, name):
 
 
 def _probe_seconds(checkout, probe):
-    """{"exit", "seconds", "reference_s", "scaled_s"} of one cli.main(argv)
-    in a fresh interpreter that first times the checkout's reference loop,
-    or {"timed_out": True, "reference_s"} when the call runs past
-    PROBE_LIMIT_S."""
+    """{"exit", "seconds", "reference_s", "scaled_s", "peak_rss_mb"} of one
+    cli.main(argv) in a fresh interpreter that first times the checkout's
+    reference loop, or {"timed_out": True, "reference_s"} when the call runs
+    past PROBE_LIMIT_S."""
     proc = _interpreter(checkout, textwrap.dedent(f"""\
-        import contextlib, io, signal, sys, time
+        import contextlib, io, resource, signal, sys, time
         sys.path.insert(0, 'perfbench')
         from run import REFERENCE_S, reference
         print(min(reference() for _ in range({REFERENCE_RUNS})), REFERENCE_S,
@@ -133,7 +136,8 @@ def _probe_seconds(checkout, probe):
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             code = main({probe.split()!r})
-        print(code, time.perf_counter() - start)
+        print(code, time.perf_counter() - start,
+              resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
         """), check=False)
     lines = proc.stdout.split("\n")
     ref, reference_s = map(float, lines[0].split())
@@ -142,17 +146,20 @@ def _probe_seconds(checkout, probe):
     if proc.returncode:
         raise subprocess.CalledProcessError(proc.returncode, probe,
                                             proc.stdout, proc.stderr)
-    code, seconds = lines[1].split()
+    code, seconds, maxrss_kb = lines[1].split()
     return {"exit": int(code), "seconds": float(seconds), "reference_s": ref,
-            "scaled_s": float(seconds) * reference_s / ref}
+            "scaled_s": float(seconds) * reference_s / ref,
+            "peak_rss_mb": int(maxrss_kb) / 1024}
 
 
 def _finished_medians(rs):
     """The count of timed-out runs, and the medians of the raw and of the
-    scaled seconds of the others (None when every run timed out)."""
+    scaled seconds and of the peak RSS of the others (None when every run
+    timed out)."""
     done = [r for r in rs if "seconds" in r]
     out = {"timed_out": len(rs) - len(done)}
-    for key, field in (("median", "seconds"), ("scaled_median", "scaled_s")):
+    for key, field in (("median", "seconds"), ("scaled_median", "scaled_s"),
+                       ("peak_rss_mb_median", "peak_rss_mb")):
         out[key] = statistics.median(r[field] for r in done) if done else None
     return out
 
@@ -206,7 +213,8 @@ def main(argv=None):
                     said = (f"timed out after {PROBE_LIMIT_S} s"
                             if run.get("timed_out") else
                             f"exit {run['exit']}, {run['seconds']:.3f} s, "
-                            f"scaled {run['scaled_s']:.3f} s")
+                            f"scaled {run['scaled_s']:.3f} s, "
+                            f"{run['peak_rss_mb']:.1f} MB")
                     print(f"{full[rev][:12]} probe {probe}: {said}",
                           file=sys.stderr)
     host = {"cores": os.cpu_count(), "python": platform.python_version(),
