@@ -347,7 +347,7 @@ def test_sweep_in_many_batches_and_chunks_gives_the_same_records(
     class CountedReducer(projmap.Reducer):
         def at(self, p):
             fp = super().at(p)
-            if fp.field.order + 1 <= 500:
+            if fp.field.order + 1 <= projmap.DEFAULT_POINT_CAP:
                 reduced.append(fp)
             return fp
 
