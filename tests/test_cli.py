@@ -246,11 +246,12 @@ def test_large_sqrt_discriminant_exits_2_at_once(capsys):
     assert "exceeds cap" in capsys.readouterr().err
 
 
-def test_sweep_bound_past_the_point_cap_exits_2_at_once(capsys):
+@pytest.mark.parametrize("a", ["1", "2"])
+def test_sweep_bound_past_the_point_cap_exits_2_at_once(capsys, a):
     # every prime past the cap could only be a point-cap verdict, and the
     # sieve of the bound would not fit in memory
     start = time.perf_counter()
-    assert main(["sweep", "--function", "builtin:dickson:3:1",
+    assert main(["sweep", "--function", f"builtin:dickson:3:{a}",
                  "--bound", "100000000000000"]) == 2
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
