@@ -8,13 +8,17 @@ ints mod p, or as pairs (u, v) for u + v*sqrt(r) in F_p^2. It lays the
 points of their projective lines end to end as int arrays, one segment per
 function and one lane per point: F_p elements are ints 0..p-1, and an
 element u + v*sqrt(r) of F_p^2 is enumerated as the int u*p + v in the order
-of `FqField.elements()`; the index q is infinity. Each lane carries its
-segment's modulus and gathers its coefficients; Horner runs in place, in
-int32 when every intermediate fits (else int64), and 1/d is the per-lane
-Fermat power d^(p-2). The images, shifted to their segment's offset, fill
-one bincount, and a function is bijective when no bin of its segment counts
-other than 1. The lanes are evaluated in chunks of `_CHUNK`, which bounds
-the temporaries.
+of `FqField.elements()`; the index q is infinity. A segment's modulus and
+coefficients reach its lanes by np.repeat over the runs of the segments.
+Horner runs in place in int64, over the coefficient columns that are
+nonzero in some segment only (a gap of g columns is one multiply by x^g),
+with a `%` only where the next step could overflow: a Python-int bound is
+kept on every intermediate. 1/d costs only where it must: a constant den
+scales num's rows, over F_p^2 1/N(d) comes from a table of the p inverses
+in F_p, and else it is the per-lane Fermat power d^(p-2). The images,
+shifted to their segment's offset, fill one bincount, and a function is
+bijective when no bin of its segment counts other than 1. The lanes are
+evaluated in chunks of `_CHUNK`, which bounds the temporaries.
 
 `is_bijective` is the batch of one, on the rows of its RatFunc.
 
@@ -67,159 +71,248 @@ class PointCapExceeded(ValueError):
 # ---------------------------------------------------------------------------
 # the segmented evaluator
 
-def _exact_dtype(fields):
-    """The narrowest integer dtype in which every intermediate of the
-    evaluator over all of fields is exact: int32 when each is below 2^31,
-    else int64 when each is below 2^62 (over F_p that is p < 2^31, a bit of
-    headroom kept), else None. numpy is not touched before a dtype fits.
+_INT64_MAX = (1 << 63) - 1
 
-    All values are reduced mod p, so every factor is at most p - 1. Over F_p
-    the largest intermediate is a Horner step n*x + c <= (p-1)^2 + (p-1).
-    Over F_p^2 it is the first coordinate of a Horner step or product,
-    u*x + r*v*y + c with the cross term scaled by the non-residue r: at most
-    (1 + r)(p-1)^2 + (p-1).
-    """
-    top = max((1 if F.ext == 1 else 1 + F.r) * (F.p - 1) ** 2 + F.p - 1
-              for F in fields)
-    if top < 1 << 31:
-        return np.int32
-    if top < 1 << 62:
-        return np.int64
-    return None
+
+def _growth(fields):
+    """(top, grow) over fields: top = p_max - 1 bounds every reduced value,
+    and a Horner step a*x^g + c, with x^g and c reduced, maps a bound B on
+    a to grow*B + top. Over F_p, grow = p_max - 1. Over F_p^2 it is
+    (1 + r_max)(p_max - 1): the first coordinate of a product is
+    au*bu + r*av*bv, the second au*bv + av*bu."""
+    top = max(F.p for F in fields) - 1
+    if fields[0].ext == 1:
+        return top, top
+    return top, (1 + max(F.r for F in fields)) * top
 
 
 def _check_cap(field):
     """Raise PointCapExceeded when P^1(F_q) has more than DEFAULT_POINT_CAP
-    points or the field is too large for int64; allocates nothing."""
+    points, or when one Horner step from reduced values may reach 2^62, so
+    that the field is too large for int64 evaluation; allocates nothing."""
     q = field.order
     if q + 1 > DEFAULT_POINT_CAP:
         raise PointCapExceeded(f"q + 1 = {q + 1} exceeds cap {DEFAULT_POINT_CAP}",
                                field.ext)
-    if _exact_dtype([field]) is None:
+    top, grow = _growth([field])
+    if grow * top + top >= 1 << 62:
         raise PointCapExceeded(f"{field} is too large for int64 evaluation",
                                field.ext)
 
 
-def _images(fs, j, seg):
-    """Images under fs[seg[i]] of the points j[i], one lane each.
+def _fermat_inverse(d, p, exps, runs):
+    """d^e mod p on every lane, e = exps[s] on the runs[s] lanes of segment
+    s: with e = p - 2 that is 1/d, and 0 for 0. Square and multiply over
+    the bits of the exponents; a bit set on some segments only is applied
+    through where=. In int32 when each (p - 1)^2 fits, else in int64,
+    where d is overwritten."""
+    dtype = np.int32 if (max(exps) + 1) ** 2 < 1 << 31 else np.int64
+    d = d.astype(dtype, copy=False)
+    p = np.asarray(p, dtype)
+    out = np.ones(len(d), dtype)
+    for b in range(max(exps).bit_length()):
+        if b:
+            d *= d
+            d %= p
+        bits = [(e >> b) & 1 for e in exps]
+        if all(bits):
+            out *= d
+            out %= p
+        elif any(bits):
+            mask = np.repeat(np.array(bits, bool), runs)
+            np.multiply(out, d, out=out, where=mask)
+            np.remainder(out, p, out=out, where=mask)
+    return out
+
+
+def _images(fs, j, runs):
+    """Images under the rows fs of the points j, one lane each: the first
+    runs[0] lanes are points of fs[0], the next runs[1] of fs[1], and so on.
 
     fs are `Reduced` rows of one place degree, each over its own field; a
     point is its index in field.elements(), q meaning infinity, and an
-    image is an int in the same numbering (F_p^2 pairs as u*p + v). Each
-    per-segment value is gathered onto the lanes. Works in place, in the
-    dtype of `_exact_dtype`; 1/d is the per-lane Fermat power d^(p-2).
+    image is an int in the same numbering (F_p^2 pairs as u*p + v). A
+    per-segment value reaches the lanes by np.repeat over runs, or as a
+    scalar when every segment has the same.
+
+    Horner runs in int64 over the coefficient columns that are nonzero in
+    some segment only: a gap of g columns is one multiply by x^g, the
+    powers made once per call, and a zero low end one last multiply by
+    x^k. Reduction is lazy. With `_growth`'s (top, grow), a reduced value
+    is at most top, and a Horner step maps a bound B to grow*B + top, so
+    `%` runs only when the next step could pass 2^63 - 1; `_check_cap`
+    keeps one step from reduced values below 2^62. 1/d costs only where it
+    must: a constant den (in every segment) scales num's rows by its
+    inverse, and there is no pole; over F_p^2, 1/d = conj(d)/N(d) with
+    1/N(d) gathered from a per-segment table of the p inverses in F_p;
+    else it is the per-lane Fermat power d^(p-2).
     """
     fields = [f.field for f in fs]
     ext = fields[0].ext
-    dtype = _exact_dtype(fields)
+    top, grow = _growth(fields)
     n = len(j)
-    buf = np.empty(n, dtype)
 
-    def lane(values, out=None):
-        """A per-segment value on every lane, into out or a new array."""
-        return np.take(np.asarray(values, dtype=dtype if out is None
-                                  else out.dtype), seg, out=out)
+    def spread(values):
+        """A per-segment value on every lane, or the one value they share."""
+        if values.count(values[0]) == len(values):
+            return values[0]
+        return np.repeat(np.array(values, np.int64), runs)
 
-    def table(rows):
-        """rows as one array, lowest degree first, zero padded; over F_p^2
-        the last axis holds u and v."""
-        width = max(1, max(map(len, rows)))
-        pad = [0] if ext == 1 else [(0, 0)]
-        return np.array([g + pad * (width - len(g)) for g in rows],
-                        dtype=dtype)
-
-    def inverse(d, out):
-        """d^(p-2) mod p, so 0 for 0, by square and multiply over the bits
-        of each lane's exponent; a bit set on some lanes only is applied
-        through a mask. d is overwritten."""
-        exps = [F.p - 2 for F in fields]
-        out[...] = 1
-        for b in range(max(exps).bit_length()):
-            if b:
-                d *= d
-                d %= p
-            bits = [(e >> b) & 1 for e in exps]
-            if all(bits):
-                out *= d
-                out %= p
-            elif any(bits):
-                np.remainder(np.multiply(out, d, out=buf), p, out=buf)
-                np.copyto(out, buf, where=lane(bits, np.empty(n, bool)))
-        return out
-
-    p = lane([F.p for F in fields])
-    q = lane([F.order for F in fields])
-    at_inf = np.flatnonzero(j == q)
-    x = j.astype(dtype)
-    x[at_inf] = 0  # the lanes at infinity are overwritten below
+    p = spread([F.p for F in fields])
+    orders = [F.order for F in fields]
+    last = np.cumsum(runs) - 1
+    at_inf = np.flatnonzero(j[last] == orders)  # segments ending in the chunk
+    x = j.astype(np.int64)
+    x[last[at_inf]] = 0  # the lanes at infinity are overwritten below
     if ext == 1:
-        def horner(rows):
-            cs = table(rows)
-            acc = lane(cs[:, -1])
-            for k in range(cs.shape[1] - 2, -1, -1):
-                acc *= x
-                acc += lane(cs[:, k], buf)
-                acc %= p
-            return acc
-
-        img = horner([f.num for f in fs])
-        d = horner([f.den for f in fs])
-        pole = d == 0
-        inv = inverse(d, np.empty(n, dtype))
-        img *= inv
-        img %= p
+        xs = [x]
     else:
-        r = lane([F.r for F in fields])
-        xu, xv = np.divmod(x, p)
-        del x
-        t, s = np.empty(n, dtype), np.empty(n, dtype)
+        r = spread([F.r for F in fields])
+        xs = list(np.divmod(x, p))
+        t, s = np.empty(n, np.int64), np.empty(n, np.int64)
+    del x
 
-        def horner(rows):
-            cs = table(rows)
-            cu, cv = cs[..., 0], cs[..., 1]
-            au, av = lane(cu[:, -1]), lane(cv[:, -1])
-            for k in range(cu.shape[1] - 2, -1, -1):
-                np.multiply(au, xv, out=t)
-                np.multiply(np.multiply(av, xv, out=s), r, out=s)
-                au *= xu
-                au += s
-                au += lane(cu[:, k], buf)
-                au %= p
-                av *= xu
-                av += t
-                av += lane(cv[:, k], buf)
-                av %= p
-            return au, av
+    def reduce(a):
+        for c in a:
+            c %= p
 
-        nu, nv = horner([f.num for f in fs])
-        du, dv = horner([f.den for f in fs])
+    def times(a, b):
+        """a *= b in F_q, in place and unreduced; b is not a."""
+        if ext == 1:
+            a[0] *= b[0]
+            return
+        (au, av), (bu, bv) = a, b
+        np.multiply(np.multiply(av, bv, out=t), r, out=t)
+        np.multiply(au, bv, out=s)
+        au *= bu
+        au += t
+        av *= bu
+        av += s
+
+    powers = {1: xs}
+
+    def power(g):
+        """x^g on every lane, reduced, from squares; all cached in powers."""
+        for i in range(1, g.bit_length()):
+            if 1 << i not in powers:
+                half = powers[1 << (i - 1)]
+                sq = [c.copy() for c in half]
+                times(sq, half)
+                reduce(sq)
+                powers[1 << i] = sq
+        if g not in powers:
+            bits = [1 << i for i in range(g.bit_length()) if g >> i & 1]
+            acc = [c.copy() for c in powers[bits[0]]]
+            for e in bits[1:]:
+                times(acc, powers[e])
+                reduce(acc)
+            powers[g] = acc
+        return powers[g]
+
+    def horner(rows):
+        """The polynomials with coefficient rows (one per segment, as lists
+        of ints or (u, v) pairs) on every lane, as (lanes per coordinate,
+        bound); a bound of at most top means reduced."""
+        width = max(map(len, rows))
+        zero = 0 if ext == 1 else (0, 0)
+        # column k: per coordinate, the segments' coefficients of x^k
+        cols = [None if col.count(zero) == len(col)
+                else (col,) if ext == 1 else tuple(zip(*col))
+                for col in zip(*[row + [zero] * (width - len(row)) for row in rows])]
+        ks = [k for k in range(width - 1, -1, -1) if cols[k]]
+        if not ks:
+            return [np.zeros(n, np.int64) for _ in range(ext)], 0
+        acc = [v if isinstance(v, np.ndarray) else np.full(n, v, np.int64)
+               for v in map(spread, cols[ks[0]])]
+        bound = top
+        # ending on x^k, k > 0, is one more step, down to column 0
+        for hi, k in zip(ks, ks[1:] + [0] * (ks[-1] > 0)):
+            if grow * bound + top > _INT64_MAX:
+                reduce(acc)
+                bound = top
+            times(acc, power(hi - k))
+            bound = grow * bound + top
+            if cols[k]:
+                for a, c in zip(acc, cols[k]):
+                    a += spread(c)
+        return acc, bound
+
+    if all(len(f.den) == 1 for f in fs):
+        # num/c as num times the inverse of c, per segment: no pole
+        num = []
+        for f in fs:
+            c, P = f.den[0], f.field.p
+            if ext == 1:
+                inv = pow(c, -1, P)
+                num.append([a * inv % P for a in f.num])
+                continue
+            (u, v), R = c, f.field.r
+            w = pow(u * u - R * v * v, -1, P)
+            u, v = u * w, -v * w
+            num.append([((a * u + R * b * v) % P, (a * v + b * u) % P)
+                        for a, b in f.num])
+        img, bound = horner(num)
+        if bound > top:
+            reduce(img)
+        pole = None
+    elif ext == 1:
+        (d,), bound = horner([f.den for f in fs])
+        if bound > top:
+            d %= p
+        pole = d == 0
+        inv = _fermat_inverse(d, p, [F.p - 2 for F in fields], runs)
+        img, bound = horner([f.num for f in fs])
+        if bound * top > _INT64_MAX:
+            reduce(img)
+        img[0] *= inv
+        reduce(img)
+    else:
+        (du, dv), bound = horner([f.den for f in fs])
+        if bound > top:
+            reduce((du, dv))
         # 1/d = conj(d)/N(d), with the norm N(d) = du^2 - r*dv^2 in F_p
-        norm = np.multiply(du, du, out=xu)
-        np.multiply(dv, dv, out=xv)
-        xv *= r
-        norm -= xv
+        norm = du * du
+        np.multiply(dv, dv, out=t)
+        t *= r
+        norm -= t
         norm %= p
         pole = norm == 0
-        inv = inverse(norm, xv)
-        du *= inv
-        du %= p
-        dv *= inv
-        np.negative(dv, out=dv)
-        dv %= p
-        img = np.multiply(nu, du, out=t)
-        np.multiply(nv, dv, out=s)
-        s *= r
-        img += s
-        img %= p
-        img *= p
-        nu *= dv
+        ps = [F.p for F in fields]
+        if sum(ps) < n:  # a table of the p inverses per segment, gathered
+            start = np.cumsum([0] + ps[:-1])
+            table = _fermat_inverse(np.arange(sum(ps)) - np.repeat(start, ps),
+                                    np.repeat(ps, ps), [P - 2 for P in ps], ps)
+            norm += spread(start.tolist())
+            inv = table[norm]
+            del table
+        else:
+            inv = _fermat_inverse(norm, p, [P - 2 for P in ps], runs)
+        del norm
+        (nu, nv), bound = horner([f.num for f in fs])
+        if bound * grow > _INT64_MAX:
+            reduce((nu, nv))
+            bound = top
+        # (nu + nv*sqrt(r)) * (du - dv*sqrt(r)), up to sign at most grow*bound
+        np.multiply(nv, dv, out=t)
+        t *= r
+        np.multiply(nu, dv, out=s)
+        nu *= du
+        nu -= t
         nv *= du
-        nu += nv
-        nu %= p
-        img += nu
-    np.copyto(img, q, where=pole)
-    if len(at_inf):
-        img[at_inf] = np.take([_image_at_inf(f) for f in fs], seg[at_inf])
+        nv -= s
+        img = [nu, nv]
+        if grow * bound * top > _INT64_MAX:
+            reduce(img)
+        for c in img:
+            c *= inv
+        reduce(img)
+    if ext == 2:
+        img[0] *= p
+        img[0] += img[1]
+    img = img[0]
+    if pole is not None:
+        np.copyto(img, spread(orders), where=pole)
+    img[last[at_inf]] = [_image_at_inf(fs[s]) for s in at_inf]
     return img
 
 
@@ -259,13 +352,14 @@ def _bijective(fs):
     starts = np.cumsum([0] + sizes)
     bins = np.empty(starts[-1], dtype=np.intp)
     for a in range(0, len(bins), _CHUNK):
-        lanes = np.arange(a, min(a + _CHUNK, len(bins)))
-        seg = starts.searchsorted(lanes, "right") - 1
-        j = lanes - starts[seg]
-        # only the functions whose segments meet the chunk
-        lo, hi = seg[0], seg[-1] + 1
-        img = _images(fs[lo:hi], j, seg - lo)
-        np.add(img, lanes - j, out=bins[a:a + len(lanes)])
+        b = min(a + _CHUNK, len(bins))
+        # only the functions whose segments meet the chunk, lo to hi - 1
+        lo = starts.searchsorted(a, "right") - 1
+        hi = starts.searchsorted(b)
+        runs = np.diff(np.clip(starts[lo:hi + 1], a, b))
+        offsets = np.repeat(starts[lo:hi], runs)
+        img = _images(fs[lo:hi], np.arange(a, b) - offsets, runs)
+        np.add(img, offsets, out=bins[a:b])
     counts = np.bincount(bins, minlength=starts[-1])
     return ~np.logical_or.reduceat(counts != 1, starts[:-1])
 

@@ -1,5 +1,7 @@
 """Projective-line evaluation, bijectivity, and prime sweeps."""
 
+import gc
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -258,6 +260,18 @@ def _index(F, c):
           (FqField(11, 2), [1, 7], [2, 1]),  # dn == dd: ratio of leads
           (FqField(5), [1], [0, 0, 1]),  # a double pole at 0
           (FqField(11), [0, 0, 0, 1], [1])], 5)  # x^3, bijective mod 11
+@example([(FqField(7), [1, 0, 0, 0, 0, 0, 0, 1], [2]),  # x^7 + 1: a gap of 7
+          (FqField(11), [0, 2, 0, 1], [1, 3]),  # no constant term, alone
+          (FqField(5), [1, 4, 1], [3]),  # constant dens, not 1 once scaled,
+          (FqField(13), [2, 0, 1], [0, 1])], 1)  # batched with others
+@example([(FqField(7), [1, 0, 0, 0, 0, 0, 0, 1], [3]),  # every den constant
+          (FqField(11), [0, 2, 0, 1], [4])], 1)
+@example([(FqField(5, 2), [1, 0, 0, 0, 0, 0, 0, 1], [7]),  # the same over F_p^2
+          (FqField(3, 2), [0, 4, 0, 1], [2, 1]),
+          (FqField(7, 2), [3, 9, 1], [5]),
+          (FqField(11, 2), [2, 0, 1], [0, 1])], 1)
+@example([(FqField(5, 2), [1, 0, 0, 0, 0, 0, 0, 1], [7]),
+          (FqField(7, 2), [0, 9, 0, 1], [12])], 1)
 @settings(max_examples=150, deadline=None)
 def test_segmented_verdicts_match_oracle(cases, seed):
     """The int rows of each place degree in one segmented pass, each over
@@ -279,34 +293,111 @@ def test_segmented_verdicts_match_oracle(cases, seed):
                                       for i in batch]
 
 
-def _int32_boundary(ext):
-    """The last prime whose field of place degree ext the evaluator takes in
-    int32, and the first prime past it."""
-    ps = [p for p in primes_up_to(50_000)[1:]
-          if projmap._exact_dtype([FqField(p, ext)]) is np.int32]
-    last = ps[-1]
-    return last, next(p for p in primes_up_to(50_000) if p > last)
+def _unreduced_steps(F):
+    """How many Horner steps the evaluator takes over F from reduced values
+    before a reduction: with `projmap._growth`'s (top, grow), a step maps
+    a bound B to grow*B + top, which must stay below 2^63."""
+    top, grow = projmap._growth([F])
+    steps, bound = 0, top
+    while grow * bound + top < 1 << 63:
+        steps, bound = steps + 1, grow * bound + top
+    return steps
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first 12 prime bases: exact below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or n in bases:
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        y = pow(a, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _largest_admitted(ext, monkeypatch):
+    """The largest prime whose field of place degree ext `_check_cap`
+    admits when the point cap is lifted; nothing larger is, as r >= 2."""
+    monkeypatch.setattr(projmap, "DEFAULT_POINT_CAP", 1 << 70)
+    p = math.isqrt((1 << 62) // (1 if ext == 1 else 3)) + 2
+    while True:
+        p -= 1
+        if _is_prime(p):
+            try:
+                projmap._check_cap(FqField(p, ext))
+                return p
+            except PointCapExceeded:
+                pass
+
+
+def _step_boundaries(ext, degree):
+    """The consecutive primes p < p' of the sweep's range (p^ext + 1 within
+    the point cap) whose unreduced steps differ, the fewer at most degree + 2,
+    so that Horner on rows of this degree or the products after it reduce
+    at another step on either side."""
+    ps = [p for p in primes_up_to(projmap.DEFAULT_POINT_CAP)[1:]
+          if p ** ext < projmap.DEFAULT_POINT_CAP]
+    steps = [_unreduced_steps(FqField(p, ext)) for p in ps]
+    return [(ps[i], ps[i + 1]) for i in range(len(ps) - 1)
+            if steps[i] != steps[i + 1] and min(steps[i:i + 2]) <= degree + 2]
 
 
 @pytest.mark.parametrize("ext", [1, 2])
-def test_images_are_exact_on_both_sides_of_the_int32_boundary(ext):
-    last, past = _int32_boundary(ext)
+def test_images_are_exact_at_the_lazy_reduction_boundaries(monkeypatch, ext):
+    """Dense rows of degree 9 over 8, coefficients near p - 1, against
+    eval_proj at both primes of each step boundary and at the largest
+    admitted prime."""
+    pairs = _step_boundaries(ext, 9)
+    assert len(pairs) >= 4
+    primes = sorted({p for pair in pairs for p in pair})
+    primes.append(_largest_admitted(ext, monkeypatch))
     rng = np.random.default_rng(20)
-    for p, dtype in ((last, np.int32), (past, np.int64)):
+    for p in primes:
         F = FqField(p, ext)
-        assert projmap._exact_dtype([F]) is dtype
-        # large coefficients, so that the products come near p^2
-        cs = [F.order - 1 - int(c) for c in rng.integers(0, 50, 9)]
-        f = _function(F, cs[:5], cs[5:])
-        assert (f.num.degree, f.den.degree) == (4, 3)  # the rows are coprime
-        rows = Reduced(F, _row(F, cs[:5]), _row(F, cs[5:]))
-        j = np.append(rng.integers(0, F.order, 200), F.order)
+        cs = [F.order - 1 - int(c) for c in rng.integers(0, 50, 19)]
+        f = _function(F, cs[:10], cs[10:])
+        assert (f.num.degree, f.den.degree) == (9, 8)  # the rows are coprime
+        rows = Reduced(F, _row(F, cs[:10]), _row(F, cs[10:]))
+        # points near q - 1 too, so that the values come near their bounds
+        j = np.concatenate([rng.integers(0, F.order, 30),
+                            F.order - 1 - rng.integers(0, 50, 30), [F.order]])
         want = []
         for i in j:
             y = eval_proj(f, _decode(F, int(i)))
             want.append(F.order if y is INF else _index(F, y))
-        seg = np.zeros(len(j), np.intp)
-        assert projmap._images([rows], j, seg).tolist() == want, (p, dtype)
+        assert projmap._images([rows], j, [len(j)]).tolist() == want, p
+
+
+def test_images_leave_no_reference_cycles():
+    """The powers of x and the closures of one `_images` call are freed on
+    return, not held until the cyclic collector runs."""
+    F, G = FqField(7), FqField(5, 2)
+    batches = [[Reduced(F, [1, 0, 0, 0, 0, 0, 0, 1], [3]),
+                Reduced(F, [0, 2, 0, 1], [1, 0, 4])],
+               [Reduced(G, [(1, 0)] + [(0, 0)] * 6 + [(2, 1)], [(3, 4)]),
+                Reduced(G, [(0, 0), (2, 2), (0, 0), (1, 0)],
+                        [(1, 0), (0, 0), (4, 1)])]]
+    gc.collect()
+    gc.disable()
+    try:
+        for fs in batches:
+            for rows in (fs, fs[:1]):  # the general path and a constant den
+                sizes = [f.field.order + 1 for f in rows]
+                j = np.concatenate([np.arange(k) for k in sizes])
+                projmap._images(rows, j, sizes)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sweep_primes_equals_sweep_prime_per_prime():

@@ -61,7 +61,8 @@ REFERENCE_RUNS = 3  # reference loops timed before each claim run
 PROBES = ("family builtin:descent:0:2:11:3", "family builtin:descent:0:2:13:6",
           "family builtin:dickson:1000:1",
           "sweep --function builtin:cm7 --bound 2000",
-          "sweep --function builtin:redei3comp --bound 30000")
+          "sweep --function builtin:redei3comp --bound 30000",
+          "sweep --function builtin:dickson:5:1 --bound 30000")
 PROBE_LIMIT_S = 60
 
 
