@@ -211,16 +211,6 @@ def _gather(table, rows, index):
     return table.ravel().take(offsets)
 
 
-def _first_non_identity(rows):
-    """The index of the first of the uint16 rows that is not the identity,
-    or -1."""
-    if not rows.size:
-        return -1
-    moved = (rows != np.arange(rows.shape[1], dtype=np.uint16)).ravel()
-    k = moved.argmax()
-    return k // rows.shape[1] if moved[k] else -1
-
-
 def _effective_gens(chain, i):
     """The strong generators effective at level i: those stored at levels
     >= i, all of which fix the base points of the levels below i."""
@@ -228,19 +218,46 @@ def _effective_gens(chain, i):
 
 
 def _sift(chain, i, rows):
-    """Sift uint16 rows through levels i.. of the chain: (per row, the level
-    where its image of the base point leaves the orbit, or len(chain); the
-    residues). From that level on a row is composed with row 0, the
-    identity, so its residue is the one it had there."""
-    stuck = np.full(len(rows), len(chain))
-    for j in range(i, len(chain)):
-        lvl = chain[j]
-        pos = lvl.position[rows[:, lvl.base_point]]
-        if j > i:  # no row is stuck before the first level
-            pos[stuck < j] = 0
-        stuck[pos < 0] = j
-        rows = _gather(lvl.table, np.maximum(pos, 0), rows)
-    return stuck, rows
+    """Sift uint16 rows through levels i.. of the chain, `_SIFT` entries or
+    fewer: (the index of the first row that does not sift to the identity,
+    or -1; the level where its image of the base point leaves the orbit, or
+    len(chain); its residue, the row composed with the inverse coset
+    representatives down to that level).
+
+    A row's positions p_i, .., p_m, the ones a sift reads, follow from its
+    images of the base points alone, and it sifts to the identity exactly
+    when it equals F_i[p_i] * .. * F_m[p_m], the product of the forward
+    coset representatives at them. So the rows are compared with that
+    product, built from the deepest factor, a row copy, with one gather
+    fewer than a sift composes. A row whose image of a base point leaves
+    that level's orbit has position -1 there, which reads the level's last
+    row, and so do its deeper positions: it differs from the product
+    whatever rows stand in, as every product maps the base point into the
+    orbit."""
+    levels = chain[i:]
+    images = rows.take([lvl.base_point for lvl in levels], axis=1)
+    positions = []
+    for j, lvl in enumerate(levels):
+        positions.append(lvl.position[images[:, j]])
+        if j + 1 < len(levels):
+            images[:, j + 1:] = lvl.table[positions[-1][:, None],
+                                          images[:, j + 1:]]
+    product = np.arange(rows.shape[1], dtype=np.uint16)
+    for j in reversed(range(len(levels))):
+        product = (levels[j].forward.take(positions[j], axis=0)
+                   if j == len(levels) - 1
+                   else _gather(levels[j].forward, positions[j], product))
+    differ = (rows != product).ravel()
+    k = differ.argmax() if differ.size else 0
+    if not differ.size or not differ[k]:
+        return -1, None, None
+    f = k // rows.shape[1]
+    residue = rows[f]
+    for j, (lvl, pos) in enumerate(zip(levels, positions)):
+        if pos[f] < 0:
+            return f, i + j, residue
+        residue = lvl.table[pos[f]].take(residue)
+    return f, len(chain), residue
 
 
 class _SchreierSims:
@@ -258,16 +275,17 @@ class _SchreierSims:
     `gens` lists the strong generators in the order they were stored, and
     states[i][s, pt] tells how the Schreier generator of (pt, gens[s]) at
     level i was verified: not yet (0), as an edge of the orbit tree
-    (`_EDGE`, never sifted) or by a sift (`_SIFTED`). A level is skipped
-    while its `_signature` is the one it was last extended with (`closed`)
-    or fully verified with (`clean`).
+    (`_EDGE`, never sifted) or by a sift (`_SIFTED`). known[i] is the number
+    of strong generators stored when level i's orbit was last extended, and
+    a level is no longer verified while its `_signature` is the one it was
+    fully verified with (`clean`).
     """
 
     def __init__(self, n, gens):
         self.n = n
         self.chain, self.gens, self.states = [], [], []
         self.serial = {}  # id of a strong generator -> its index in gens
-        self.closed, self.clean = [], []
+        self.known, self.clean = [], []
         self._sift_each(0, _perm_rows(gens, n))
         dirty = True
         while dirty:
@@ -284,7 +302,7 @@ class _SchreierSims:
             moved = row != np.arange(self.n, dtype=np.uint16)
             self.chain.append(_ChainLevel(int(moved.argmax()), self.n))
             self.states.append(np.zeros((0, self.n), dtype=np.int8))
-            self.closed.append(None)
+            self.known.append(0)
             self.clean.append(None)
         g = _perm(row)
         if g not in self.chain[j].gens:
@@ -300,11 +318,10 @@ class _SchreierSims:
         ok = np.ones(len(rows), dtype=bool)
         lo = 0
         while lo < len(rows):
-            stuck, residues = _sift(self.chain, i, rows[lo:])
-            f = _first_non_identity(residues)
+            f, level, residue = _sift(self.chain, i, rows[lo:])
             if f < 0:
                 break
-            self._add_generator(int(stuck[f]), residues[f])
+            self._add_generator(level, residue)
             ok[lo + f] = False
             lo += f + 1
         return ok
@@ -327,22 +344,29 @@ class _SchreierSims:
     def _extend_orbit(self, i):
         """Grow the transversal of level i under its effective generators, in
         the order of a stack of the orbit's points; existing rows are never
-        replaced, so earlier sift verifications stay valid. The row at s(pt)
-        set to s^-1 * t_pt makes the Schreier generator of the edge (pt, s)
-        the identity, so the edge is marked verified without a sift. The
-        coset representative at s(pt) is u_pt * s."""
-        if self.closed[i] == self._signature(i):
+        replaced, so earlier sift verifications stay valid. The orbit is
+        closed under the generators stored before `known[i]`, so its old
+        points meet only the ones stored since, in their order; each new
+        point meets them all. The row at s(pt) set to s^-1 * t_pt makes the
+        Schreier generator of the edge (pt, s) the identity, so the edge is
+        marked verified without a sift. The coset representative at s(pt) is
+        u_pt * s."""
+        known = self.known[i]
+        if all(self.serial[id(lvl.gens[-1])] < known
+               for lvl in self.chain[i:] if lvl.gens):
             return
-        lvl = self.chain[i]
+        self.known[i] = len(self.gens)
         eff, idx, st = self._level(i)
         gens = [(g, g.images, st[s]) for g, s in zip(eff, idx)]
+        fresh = [gen for gen, s in zip(gens, idx) if s >= known]
+        lvl = self.chain[i]
         where = lvl.position.tolist()
         orbit, old = lvl.orbit, len(lvl.orbit)
         edges = []  # (position of pt, s) per new point s(pt), in order
         queue = list(orbit)
         while queue:
             pt = queue.pop()
-            for g, images, state in gens:
+            for g, images, state in fresh if where[pt] < old else gens:
                 img = images[pt]
                 if where[img] < 0:
                     where[img] = len(orbit)
@@ -350,29 +374,37 @@ class _SchreierSims:
                     edges.append((where[pt], g))
                     state[pt] = _EDGE
                     queue.append(img)
-        if edges:
-            lvl.position[orbit[old:]] = np.arange(old, len(orbit))
-            # each new row from the row of its edge's start, made before it
-            table = np.empty((len(orbit), self.n), dtype=np.uint16)
-            forward = np.empty_like(table)
-            table[:old], forward[:old] = lvl.table, lvl.forward
-            arrays = {}  # id of a generator -> it and its inverse as rows
-            for row, (k, g) in enumerate(edges, old):
-                g_arr = arrays.get(id(g))
-                if g_arr is None:
-                    g_arr = arrays[id(g)] = np.array(
-                        [g.images, g.inverse().images], dtype=np.uint16)
-                table[row] = table[k][g_arr[1]]
-                forward[row] = g_arr[0][forward[k]]
-            lvl.table, lvl.forward = table, forward
-        self.closed[i] = self._signature(i)
+        if not edges:
+            return
+        lvl.position[orbit[old:]] = np.arange(old, len(orbit))
+        # each new row from the row of its edge's start, made before it
+        table = np.empty((len(orbit), self.n), dtype=np.uint16)
+        forward = np.empty_like(table)
+        table[:old], forward[:old] = lvl.table, lvl.forward
+        arrays = {}  # id of a generator -> its images and their inverse
+        for row, (k, g) in enumerate(edges, old):
+            g_arr = arrays.get(id(g))
+            if g_arr is None:
+                images = np.array(g.images, dtype=np.intp)
+                inverse = np.empty_like(images)
+                inverse[images] = np.arange(self.n)
+                g_arr = arrays[id(g)] = images, inverse
+            table[k].take(g_arr[1], out=table[row])
+            g_arr[0].take(forward[k], out=forward[row])
+        lvl.table, lvl.forward = table, forward
 
     def _verify_level(self, i):
         """Sift the unverified Schreier generators of level i in order, point
         by point and generator by generator, `_SIFT` entries at a time. At
         the first that leaves a residue, the ones before it are verified,
         the residue is stored, and the point's remaining generators are
-        sifted as `_sift_each` does. Returns whether a residue was stored."""
+        sifted as `_sift_each` does. Returns whether a residue was stored.
+
+        The Schreier generator t * s * u of the pair (orbit[p], s), with u
+        the coset representative of the point and t the inverse one of its
+        image, sifts from level i + 1 to the identity exactly when s * u
+        sifts from level i to it, leaving the same residue: the sift's first
+        step composes s * u with t. So s * u is what is sifted."""
         if self.clean[i] == self._signature(i):
             return False
         lvl = self.chain[i]
@@ -384,26 +416,21 @@ class _SchreierSims:
         def verified(p, kk):
             st[idx[kk], orbit[p]] = _SIFTED
 
-        def schreier_rows(p, kk):
-            """The Schreier generators u * s * t of the pairs (orbit[p],
-            gens[kk]): u the coset representative of the point and t the
-            inverse one of its image under s."""
-            t = lvl.position[gens[kk, orbit[p]]]
-            return _gather(lvl.table, t, _gather(gens, kk, lvl.forward[p]))
+        def rows(p, kk):
+            return _gather(gens, kk, lvl.forward[p])
 
         step = max(1, _SIFT // self.n)
         for lo in range(0, len(pos), step):
             p, kk = pos[lo:lo + step], k[lo:lo + step]
-            stuck, residues = _sift(self.chain, i + 1, schreier_rows(p, kk))
-            f = _first_non_identity(residues)
+            f, level, residue = _sift(self.chain, i, rows(p, kk))
             if f < 0:
                 verified(p, kk)
                 continue
             verified(p[:f], kk[:f])
-            self._add_generator(int(stuck[f]), residues[f])
+            self._add_generator(level, residue)
             rest = slice(lo + f + 1, bisect_right(pos, p[f]))
             p, kk = pos[rest], k[rest]
-            ok = self._sift_each(i + 1, schreier_rows(p, kk))
+            ok = self._sift_each(i, rows(p, kk))
             verified(p[ok], kk[ok])
             return True
         self.clean[i] = self._signature(i)
@@ -450,8 +477,7 @@ class PermGroup:
         self._build_chain()
         step = max(1, _SIFT // max(1, self.degree))
         for lo in range(0, len(rows), step):
-            _, residues = _sift(self._chain, 0, rows[lo:lo + step])
-            f = _first_non_identity(residues)
+            f, _, _ = _sift(self._chain, 0, rows[lo:lo + step])
             if f >= 0:
                 return lo + f
         return -1

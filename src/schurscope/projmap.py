@@ -75,27 +75,34 @@ _INT64_MAX = (1 << 63) - 1
 
 
 def _growth(fields):
-    """(top, grow) over fields: top = p_max - 1 bounds every reduced value,
-    and a Horner step a*x^g + c, with x^g and c reduced, maps a bound B on
-    a to grow*B + top. Over F_p, grow = p_max - 1. Over F_p^2 it is
-    (1 + r_max)(p_max - 1): the first coordinate of a product is
-    au*bu + r*av*bv, the second au*bv + av*bu."""
+    """(top, step) over fields: top = p_max - 1 bounds every reduced value,
+    and step maps bounds on the coordinates of a, a tuple, to bounds on
+    those of a Horner step a*x^g + c, with x^g and c reduced; they also
+    bound a*d for a reduced d. Over F_p, (B,) -> (top*B + top,). Over
+    F_p^2, (Bu, Bv) -> (top*(Bu + r_max*Bv) + top, top*(Bu + Bv) + top):
+    the first coordinate of a product is au*bu + r*av*bv, the second
+    au*bv + av*bu. The pair grows by about (1 + sqrt(r_max))*top a step,
+    where one bound on both coordinates would grow by (1 + r_max)*top."""
     top = max(F.p for F in fields) - 1
     if fields[0].ext == 1:
-        return top, top
-    return top, (1 + max(F.r for F in fields)) * top
+        return top, lambda b: (top * b[0] + top,)
+    r = max(F.r for F in fields)
+    return top, lambda b: (top * (b[0] + r * b[1]) + top,
+                           top * (b[0] + b[1]) + top)
 
 
 def _check_cap(field):
     """Raise PointCapExceeded when P^1(F_q) has more than DEFAULT_POINT_CAP
     points, or when one Horner step from reduced values may reach 2^62, so
-    that the field is too large for int64 evaluation; allocates nothing."""
+    that the field is too large for int64 evaluation; allocates nothing.
+    That step's largest bound (`_growth`) is (1 + r)*top^2 + top, with
+    r = 0 over F_p."""
     q = field.order
     if q + 1 > DEFAULT_POINT_CAP:
         raise PointCapExceeded(f"q + 1 = {q + 1} exceeds cap {DEFAULT_POINT_CAP}",
                                field.ext)
-    top, grow = _growth([field])
-    if grow * top + top >= 1 << 62:
+    top = field.p - 1
+    if (1 + (field.r or 0)) * top * top + top >= 1 << 62:
         raise PointCapExceeded(f"{field} is too large for int64 evaluation",
                                field.ext)
 
@@ -138,9 +145,10 @@ def _images(fs, j, runs):
     Horner runs in int64 over the coefficient columns that are nonzero in
     some segment only: a gap of g columns is one multiply by x^g, the
     powers made once per call, and a zero low end one last multiply by
-    x^k. Reduction is lazy. With `_growth`'s (top, grow), a reduced value
-    is at most top, and a Horner step maps a bound B to grow*B + top, so
-    `%` runs only when the next step could pass 2^63 - 1; `_check_cap`
+    x^k. Reduction is lazy. With `_growth`'s (top, step), a reduced value
+    is at most top, and a bound on each coordinate is kept through every
+    step, so `%` runs only when the next step could pass 2^63 - 1;
+    `_check_cap`
     keeps one step from reduced values below 2^62. 1/d costs only where it
     must: a constant den (in every segment) scales num's rows by its
     inverse, and there is no pole; over F_p^2, 1/d = conj(d)/N(d) with
@@ -149,7 +157,8 @@ def _images(fs, j, runs):
     """
     fields = [f.field for f in fs]
     ext = fields[0].ext
-    top, grow = _growth(fields)
+    top, step = _growth(fields)
+    reduced = (top,) * ext
     n = len(j)
 
     def spread(values):
@@ -212,7 +221,7 @@ def _images(fs, j, runs):
     def horner(rows):
         """The polynomials with coefficient rows (one per segment, as lists
         of ints or (u, v) pairs) on every lane, as (lanes per coordinate,
-        bound); a bound of at most top means reduced."""
+        bounds per coordinate); bounds of at most top mean reduced."""
         width = max(map(len, rows))
         zero = 0 if ext == 1 else (0, 0)
         # column k: per coordinate, the segments' coefficients of x^k
@@ -221,17 +230,17 @@ def _images(fs, j, runs):
                 for col in zip(*[row + [zero] * (width - len(row)) for row in rows])]
         ks = [k for k in range(width - 1, -1, -1) if cols[k]]
         if not ks:
-            return [np.zeros(n, np.int64) for _ in range(ext)], 0
+            return [np.zeros(n, np.int64) for _ in range(ext)], (0,) * ext
         acc = [v if isinstance(v, np.ndarray) else np.full(n, v, np.int64)
                for v in map(spread, cols[ks[0]])]
-        bound = top
+        bound = reduced
         # ending on x^k, k > 0, is one more step, down to column 0
         for hi, k in zip(ks, ks[1:] + [0] * (ks[-1] > 0)):
-            if grow * bound + top > _INT64_MAX:
+            if max(step(bound)) > _INT64_MAX:
                 reduce(acc)
-                bound = top
+                bound = reduced
             times(acc, power(hi - k))
-            bound = grow * bound + top
+            bound = step(bound)
             if cols[k]:
                 for a, c in zip(acc, cols[k]):
                     a += spread(c)
@@ -252,23 +261,23 @@ def _images(fs, j, runs):
             num.append([((a * u + R * b * v) % P, (a * v + b * u) % P)
                         for a, b in f.num])
         img, bound = horner(num)
-        if bound > top:
+        if max(bound) > top:
             reduce(img)
         pole = None
     elif ext == 1:
         (d,), bound = horner([f.den for f in fs])
-        if bound > top:
+        if max(bound) > top:
             d %= p
         pole = d == 0
         inv = _fermat_inverse(d, p, [F.p - 2 for F in fields], runs)
         img, bound = horner([f.num for f in fs])
-        if bound * top > _INT64_MAX:
+        if max(step(bound)) > _INT64_MAX:
             reduce(img)
         img[0] *= inv
         reduce(img)
     else:
         (du, dv), bound = horner([f.den for f in fs])
-        if bound > top:
+        if max(bound) > top:
             reduce((du, dv))
         # 1/d = conj(d)/N(d), with the norm N(d) = du^2 - r*dv^2 in F_p
         norm = du * du
@@ -289,10 +298,10 @@ def _images(fs, j, runs):
             inv = _fermat_inverse(norm, p, [P - 2 for P in ps], runs)
         del norm
         (nu, nv), bound = horner([f.num for f in fs])
-        if bound * grow > _INT64_MAX:
+        if max(step(bound)) > _INT64_MAX:
             reduce((nu, nv))
-            bound = top
-        # (nu + nv*sqrt(r)) * (du - dv*sqrt(r)), up to sign at most grow*bound
+            bound = reduced
+        # (nu + nv*sqrt(r)) * (du - dv*sqrt(r)), up to sign within step's
         np.multiply(nv, dv, out=t)
         t *= r
         np.multiply(nu, dv, out=s)
@@ -301,7 +310,7 @@ def _images(fs, j, runs):
         nv *= du
         nv -= s
         img = [nu, nv]
-        if grow * bound * top > _INT64_MAX:
+        if max(step(bound)) * top > _INT64_MAX:
             reduce(img)
         for c in img:
             c *= inv

@@ -1399,6 +1399,144 @@ def test_chain_stores_each_strong_generator_once(make):
         assert len({g.images for g in lvl.gens}) == len(lvl.gens)
 
 
+@given(_groups())
+@example(_c7_wr_c4())
+@settings(max_examples=60, deadline=None)
+def test_chain_matches_python_schreier_sims_in_blocks_of_any_size(G):
+    """Blocks of 1 to 5 rows put each refused Schreier generator at many
+    positions of its block; the chain and the verification states stay the
+    oracle's."""
+    for rows in range(1, 6):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(permcore, "_SIFT", rows * max(1, G.degree))
+            _assert_chain_matches_python_schreier_sims(G.gens, G.degree)
+
+
+def _assert_marks_hold(build):
+    """Every Schreier generator the build has marked verified sifts to the
+    identity through the chain as it stands, by Perm arithmetic on the
+    tables; an orbit-tree edge's is the identity itself."""
+    chain = build.chain
+    for i, states in enumerate(build.states):
+        lvl = chain[i]
+        for s, pt in zip(*np.nonzero(states)):
+            u = Perm(lvl.forward[lvl.position[pt]].tolist())
+            g = build.gens[s]
+            h = u * g * Perm(lvl.table[lvl.position[g(int(pt))]].tolist())
+            if states[s, pt] == permcore._EDGE:
+                assert h.is_identity()
+            for deeper in chain[i + 1:]:
+                k = deeper.position[h(deeper.base_point)]
+                assert k >= 0
+                h = h * Perm(deeper.table[k].tolist())
+            assert h.is_identity()
+
+
+@given(_groups())
+@example(_c7_wr_c4())
+@settings(max_examples=60, deadline=None)
+def test_verified_marks_hold_after_every_level_verified(G):
+    """A Schreier generator is marked verified only once it sifts to the
+    identity: the refused one of a block is not, until a later pass."""
+    verify = permcore._SchreierSims._verify_level
+
+    def checked(self, i):
+        stored = verify(self, i)
+        _assert_marks_hold(self)
+        return stored
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permcore._SchreierSims, "_verify_level", checked)
+        permcore._SchreierSims(G.degree, G.gens)
+
+
+def _coset_product(chain, levels, positions, n):
+    """F_j[p_j] * .. * F_k[p_k] over the given levels, outermost first: the
+    row whose sift from the first of them reads these positions."""
+    row = np.arange(n, dtype=np.uint16)
+    for j, p in zip(reversed(levels), reversed(positions)):
+        row = chain[j].forward[p % len(chain[j].orbit)][row]
+    return row
+
+
+def _refused_rows(chain, n):
+    """(start level i, level j, residue r, row) for rows outside the group of
+    a complete chain: row = u * r, where u is a product of coset
+    representatives of levels i..j-1 at nonzero positions, and r either
+    swaps b_j with a point off level j's orbit that is no base point above
+    it (a row stuck at a deeper level, j > i) or swaps two points that are
+    no base points (a row fixing every base point, not the identity, j =
+    len(chain)). A sift from level i reads u's positions, then leaves r at
+    level j."""
+    bases = [lvl.base_point for lvl in chain]
+    out = []
+    for j in range(1, len(chain) + 1):
+        if j < len(chain):
+            off = [x for x in range(n)
+                   if chain[j].position[x] < 0 and x not in bases[:j]]
+            pair = (bases[j], off[0]) if off else None
+        else:
+            free = [x for x in range(n) if x not in bases]
+            pair = tuple(free[:2]) if len(free) > 1 else None
+        if pair is None:
+            continue
+        r = np.arange(n, dtype=np.uint16)
+        r[list(pair)] = pair[::-1]
+        for i in range(j):
+            u = _coset_product(chain, range(i, j), [1] * (j - i), n)
+            out.append((i, j, r, u[r]))
+    return out
+
+
+def _assert_first_refused_at_every_position(G):
+    """Each refused row of `_refused_rows`, put at every position of a block
+    of rows in G that fix the base points above its start level, is the
+    first refused, with its level and residue; from level 0 also in blocks
+    of any size, and `_sift_each` stores its residue at that level. Returns
+    which kinds of refused row G has: True for one fixing every base
+    point."""
+    n = G.degree
+    G._build_chain()
+    chain = G._chain
+    cases = _refused_rows(chain, n)
+    for i, j, r, row in cases:
+        members = [_coset_product(chain, range(i, len(chain)),
+                                  [t + 1] * (len(chain) - i), n)
+                   for t in range(4)]
+        for k in range(len(members) + 1):
+            block = np.array(members[:k] + [row] + members[k:],
+                             dtype=np.uint16)
+            f, level, residue = permcore._sift(chain, i, block)
+            assert (f, level, residue.tolist()) == (k, j, r.tolist())
+            if i:
+                continue
+            for rows in range(1, len(block) + 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(permcore, "_SIFT", rows * n)
+                    assert G.first_outside(block) == k
+            build = permcore._SchreierSims(n, G.gens)
+            ok = build._sift_each(0, block)
+            assert ok.tolist() == [x != k for x in range(len(block))]
+            assert build.gens[-1].images == tuple(r.tolist())
+            assert build.chain[j].gens[-1] is build.gens[-1]
+    return {j == len(chain) for _, j, _, _ in cases}
+
+
+@given(_groups())
+@settings(max_examples=100, deadline=None)
+def test_sift_finds_the_first_refused_row_at_every_position(G):
+    _assert_first_refused_at_every_position(G)
+
+
+@pytest.mark.parametrize("name", ["c7-wr-c4", "s3-wreath-c3-A",
+                                  "psl2(8)-torus"])
+def test_sift_finds_stuck_and_base_fixing_rows_at_every_position(name):
+    """Named groups with both kinds of refused row: one stuck at a level
+    below the first and one that fixes every base point."""
+    assert _assert_first_refused_at_every_position(_NAMED[name]()) == \
+        {False, True}
+
+
 def _normalizer_cases():
     """(name, G, g) with g in G: tori of PSL2(q) and PGammaL2(8), every
     element of S4, and the order-4 elements of the deg16 claim's groups."""

@@ -295,12 +295,13 @@ def test_segmented_verdicts_match_oracle(cases, seed):
 
 def _unreduced_steps(F):
     """How many Horner steps the evaluator takes over F from reduced values
-    before a reduction: with `projmap._growth`'s (top, grow), a step maps
-    a bound B to grow*B + top, which must stay below 2^63."""
-    top, grow = projmap._growth([F])
-    steps, bound = 0, top
-    while grow * bound + top < 1 << 63:
-        steps, bound = steps + 1, grow * bound + top
+    before a reduction: with `projmap._growth`'s (top, step), a step maps
+    the bounds on the coordinates by step, and each must stay below
+    2^63."""
+    top, step = projmap._growth([F])
+    steps, bound = 0, (top,) * F.ext
+    while max(step(bound)) < 1 << 63:
+        steps, bound = steps + 1, step(bound)
     return steps
 
 

@@ -28,8 +28,9 @@ and the medians of the raw and of the scaled seconds.
 
 Last, each CLI probe of ``PROBES`` runs ``CLAIM_RUNS`` times per revision,
 alternating in the same way, each as ``cli.main(argv)`` in a fresh
-interpreter that first times the reference loop as for the claims. A probe
-run has ``PROBE_LIMIT_S`` seconds; one past it is ended by ``SIGALRM`` and
+interpreter that first times the reference loop as for the claims; in a
+probe, ``{root}`` stands for the root of the checkout that runs this script
+(the record keeps the probe as written). A probe run has ``PROBE_LIMIT_S`` seconds; one past it is ended by ``SIGALRM`` and
 recorded as timed out, with no seconds. A record holds, per probe and run,
 the exit code, the raw, reference and scaled seconds and the interpreter's
 peak RSS (``ru_maxrss``, in MB), or ``timed_out``; and per probe the count
@@ -62,7 +63,10 @@ PROBES = ("family builtin:descent:0:2:11:3", "family builtin:descent:0:2:13:6",
           "family builtin:dickson:1000:1",
           "sweep --function builtin:cm7 --bound 2000",
           "sweep --function builtin:redei3comp --bound 30000",
-          "sweep --function builtin:dickson:5:1 --bound 30000")
+          "sweep --function builtin:dickson:5:1 --bound 30000",
+          # many tiny generation-test chains; {root} is this checkout, as a
+          # revision's archive may not hold the group file
+          "genus0 --group {root}/tools/groups/s6.json")
 PROBE_LIMIT_S = 60
 
 
@@ -136,7 +140,7 @@ def _probe_seconds(checkout, probe):
         signal.alarm({PROBE_LIMIT_S})
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main({probe.split()!r})
+            code = main({probe.format(root=ROOT).split()!r})
         print(code, time.perf_counter() - start,
               resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
         """), check=False)
