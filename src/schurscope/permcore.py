@@ -218,22 +218,22 @@ def _effective_gens(chain, i):
 
 
 def _sift(chain, i, rows):
-    """Sift uint16 rows through levels i.. of the chain, `_SIFT` entries or
-    fewer: (the index of the first row that does not sift to the identity,
-    or -1; the level where its image of the base point leaves the orbit, or
-    len(chain); its residue, the row composed with the inverse coset
-    representatives down to that level).
+    """Sift uint16 rows through levels i.. of the chain: (the index of the
+    first row that does not sift to the identity, or -1; the level where its
+    image of the base point leaves the orbit, or len(chain); its residue,
+    the row composed with the inverse coset representatives down to that
+    level).
 
     A row's positions p_i, .., p_m, the ones a sift reads, follow from its
     images of the base points alone, and it sifts to the identity exactly
-    when it equals F_i[p_i] * .. * F_m[p_m], the product of the forward
+    when it equals F_m[p_m] * .. * F_i[p_i], the product of the forward
     coset representatives at them. So the rows are compared with that
     product, built from the deepest factor, a row copy, with one gather
-    fewer than a sift composes. A row whose image of a base point leaves
-    that level's orbit has position -1 there, which reads the level's last
-    row, and so do its deeper positions: it differs from the product
-    whatever rows stand in, as every product maps the base point into the
-    orbit."""
+    fewer than a sift composes. A row whose image of b_j leaves level j's
+    orbit gets position -1 there, read as the level's last row, and
+    positions below it that mean nothing; it still differs from the
+    product, since any product of rows of levels j.. maps b_j into the
+    orbit and the row, sifted down to level j, does not."""
     levels = chain[i:]
     images = rows.take([lvl.base_point for lvl in levels], axis=1)
     positions = []
@@ -248,10 +248,9 @@ def _sift(chain, i, rows):
                    if j == len(levels) - 1
                    else _gather(levels[j].forward, positions[j], product))
     differ = (rows != product).ravel()
-    k = differ.argmax() if differ.size else 0
-    if not differ.size or not differ[k]:
+    if not differ.any():
         return -1, None, None
-    f = k // rows.shape[1]
+    f = differ.argmax() // rows.shape[1]
     residue = rows[f]
     for j, (lvl, pos) in enumerate(zip(levels, positions)):
         if pos[f] < 0:
@@ -352,8 +351,8 @@ class _SchreierSims:
         marked verified without a sift. The coset representative at s(pt) is
         u_pt * s."""
         known = self.known[i]
-        if all(self.serial[id(lvl.gens[-1])] < known
-               for lvl in self.chain[i:] if lvl.gens):
+        # a level's last strong generator is its latest
+        if max(self.serial[id(l.gens[-1])] for l in self.chain[i:]) < known:
             return
         self.known[i] = len(self.gens)
         eff, idx, st = self._level(i)
@@ -400,11 +399,11 @@ class _SchreierSims:
         the residue is stored, and the point's remaining generators are
         sifted as `_sift_each` does. Returns whether a residue was stored.
 
-        The Schreier generator t * s * u of the pair (orbit[p], s), with u
+        The Schreier generator u * s * t of the pair (orbit[p], s), with u
         the coset representative of the point and t the inverse one of its
-        image, sifts from level i + 1 to the identity exactly when s * u
+        image, sifts from level i + 1 to the identity exactly when u * s
         sifts from level i to it, leaving the same residue: the sift's first
-        step composes s * u with t. So s * u is what is sifted."""
+        step composes u * s with t. So u * s is what is sifted."""
         if self.clean[i] == self._signature(i):
             return False
         lvl = self.chain[i]
