@@ -1451,8 +1451,9 @@ def test_verified_marks_hold_after_every_level_verified(G):
 
 
 def _coset_product(chain, levels, positions, n):
-    """F_j[p_j] * .. * F_k[p_k] over the given levels, outermost first: the
-    row whose sift from the first of them reads these positions."""
+    """F_k[p_k] * .. * F_j[p_j] over the levels j..k given, the deepest
+    applied first: the row whose sift from level j reads these
+    positions."""
     row = np.arange(n, dtype=np.uint16)
     for j, p in zip(reversed(levels), reversed(positions)):
         row = chain[j].forward[p % len(chain[j].orbit)][row]
@@ -1461,7 +1462,7 @@ def _coset_product(chain, levels, positions, n):
 
 def _refused_rows(chain, n):
     """(start level i, level j, residue r, row) for rows outside the group of
-    a complete chain: row = u * r, where u is a product of coset
+    a complete chain: row = r * u, where u is a product of coset
     representatives of levels i..j-1 at nonzero positions, and r either
     swaps b_j with a point off level j's orbit that is no base point above
     it (a row stuck at a deeper level, j > i) or swaps two points that are

@@ -30,7 +30,8 @@ Last, each CLI probe of ``PROBES`` runs ``CLAIM_RUNS`` times per revision,
 alternating in the same way, each as ``cli.main(argv)`` in a fresh
 interpreter that first times the reference loop as for the claims; in a
 probe, ``{root}`` stands for the root of the checkout that runs this script
-(the record keeps the probe as written). A probe run has ``PROBE_LIMIT_S`` seconds; one past it is ended by ``SIGALRM`` and
+(the record keeps the probe as written). A probe run has
+``PROBE_LIMIT_S`` seconds; one past it is ended by ``SIGALRM`` and
 recorded as timed out, with no seconds. A record holds, per probe and run,
 the exit code, the raw, reference and scaled seconds and the interpreter's
 peak RSS (``ru_maxrss``, in MB), or ``timed_out``; and per probe the count
