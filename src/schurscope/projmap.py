@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -74,35 +75,38 @@ class PointCapExceeded(ValueError):
 _INT64_MAX = (1 << 63) - 1
 
 
+def _step(top, r, b):
+    """Bounds on the coordinates of a Horner step a*x^g + c from bounds b,
+    a tuple, on those of a, with x^g and c at most top; they also bound
+    a*d for d at most top. Over F_p (r None), (B,) -> (top*B + top,). Over
+    F_p^2 = F_p[sqrt(r)], (Bu, Bv) -> (top*(Bu + r*Bv) + top,
+    top*(Bu + Bv) + top): the first coordinate of a product is
+    au*bu + r*av*bv, the second au*bv + av*bu. The pair grows by about
+    (1 + sqrt(r))*top a step, where one bound on both coordinates would
+    grow by (1 + r)*top."""
+    if r is None:
+        return (top * b[0] + top,)
+    return (top * (b[0] + r * b[1]) + top, top * (b[0] + b[1]) + top)
+
+
 def _growth(fields):
     """(top, step) over fields: top = p_max - 1 bounds every reduced value,
-    and step maps bounds on the coordinates of a, a tuple, to bounds on
-    those of a Horner step a*x^g + c, with x^g and c reduced; they also
-    bound a*d for a reduced d. Over F_p, (B,) -> (top*B + top,). Over
-    F_p^2, (Bu, Bv) -> (top*(Bu + r_max*Bv) + top, top*(Bu + Bv) + top):
-    the first coordinate of a product is au*bu + r*av*bv, the second
-    au*bv + av*bu. The pair grows by about (1 + sqrt(r_max))*top a step,
-    where one bound on both coordinates would grow by (1 + r_max)*top."""
+    and step is `_step` at top and r_max."""
     top = max(F.p for F in fields) - 1
-    if fields[0].ext == 1:
-        return top, lambda b: (top * b[0] + top,)
-    r = max(F.r for F in fields)
-    return top, lambda b: (top * (b[0] + r * b[1]) + top,
-                           top * (b[0] + b[1]) + top)
+    r = None if fields[0].ext == 1 else max(F.r for F in fields)
+    return top, partial(_step, top, r)
 
 
 def _check_cap(field):
     """Raise PointCapExceeded when P^1(F_q) has more than DEFAULT_POINT_CAP
     points, or when one Horner step from reduced values may reach 2^62, so
-    that the field is too large for int64 evaluation; allocates nothing.
-    That step's largest bound (`_growth`) is (1 + r)*top^2 + top, with
-    r = 0 over F_p."""
+    that the field is too large for int64 evaluation; allocates nothing."""
     q = field.order
     if q + 1 > DEFAULT_POINT_CAP:
         raise PointCapExceeded(f"q + 1 = {q + 1} exceeds cap {DEFAULT_POINT_CAP}",
                                field.ext)
     top = field.p - 1
-    if (1 + (field.r or 0)) * top * top + top >= 1 << 62:
+    if max(_step(top, field.r, (top,) * field.ext)) >= 1 << 62:
         raise PointCapExceeded(f"{field} is too large for int64 evaluation",
                                field.ext)
 
@@ -148,10 +152,9 @@ def _images(fs, j, runs):
     x^k. Reduction is lazy. With `_growth`'s (top, step), a reduced value
     is at most top, and a bound on each coordinate is kept through every
     step, so `%` runs only when the next step could pass 2^63 - 1;
-    `_check_cap`
-    keeps one step from reduced values below 2^62. 1/d costs only where it
-    must: a constant den (in every segment) scales num's rows by its
-    inverse, and there is no pole; over F_p^2, 1/d = conj(d)/N(d) with
+    `_check_cap` keeps one step from reduced values below 2^62. 1/d costs
+    only where it must: a constant den (in every segment) scales num's rows
+    by its inverse, and there is no pole; over F_p^2, 1/d = conj(d)/N(d) with
     1/N(d) gathered from a per-segment table of the p inverses in F_p;
     else it is the per-lane Fermat power d^(p-2).
     """

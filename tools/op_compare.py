@@ -7,8 +7,8 @@ PARENT_SRC and HEAD_SRC are ``src/`` directories, each holding a
 imported into this interpreter with its own copy of the package's modules
 and its own import of this checkout's ``perfbench/workloads.py`` and
 ``perfbench/oracles.py``, and the workload is built once per tree from
-``--seed``. The rounds then alternate between the trees, the first tree
-first in even rounds, and every operation of a round is timed on its own
+the seed ``SEED``. The rounds then alternate between the trees, the first
+tree first in even rounds, and every operation of a round is timed on its own
 (``time.perf_counter``, after a ``gc.collect()`` per round, as
 ``perfbench/run.py`` does). Two benchmark processes run one after the other
 on a shared host can disagree in sign for one pair; rounds interleaved in
@@ -33,6 +33,7 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _OWN = ("schurscope", "workloads", "oracles")  # modules imported per tree
+SEED = 9301  # outside bench_record.py's SEEDS, 9201-9210
 
 
 def _args(argv):
@@ -42,7 +43,6 @@ def _args(argv):
     ap.add_argument("--workload", required=True,
                     choices=("sweep", "exceptional", "genus0"))
     ap.add_argument("--rounds", type=int, default=30)
-    ap.add_argument("--seed", type=int, default=9301)
     ap.add_argument("--smoke", action="store_true",
                     help="the workload's tiny sizes")
     return ap.parse_args(argv)
@@ -91,7 +91,7 @@ def _round(plan):
     return times, wall, errors + plan.check(out)
 
 
-def compare(trees, workload, rounds, seed=9301, smoke=False):
+def compare(trees, workload, rounds, smoke=False):
     """{tree index: (per-op lists of seconds, round seconds)} and the
     errors seen, from rounds alternating between the trees."""
     saved = {name: mod for name, mod in sys.modules.items() if _owned(name)}
@@ -100,7 +100,7 @@ def compare(trees, workload, rounds, seed=9301, smoke=False):
         plans = []
         for mods in modules:
             _install(mods)
-            plans.append(mods["workloads"].build(workload, seed, smoke))
+            plans.append(mods["workloads"].build(workload, SEED, smoke))
         times = {k: ({name: [] for name, _ in plans[k].ops}, [])
                  for k in range(len(trees))}
         errors = []
@@ -139,8 +139,8 @@ def _table(times):
 def main(argv=None):
     args = _args(sys.argv[1:] if argv is None else argv)
     times, errors = compare(args.trees, args.workload, args.rounds,
-                            args.seed, args.smoke)
-    print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds "
+                            args.smoke)
+    print(f"{args.workload}, seed {SEED}, {args.rounds} rounds "
           f"alternating, times in ms")
     print("\n".join(_table(times)))
     for e in errors:
